@@ -27,6 +27,7 @@
 #include "common.hpp"
 #include "obs/analysis.hpp"
 #include "obs/reader.hpp"
+#include "obs/streaming.hpp"
 
 namespace {
 
@@ -47,14 +48,17 @@ Attribution attribute(const tls::exp::ExperimentConfig& base,
   c.obs.trace_csv_path = dir + "/" + label + ".csv";
   exp::run_experiment(c);
 
-  std::vector<obs::TraceEvent> events;
+  obs::StreamingAnalyzer analyzer;
   std::string error;
   Attribution out;
-  if (!obs::read_trace_csv_file(c.obs.trace_csv_path, &events, &error)) {
+  if (!obs::for_each_trace_csv_event(
+          c.obs.trace_csv_path,
+          [&analyzer](const obs::TraceEvent& e) { analyzer.ingest(e); },
+          nullptr, &error)) {
     std::fprintf(stderr, "bench_attribution: %s\n", error.c_str());
     return out;
   }
-  obs::RunReport report = obs::analyze(events);
+  obs::RunReport report = analyzer.finish();
   sim::Time wait = tls::sim::Time{0}, queue = tls::sim::Time{0},
             fan_in = tls::sim::Time{0};
   for (const obs::JobSummary& js : report.jobs) {

@@ -1,15 +1,20 @@
-// Streaming-vs-batch attribution engine benchmark: generate one contended
-// multi-job trace, then time (a) obs::analyze over the materialized event
-// vector and (b) StreamingAnalyzer::ingest one event at a time, reporting
-// events/sec for each plus the streaming engine's peak retained records
-// against the total event count — the bounded-memory headline (peak stays
-// a small in-flight window while batch must hold every event).
+// Streaming attribution engine benchmark: generate one contended multi-job
+// trace, then time the offline path tlsreport runs — the chunked CSV
+// reader feeding StreamingAnalyzer one event at a time — reporting
+// events/sec (CSV parse included) and the engine's peak retained records
+// against the total event count. That is the bounded-memory headline: the
+// peak stays a small in-flight window however long the trace is.
 //
 // A capture-sampling row (qdisc=16, htb=16) shows the filter layer's effect
 // on trace volume while the blame matrix stays integer-exact (analysis
 // categories are never sampled).
+//
+// Exits 1 unless the offline report is byte-identical to the same run's
+// in-process --report-json.
 #include <chrono>  // host wall timing only — bench/ is outside the src/ lint
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "common.hpp"
 #include "obs/analysis.hpp"
@@ -24,9 +29,16 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-long events_per_sec(std::size_t events, double secs) {
+long events_per_sec(std::uint64_t events, double secs) {
   return secs > 0.0 ? static_cast<long>(static_cast<double>(events) / secs)
                     : 0;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 }  // namespace
@@ -36,7 +48,7 @@ int main(int argc, char** argv) {
   bench::init(argc, argv);
   bench::Timing timing("obs_streaming");
   bench::print_header(
-      "Streaming attribution engine - throughput and retention vs batch",
+      "Streaming attribution engine - offline throughput and retention",
       "per-iteration blame finalizes as barriers release; retained state is "
       "a bounded in-flight window, not the whole trace");
 
@@ -50,80 +62,80 @@ int main(int argc, char** argv) {
   c.placement = cluster::table1(1, 3);
   c.seed = bench::bench_seed();
 
-  auto capture = [&](const char* sample_spec) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "tls_bench_obs_streaming")
+          .string();
+  std::filesystem::create_directories(dir);
+  const std::string in_process_json_path = dir + "/report.json";
+
+  // Runs the experiment with a trace CSV; returns the CSV's path.
+  auto capture = [&](const char* sample_spec, const std::string& json_path) {
     exp::ExperimentConfig run = c;
     run.obs.trace_sample = sample_spec;
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "tls_bench_obs_streaming")
-            .string();
-    std::filesystem::create_directories(path);
-    run.obs.trace_csv_path =
-        path + std::string("/trace") + (*sample_spec != '\0' ? "_sampled" : "") +
-        ".csv";
+    run.obs.trace_csv_path = dir + std::string("/trace") +
+                             (*sample_spec != '\0' ? "_sampled" : "") + ".csv";
+    run.obs.report_json_path = json_path;
     exp::run_experiment(run);
-    std::vector<obs::TraceEvent> events;
-    std::string error;
-    if (!obs::read_trace_csv_file(run.obs.trace_csv_path, &events, &error)) {
-      std::fprintf(stderr, "bench_obs_streaming: %s\n", error.c_str());
-    }
-    return events;
+    return run.obs.trace_csv_path;
   };
 
-  std::vector<obs::TraceEvent> events = capture("");
+  const std::string trace = capture("", in_process_json_path);
   timing.add_runs(1);
 
-  // Batch: the whole vector at once, repeated for a stable number.
+  // Offline: CSV straight into the engine, repeated for a stable number.
   const int reps = 3;
   auto t0 = std::chrono::steady_clock::now();
-  std::string batch_json;
-  for (int r = 0; r < reps; ++r) {
-    batch_json = obs::report_json(obs::analyze(events));
-  }
-  double batch_s = seconds_since(t0) / reps;
-
-  // Streaming: one ingest per event, finalizing behind barrier releases.
-  t0 = std::chrono::steady_clock::now();
-  std::string streaming_json;
+  std::string offline_json;
   std::size_t peak = 0;
+  std::uint64_t events = 0;
   for (int r = 0; r < reps; ++r) {
     obs::StreamingAnalyzer analyzer;
-    for (const obs::TraceEvent& e : events) analyzer.ingest(e);
-    obs::RunReport report = analyzer.finish();
+    obs::TraceHealth health;
+    std::string error;
+    if (!obs::for_each_trace_csv_event(
+            trace, [&analyzer](const obs::TraceEvent& e) { analyzer.ingest(e); },
+            &health, &error)) {
+      std::fprintf(stderr, "bench_obs_streaming: %s\n", error.c_str());
+      return 1;
+    }
+    analyzer.set_health(health);
+    offline_json = obs::report_json(analyzer.finish());
     peak = analyzer.peak_retained_records();
-    streaming_json = obs::report_json(report);
+    events = analyzer.ingested_events();
   }
-  double streaming_s = seconds_since(t0) / reps;
+  double offline_s = seconds_since(t0) / reps;
+  const std::string in_process_json = read_file(in_process_json_path);
 
-  std::vector<obs::TraceEvent> sampled = capture("qdisc=16,htb=16");
+  const std::string sampled_trace = capture("qdisc=16,htb=16", "");
   timing.add_runs(1);
+  std::uint64_t sampled = 0;
+  std::string error;
+  if (!obs::for_each_trace_csv_event(
+          sampled_trace, [&sampled](const obs::TraceEvent&) { ++sampled; },
+          nullptr, &error)) {
+    std::fprintf(stderr, "bench_obs_streaming: %s\n", error.c_str());
+    return 1;
+  }
 
-  metrics::Table table({"engine", "events", "wall ms", "events/sec",
+  auto pct_of_events = [events](std::uint64_t n) {
+    return events == 0 ? std::string("0") : std::to_string(n * 100 / events);
+  };
+  metrics::Table table({"trace", "events", "wall ms", "events/sec",
                         "peak retained", "retained %"});
-  table.add_row({"batch (analyze)", std::to_string(events.size()),
-                 metrics::fmt(batch_s * 1e3, 1),
-                 std::to_string(events_per_sec(events.size(), batch_s)),
-                 std::to_string(events.size()), "100"});
-  table.add_row(
-      {"streaming", std::to_string(events.size()),
-       metrics::fmt(streaming_s * 1e3, 1),
-       std::to_string(events_per_sec(events.size(), streaming_s)),
-       std::to_string(peak),
-       events.empty()
-           ? "0"
-           : std::to_string(peak * 100 / events.size())});
-  table.add_row({"streaming (qdisc=16,htb=16)", std::to_string(sampled.size()),
-                 "-", "-", "-",
-                 events.empty()
-                     ? "0"
-                     : std::to_string(sampled.size() * 100 / events.size())});
+  table.add_row({"csv -> streaming", std::to_string(events),
+                 metrics::fmt(offline_s * 1e3, 1),
+                 std::to_string(events_per_sec(events, offline_s)),
+                 std::to_string(peak), pct_of_events(peak)});
+  table.add_row({"csv (qdisc=16,htb=16)", std::to_string(sampled), "-", "-",
+                 "-", pct_of_events(sampled)});
   std::printf("%s\n", table.str().c_str());
 
-  std::printf("identical output: %s\n",
-              batch_json == streaming_json ? "yes (byte-for-byte)"
-                                           : "NO - BUG");
+  const bool identical = !offline_json.empty() && offline_json == in_process_json;
+  std::printf("offline == in-process report: %s\n",
+              identical ? "yes (byte-for-byte)" : "NO - BUG");
   std::printf(
-      "\"peak retained\" is the streaming engine's high-water record count;\n"
-      "the last row shows capture-sampling shrinking the trace itself while\n"
+      "\"peak retained\" is the engine's high-water record count; the last\n"
+      "row shows capture-sampling shrinking the trace itself while\n"
       "analysis categories stay exact.\n");
-  return batch_json == streaming_json ? 0 : 1;
+  return identical ? 0 : 1;
 }

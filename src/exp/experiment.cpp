@@ -277,9 +277,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       throw std::runtime_error("metrics export failed: " + err);
     }
     if (config.obs.report_any()) {
-      // The in-process report runs on the streaming engine (bounded
-      // retention); the offline tlsreport default stays batch, and the
-      // golden-report tests pin the two byte-identical.
+      // Same engine as offline tlsreport, so the in-process report and
+      // `tlsreport <trace.csv>` are byte-identical (CI cmp's the two).
       obs::StreamingAnalyzer analyzer;
       for (const obs::TraceEvent& e : tracer->events()) analyzer.ingest(e);
       analyzer.set_health(tracer->health());

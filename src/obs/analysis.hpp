@@ -1,7 +1,8 @@
-// tls::obs::analysis — post-hoc straggler root-cause attribution.
+// tls::obs::analysis — straggler root-cause attribution reports.
 //
-// Consumes a simulation's trace event stream (in-memory Tracer or a trace
-// CSV re-read through obs/reader.hpp) and reconstructs, per job per
+// obs::StreamingAnalyzer (obs/streaming.hpp) consumes a simulation's trace
+// event stream — a live Tracer or a trace CSV read back through
+// obs/reader.hpp — and builds a RunReport that holds, per job per
 // synchronous iteration:
 //
 //   (a) the critical path of the barrier: starting from the worker with
@@ -28,10 +29,11 @@
 //       in the log, so the non-preempted in-service chunk is naturally
 //       excluded on both sides.
 //
-//   (c) policy diff reports: two runs of the same scenario under
-//       different disciplines (e.g. FIFO vs TLs-One), aligned per
-//       (job, iteration), certifying whether priority bands removed the
-//       queueing-behind-other-jobs blame for the prioritized job.
+// This header holds the report types, their renderers, and (c) policy
+// diff reports: two runs of the same scenario under different disciplines
+// (e.g. FIFO vs TLs-One), aligned per (job, iteration), certifying whether
+// priority bands removed the queueing-behind-other-jobs blame for the
+// prioritized job.
 //
 // Everything is integer arithmetic on trace timestamps, iterated in
 // deterministic (std::map / log) order, and rendered with fixed integer
@@ -146,12 +148,6 @@ struct RunReport {
   /// warning — a truncated trace must never pass as a complete one.
   TraceHealth health{};
 };
-
-/// Builds the attribution report from a trace event stream. Requires the
-/// kAnalysisCats categories (chunk, barrier, flow, ingress, compute); with
-/// fewer categories the analysis degrades gracefully — unattributable time
-/// lands in the `other` bucket instead of failing.
-RunReport analyze(const std::vector<TraceEvent>& events);
 
 /// Human-readable report (per-iteration table + per-job rollup).
 std::string report_text(const RunReport& report);

@@ -1,9 +1,9 @@
-// Internal machinery shared by the batch (obs/analysis.cpp) and streaming
-// (obs/streaming.cpp) attribution engines: the causal index, the critical-
-// path walk and the flow decomposition. Both engines MUST run the exact
-// same walk over the exact same index types — the streaming analyzer's
-// byte-identical-to-batch contract (golden-report tests) rests on it. Not
-// part of the public obs API; include obs/analysis.hpp instead.
+// Internal machinery of the attribution engine (obs/streaming.cpp): the
+// causal index, the critical-path walk and the flow decomposition. The
+// batch oracle in tests/obs builds the same index from a whole log and runs
+// this same walk over it — the engine's byte-identical-to-batch contract
+// (golden-report tests) rests on that sharing. Not part of the public obs
+// API; include obs/analysis.hpp instead.
 #pragma once
 
 #include <algorithm>
@@ -54,8 +54,8 @@ struct FlowTrace {
   sim::Time end_at{-1};
   std::map<std::int64_t, ChunkTrace> chunks;        ///< by chunk index
   std::map<sim::Time, std::int64_t> index_by_deliver;  ///< deliver -> index
-  /// Log position of the flow's earliest enqueue event (streaming only:
-  /// the dequeue-record retention watermark; ignored by the batch path).
+  /// Log position of the flow's earliest enqueue event (the dequeue-record
+  /// retention watermark).
   std::size_t min_enq_idx = static_cast<std::size_t>(-1);
   /// Same for the earliest ingress arrival (deliver-record retention).
   std::size_t min_arr_idx = static_cast<std::size_t>(-1);
@@ -73,9 +73,8 @@ struct Release {
   std::int32_t worker = -1;
 };
 
-/// Everything the critical-path walk needs. The batch engine fills it in
-/// one pass over the whole log (build_index); the streaming engine grows
-/// it per event and prunes entries behind the finalization watermark.
+/// Everything the critical-path walk needs. The streaming engine grows it
+/// per event and prunes entries behind the finalization watermark.
 struct Index {
   std::map<std::int64_t, FlowTrace> flows;  ///< by flow id
   /// (job, kind, dst host, end time) -> flow id, last in log order wins.
@@ -98,7 +97,9 @@ struct Index {
 /// (kEgress: window (enq_idx, deq_idx) scanned for foreign chunk_dequeue)
 /// or an ingress-port visit (kIngress: window (arr_idx, del_idx) scanned
 /// for foreign ingress_deliver) — remembered so the blame pass can scan
-/// the exclusive log window (begin_idx, end_idx).
+/// the exclusive log window (begin_idx, end_idx). Out-of-order input can
+/// put the closing event first (begin_idx >= end_idx): the window is then
+/// empty and holds no blame.
 struct QueueVisit {
   BlameSide side = BlameSide::kEgress;
   std::int32_t host = -1;
@@ -113,8 +114,7 @@ struct QueueVisit {
 using BlameKey =
     std::tuple<std::uint8_t, std::int32_t, std::int32_t, std::int32_t>;
 
-/// Converts the accumulated blame map into the report's sorted entries;
-/// shared so the batch and streaming engines emit byte-identically.
+/// Converts the accumulated blame map into the report's sorted entries.
 inline void emit_blame(const std::map<BlameKey, std::int64_t>& blame,
                        IterationReport& r) {
   for (const auto& [bk, bytes] : blame) {
@@ -320,8 +320,7 @@ inline void accumulate(IterationReport& r) {
 }
 
 /// Builds one IterationReport skeleton (segments + per-kind totals, no
-/// blame) for the critical release of (job, iteration); shared verbatim by
-/// the batch and streaming engines.
+/// blame) for the critical release of (job, iteration).
 inline IterationReport build_iteration(const Index& ix, std::int32_t job,
                                        std::int64_t iteration,
                                        const std::vector<Release>& rels,
@@ -356,8 +355,7 @@ inline IterationReport build_iteration(const Index& ix, std::int32_t job,
   return r;
 }
 
-/// Folds one finalized iteration into its job rollup; shared so the two
-/// engines aggregate identically.
+/// Folds one finalized iteration into its job rollup.
 inline void fold_into_summary(JobSummary& js, const IterationReport& r) {
   js.job = r.job;
   ++js.iterations;

@@ -1,8 +1,10 @@
 #include "obs/reader.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
+#include <system_error>
+#include <vector>
 
 #include "obs/export.hpp"
 
@@ -36,11 +38,14 @@ bool cat_from_string(const std::string& name, Cat* out) {
   return false;
 }
 
-bool parse_i64(const std::string& tok, std::int64_t* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+/// Parses the whole token as a decimal integer of T's width. A value out
+/// of T's range is malformed, never silently narrowed (host 4294967296
+/// must not alias host 0).
+template <typename T>
+bool parse_int(const std::string& tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 void split_columns(const std::string& line, std::vector<std::string>* cols) {
@@ -65,7 +70,7 @@ void handle_comment(const std::string& line, TraceHealth* health) {
   split_columns(line, &cols);
   if (cols.size() != 4 || cols[0] != "#health") return;
   std::int64_t count = 0;
-  if (!parse_i64(cols[3], &count) || count < 0) return;
+  if (!parse_int(cols[3], &count) || count < 0) return;
   bool dropped = cols[1] == "dropped";
   if (!dropped && cols[1] != "sampled") return;
   if (cols[2] == "total") {
@@ -112,21 +117,18 @@ bool handle_line(const std::string& line, int lineno, bool* header_seen,
   }
   TraceEvent e;
   std::int64_t v = 0;
-  bool ok = parse_i64(cols[0], &v);
+  bool ok = parse_int(cols[0], &v);
   e.at = sim::from_nanos(v);
   ok = ok && kind_from_string(cols[1], &e.kind);
   ok = ok && cat_from_string(cols[2], &e.cat);
-  ok = ok && parse_i64(cols[3], &v);
-  e.host = static_cast<std::int32_t>(v);
-  ok = ok && parse_i64(cols[4], &v);
-  e.job = static_cast<std::int32_t>(v);
-  ok = ok && parse_i64(cols[5], &v);
-  e.band = static_cast<std::int32_t>(v);
-  ok = ok && parse_i64(cols[6], &e.flow);
-  ok = ok && parse_i64(cols[7], &e.bytes);
-  ok = ok && parse_i64(cols[8], &e.a);
-  ok = ok && parse_i64(cols[9], &e.b);
-  ok = ok && parse_i64(cols[10], &v);
+  ok = ok && parse_int(cols[3], &e.host);
+  ok = ok && parse_int(cols[4], &e.job);
+  ok = ok && parse_int(cols[5], &e.band);
+  ok = ok && parse_int(cols[6], &e.flow);
+  ok = ok && parse_int(cols[7], &e.bytes);
+  ok = ok && parse_int(cols[8], &e.a);
+  ok = ok && parse_int(cols[9], &e.b);
+  ok = ok && parse_int(cols[10], &v);
   e.dur = sim::from_nanos(v);
   if (!ok) {
     if (error != nullptr) {
@@ -158,11 +160,13 @@ bool feed_chunk(const char* data, std::size_t n, std::string* pending,
   return true;
 }
 
+}  // namespace
+
 /// Streams `in` to completion in fixed-size chunks. A final line without a
 /// trailing newline counts as complete (matches the getline-based reader
 /// this replaced).
-bool consume_stream(std::istream& in, const EventSink& sink,
-                    TraceHealth* health, std::string* error) {
+bool for_each_trace_csv_event(std::istream& in, const EventSink& sink,
+                              TraceHealth* health, std::string* error) {
   std::string pending;
   int lineno = 0;
   bool header_seen = false;
@@ -183,51 +187,15 @@ bool consume_stream(std::istream& in, const EventSink& sink,
   return true;
 }
 
-}  // namespace
-
-bool read_trace_csv(std::istream& in, std::vector<TraceEvent>* out,
-                    TraceHealth* health, std::string* error) {
-  return consume_stream(
-      in, [out](const TraceEvent& e) { out->push_back(e); }, health, error);
-}
-
-bool read_trace_csv(std::istream& in, std::vector<TraceEvent>* out,
-                    std::string* error) {
-  return read_trace_csv(in, out, nullptr, error);
-}
-
-bool read_trace_csv_file(const std::string& path,
-                         std::vector<TraceEvent>* out, TraceHealth* health,
-                         std::string* error) {
+bool for_each_trace_csv_event(const std::string& path, const EventSink& sink,
+                              TraceHealth* health, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     if (error != nullptr) *error = "cannot open trace CSV: " + path;
     return false;
   }
   std::string inner;
-  if (!read_trace_csv(in, out, health, &inner)) {
-    if (error != nullptr) *error = path + ": " + inner;
-    return false;
-  }
-  return true;
-}
-
-bool read_trace_csv_file(const std::string& path,
-                         std::vector<TraceEvent>* out, std::string* error) {
-  return read_trace_csv_file(path, out, nullptr, error);
-}
-
-bool for_each_trace_csv_event(
-    const std::string& path,
-    const std::function<void(const TraceEvent&)>& sink, TraceHealth* health,
-    std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open trace CSV: " + path;
-    return false;
-  }
-  std::string inner;
-  if (!consume_stream(in, sink, health, &inner)) {
+  if (!for_each_trace_csv_event(in, sink, health, &inner)) {
     if (error != nullptr) *error = path + ": " + inner;
     return false;
   }

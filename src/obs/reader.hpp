@@ -14,7 +14,6 @@
 #include <functional>
 #include <istream>
 #include <string>
-#include <vector>
 
 #include "obs/trace.hpp"
 
@@ -23,29 +22,18 @@ namespace tls::obs {
 /// Fixed read-granule for all CSV ingestion (64 KiB).
 inline constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
-/// Parses a trace CSV stream (header + one row per event). Returns false
-/// and sets *error (file:line-style message) on malformed input; events
-/// parsed before the error are left in *out.
-bool read_trace_csv(std::istream& in, std::vector<TraceEvent>* out,
-                    std::string* error);
+/// Parses a trace CSV (header + one row per event), invoking `sink` per
+/// event without ever materializing the event vector — the bounded-memory
+/// path feeding a StreamingAnalyzer straight from disk. The capture-health
+/// trailer, if any, is restored into *health (may be null). Returns false
+/// with *error (a "line N: ..." message) on malformed input; events before
+/// the error were already delivered.
+bool for_each_trace_csv_event(
+    std::istream& in, const std::function<void(const TraceEvent&)>& sink,
+    TraceHealth* health, std::string* error);
 
-/// As above, also restoring the capture-health trailer (zeros when the
-/// trace carries none) into *health.
-bool read_trace_csv(std::istream& in, std::vector<TraceEvent>* out,
-                    TraceHealth* health, std::string* error);
-
-/// Convenience wrapper opening `path`; false with *error when the file
-/// cannot be opened or parsed. Reads in fixed-size chunks.
-bool read_trace_csv_file(const std::string& path,
-                         std::vector<TraceEvent>* out, std::string* error);
-bool read_trace_csv_file(const std::string& path,
-                         std::vector<TraceEvent>* out, TraceHealth* health,
-                         std::string* error);
-
-/// Fully-streaming ingestion: invokes `sink` per event without ever
-/// materializing the event vector — the bounded-memory path feeding a
-/// StreamingAnalyzer straight from disk. Returns false with *error on
-/// open/parse failure (events before the error were already delivered).
+/// As above, opening `path`; errors are prefixed with the path, and a file
+/// that cannot be opened fails with "cannot open trace CSV: <path>".
 bool for_each_trace_csv_event(
     const std::string& path,
     const std::function<void(const TraceEvent&)>& sink, TraceHealth* health,

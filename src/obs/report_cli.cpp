@@ -1,7 +1,9 @@
 #include "obs/report_cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 #include <fstream>
+#include <system_error>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: tlsreport <trace.csv> [--csv PATH] [--json PATH] [--html PATH]\n"
-    "                 [--stream] [--quiet]\n"
+    "                 [--quiet]\n"
     "       tlsreport --follow <trace.csv> --html PATH [--poll-ms N]\n"
     "                 [--max-polls N] [--idle-polls N] [--json PATH] "
     "[--quiet]\n"
@@ -28,10 +30,10 @@ constexpr const char* kUsage =
     "per-iteration critical-path decomposition and contention blame, or an\n"
     "aligned two-run policy diff. Text goes to stdout; --csv/--json write\n"
     "the machine-readable forms and --html a self-contained dashboard.\n"
-    "--stream analyzes in bounded memory; --follow tails a growing trace,\n"
-    "re-rendering the dashboard as iterations finalize (stops after\n"
-    "--max-polls polls or --idle-polls polls without growth; 0 = no "
-    "limit).\n";
+    "Memory stays bounded by the in-flight iterations, not the trace\n"
+    "length. --follow tails a growing trace, re-rendering the dashboard as\n"
+    "iterations finalize (stops after --max-polls polls or --idle-polls\n"
+    "polls without growth; 0 = no limit).\n";
 
 bool write_file(const std::string& path, const std::string& content,
                 std::ostream& err) {
@@ -53,26 +55,28 @@ std::string label_from_path(const std::string& path) {
   return dot == std::string::npos ? base : base.substr(0, dot);
 }
 
-bool parse_int(const std::string& text, long* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtol(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+/// Parses a flag value in [0, INT_MAX] (the poll sleeper takes an int).
+bool parse_int(const std::string& text, int* out) {
+  int v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 0) return false;
+  *out = v;
+  return true;
 }
 
 struct CliConfig {
   bool diff_mode = false;
   bool follow = false;
-  bool stream = false;
   bool quiet = false;
   std::string csv_path;
   std::string json_path;
   std::string html_path;
   std::string label_a;
   std::string label_b;
-  long poll_ms = 500;
-  long max_polls = 0;   // 0 = unlimited
-  long idle_polls = 0;  // 0 = never stop on idle
+  int poll_ms = 500;
+  int max_polls = 0;   // 0 = unlimited
+  int idle_polls = 0;  // 0 = never stop on idle
   std::vector<std::string> inputs;
 };
 
@@ -86,8 +90,7 @@ int run_follow(const CliConfig& cfg, const ReportCliHooks& hooks,
   HtmlOptions html_opts;
   html_opts.title = "tlsreport: " + label_from_path(path);
   html_opts.label_a = label_from_path(path);
-  html_opts.refresh_seconds =
-      static_cast<int>(cfg.poll_ms >= 1000 ? cfg.poll_ms / 1000 : 1);
+  html_opts.refresh_seconds = cfg.poll_ms >= 1000 ? cfg.poll_ms / 1000 : 1;
 
   long polls = 0;
   long idle = 0;
@@ -121,9 +124,7 @@ int run_follow(const CliConfig& cfg, const ReportCliHooks& hooks,
     }
     if (cfg.max_polls > 0 && polls >= cfg.max_polls) break;
     if (cfg.idle_polls > 0 && idle >= cfg.idle_polls) break;
-    if (hooks.sleep_ms) {
-      hooks.sleep_ms(static_cast<int>(cfg.poll_ms));
-    }
+    if (hooks.sleep_ms) hooks.sleep_ms(cfg.poll_ms);
   }
 
   analyzer.set_health(tail.health());
@@ -161,11 +162,12 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
     }
     return argv[++i];
   };
-  auto need_int = [&](int& i, const char* flag, long* slot) -> bool {
+  auto need_int = [&](int& i, const char* flag, int* slot) -> bool {
     const char* v = need_value(i, flag);
     if (v == nullptr) return false;
-    if (!parse_int(v, slot) || *slot < 0) {
-      err << "tlsreport: " << flag << " expects a non-negative integer, got '"
+    if (!parse_int(v, slot)) {
+      err << "tlsreport: " << flag
+          << " expects a non-negative integer up to " << INT_MAX << ", got '"
           << v << "'\n"
           << kUsage;
       return false;
@@ -179,8 +181,6 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
       cfg.diff_mode = true;
     } else if (arg == "--follow") {
       cfg.follow = true;
-    } else if (arg == "--stream") {
-      cfg.stream = true;
     } else if (arg == "--quiet") {
       cfg.quiet = true;
     } else if (arg == "--csv") {
@@ -244,34 +244,21 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
     return run_follow(cfg, hooks, out, err);
   }
 
+  // Events flow straight from the chunked reader into the streaming
+  // engine; the trace is never materialized.
   std::vector<RunReport> reports;
   for (const std::string& path : cfg.inputs) {
+    StreamingAnalyzer analyzer;
+    TraceHealth health;
     std::string error;
-    if (cfg.stream) {
-      // Bounded memory: events flow straight from the chunked reader into
-      // the streaming engine, never materializing the full vector.
-      StreamingAnalyzer analyzer;
-      TraceHealth health;
-      if (!for_each_trace_csv_event(
-              path,
-              [&analyzer](const TraceEvent& e) { analyzer.ingest(e); },
-              &health, &error)) {
-        err << "tlsreport: " << error << "\n";
-        return 2;
-      }
-      analyzer.set_health(health);
-      reports.push_back(analyzer.finish());
-    } else {
-      std::vector<TraceEvent> events;
-      TraceHealth health;
-      if (!read_trace_csv_file(path, &events, &health, &error)) {
-        err << "tlsreport: " << error << "\n";
-        return 2;
-      }
-      RunReport r = analyze(events);
-      r.health = health;
-      reports.push_back(std::move(r));
+    if (!for_each_trace_csv_event(
+            path, [&analyzer](const TraceEvent& e) { analyzer.ingest(e); },
+            &health, &error)) {
+      err << "tlsreport: " << error << "\n";
+      return 2;
     }
+    analyzer.set_health(health);
+    reports.push_back(analyzer.finish());
   }
 
   if (cfg.diff_mode) {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //   tlsreport <trace.csv> [--csv PATH] [--json PATH] [--html PATH]
-//             [--stream] [--quiet]
+//             [--quiet]
 //   tlsreport --follow <trace.csv> --html PATH [--poll-ms N]
 //             [--max-polls N] [--idle-polls N] [--json PATH] [--quiet]
 //   tlsreport --diff <a.csv> <b.csv> [--label-a NAME] [--label-b NAME]
@@ -12,10 +12,11 @@
 //
 // Analyzes one run's trace CSV (or compares two) and prints the text
 // report to `out`; --csv/--json/--html additionally write the
-// machine-readable and dashboard forms. --stream runs the bounded-memory
-// StreamingAnalyzer over the file instead of buffering every event;
-// --follow tails a growing trace CSV, re-rendering the --html dashboard as
-// new iterations finalize. Exit codes: 0 success, 2 usage/input error.
+// machine-readable and dashboard forms. Every mode streams the file
+// through obs::StreamingAnalyzer, so memory stays bounded by the in-flight
+// iterations rather than the trace length; --follow tails a growing trace
+// CSV, re-rendering the --html dashboard as new iterations finalize. Exit
+// codes: 0 success, 2 usage/input error.
 //
 // The library never sleeps or reads wall clocks (determinism lint); the
 // pause between --follow polls is injected by the caller through

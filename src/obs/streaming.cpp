@@ -17,17 +17,10 @@ constexpr std::int32_t kI32Min = std::numeric_limits<std::int32_t>::min();
 
 }  // namespace
 
-StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
-    : options_(options), last_at_(sim::kTimeMin) {}
-
 void StreamingAnalyzer::note_retention(std::ptrdiff_t delta) {
   retained_ = static_cast<std::size_t>(
       static_cast<std::ptrdiff_t>(retained_) + delta);
   if (retained_ > peak_retained_) peak_retained_ = retained_;
-  if (options_.retention_budget != 0 &&
-      retained_ > options_.retention_budget) {
-    budget_exceeded_ = true;
-  }
 }
 
 void StreamingAnalyzer::ingest(const TraceEvent& e) {
@@ -171,14 +164,14 @@ void StreamingAnalyzer::ingest(const TraceEvent& e) {
       break;
     }
     case EventKind::kBarrierEnter: {
-      if (e.b < 0) break;  // non-barrier span; batch never reports these
+      if (e.b < 0) break;  // startup broadcast, not a barrier
       auto [it, inserted] = enters_.try_emplace({e.job, e.b}, 0);
       if (inserted) note_retention(1);
       ++it->second;
       break;
     }
     case EventKind::kBarrierRelease: {
-      if (e.b < 0) break;  // batch skips iteration < 0 identically
+      if (e.b < 0) break;  // startup broadcast, not a barrier
       std::pair<std::int32_t, std::int64_t> key{e.job, e.b};
       std::vector<Release>& rels = ix_.releases[key];
       rels.push_back(Release{e.at, e.dur, static_cast<std::int32_t>(e.a)});
@@ -224,11 +217,14 @@ void StreamingAnalyzer::finalize(std::int32_t job, std::int64_t iteration) {
   IterationReport r =
       detail::build_iteration(ix_, job, iteration, rit->second, visits);
 
-  // Blame pass over the retained per-host port records: the same
-  // exclusive (begin_idx, end_idx) log windows the batch engine scans —
-  // dequeues for egress visits, deliveries for ingress visits.
+  // Blame pass over the retained per-host port records: the exclusive
+  // (begin_idx, end_idx) log windows — dequeues for egress visits,
+  // deliveries for ingress visits.
   std::map<detail::BlameKey, std::int64_t> blame;
   for (const QueueVisit& v : visits) {
+    // An inverted window (out-of-order input) is empty; binary-searching
+    // it would put `lo` past `hi` and walk off the end of the lane.
+    if (v.begin_idx >= v.end_idx) continue;
     const auto& lane =
         v.side == BlameSide::kEgress ? deq_by_host_ : del_by_host_;
     auto dit = lane.find(v.host);
@@ -386,8 +382,7 @@ RunReport StreamingAnalyzer::finish() {
   if (!finished_) {
     finished_ = true;
     // Armed iterations first, then stragglers whose enters were filtered
-    // out (or whose barrier never completed) — exactly the set the batch
-    // engine reports.
+    // out (or whose barrier never completed): every released barrier.
     std::vector<std::pair<std::int32_t, std::int64_t>> pending;
     for (const auto& [key, deadline] : ripe_) {
       (void)deadline;
@@ -404,12 +399,6 @@ RunReport StreamingAnalyzer::finish() {
     for (const auto& key : pending) finalize(key.first, key.second);
   }
   return snapshot();
-}
-
-RunReport analyze_streaming(const std::vector<TraceEvent>& events) {
-  StreamingAnalyzer analyzer;
-  for (const TraceEvent& e : events) analyzer.ingest(e);
-  return analyzer.finish();
 }
 
 }  // namespace tls::obs

@@ -1,31 +1,31 @@
-// tls::obs::StreamingAnalyzer — incremental straggler attribution.
+// tls::obs::StreamingAnalyzer — the straggler attribution engine.
 //
-// The batch engine (obs::analyze) buffers a complete trace and walks it
-// post-mortem; at Fig. 5a scale that means holding millions of events for
-// a report that only ever inspects a sliding window of them. This class
-// is the same attribution engine restructured as a consumer: events are
-// ingested one at a time (from a live Tracer or a tailed trace CSV), each
-// (job, iteration) is finalized the moment its barrier fully releases and
-// the stream moves past the release instant, and everything behind the
-// finalization watermark is retired — so peak retention is proportional
-// to the in-flight window (roughly two iterations per job), independent
-// of trace length.
+// A batch analysis would buffer a complete trace and walk it post-mortem;
+// at Fig. 5a scale that means holding millions of events for a report that
+// only ever inspects a sliding window of them. This engine is a consumer
+// instead: events are ingested one at a time (from a live Tracer, a trace
+// CSV, or a tailed growing CSV), each (job, iteration) is finalized the
+// moment its barrier fully releases and the stream moves past the release
+// instant, and everything behind the finalization watermark is retired —
+// so peak retention is proportional to the in-flight window (roughly two
+// iterations per job), independent of trace length. The in-process report
+// (tlsim --report*) and every tlsreport mode run on it.
 //
 // Equivalence contract: on any trace the simulator emits (events appended
 // in nondecreasing time order), finish() returns a RunReport whose three
-// renderings are byte-identical to obs::analyze on the same events. The
-// golden-report tests witness this — the in-process tlsim report path
-// runs on this engine while tlsreport's offline default stays batch, and
-// CI compares the two outputs. The walk itself is shared code
-// (obs/analysis_detail.hpp); what this class adds is the finalization
-// trigger and the retirement rules:
+// renderings are byte-identical to a batch analysis of the same events.
+// The batch oracle in tests/obs (whole-log index, raw log-window blame
+// scan) and the golden-report tests witness this, and CI compares offline
+// tlsreport output with the in-process report. The walk itself is shared
+// code (obs/analysis_detail.hpp); what this class adds is the
+// finalization trigger and the retirement rules:
 //
 //  * Finalization trigger: count kBarrierEnter per (job, iteration); when
 //    the release count matches and an event with a strictly later
 //    timestamp arrives, every index entry the walk could reference is
 //    final (time is nondecreasing), so the iteration is built and emitted.
 //    Iterations whose enters were never seen (filtered trace) finalize at
-//    finish(), exactly like batch.
+//    finish(), so the report covers every released barrier.
 //
 //  * Retirement: after finalizing (job j, iteration N) the per-job
 //    watermark W_j = min release time of N. Any future walk for j starts
@@ -44,12 +44,19 @@
 //    it closes. Events with job < 0 (background traffic) retire under the
 //    minimum watermark across jobs.
 //
-//  * Blame without the log: batch scans the raw event window
+//  * Blame without the log: the blame rule scans the raw event window
 //    (enq_idx, deq_idx) for foreign kChunkDequeue at the same host, and
 //    (arr_idx, del_idx) for foreign kIngressDeliver at the receiver; the
-//    streaming engine keeps exactly those records — per-host, in log
-//    order — and binary-searches the same windows, yielding identical
-//    bytes on both blame sides.
+//    engine keeps exactly those records — per-host, in log order — and
+//    binary-searches the same windows, yielding the bytes a full-log scan
+//    would on both blame sides.
+//
+// The analysis needs the kAnalysisCats categories (chunk, barrier, flow,
+// ingress, compute); with fewer it degrades gracefully — unattributable
+// time lands in the `other` bucket instead of failing. Input that breaks
+// the time-order contract (a corrupted or hand-edited CSV) is flagged by
+// out_of_order() and still analyzed without crashing, with no
+// equivalence promise.
 #pragma once
 
 #include <cstdint>
@@ -63,16 +70,9 @@
 
 namespace tls::obs {
 
-struct StreamingOptions {
-  /// Soft retention budget in records (0 = unlimited). Purely diagnostic:
-  /// budget_exceeded() reports whether retention ever crossed it; the
-  /// analyzer never trades correctness for the budget.
-  std::size_t retention_budget = 0;
-};
-
 class StreamingAnalyzer {
  public:
-  explicit StreamingAnalyzer(StreamingOptions options = {});
+  StreamingAnalyzer() = default;
 
   StreamingAnalyzer(const StreamingAnalyzer&) = delete;
   StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
@@ -87,8 +87,7 @@ class StreamingAnalyzer {
   void set_health(const TraceHealth& health) { health_ = health; }
 
   /// Finalizes every pending iteration and returns the complete report.
-  /// Call once, after the last ingest; rendering finish() of an unsampled
-  /// trace is byte-identical to obs::analyze of the same events.
+  /// Call once, after the last ingest.
   RunReport finish();
 
   /// Report of everything finalized so far, without disturbing pending
@@ -106,8 +105,6 @@ class StreamingAnalyzer {
   }
   /// Events ingested so far.
   std::uint64_t ingested_events() const { return next_idx_; }
-  /// True when retention ever exceeded options.retention_budget.
-  bool budget_exceeded() const { return budget_exceeded_; }
   /// True when an event arrived with a timestamp before its predecessor.
   bool out_of_order() const { return out_of_order_; }
 
@@ -128,7 +125,6 @@ class StreamingAnalyzer {
   void prune_port_records();
   void note_retention(std::ptrdiff_t delta);
 
-  StreamingOptions options_;
   detail::Index ix_;
   TraceHealth health_;
 
@@ -152,18 +148,13 @@ class StreamingAnalyzer {
   std::map<std::int32_t, JobSummary> jobs_;
 
   std::size_t next_idx_ = 0;
-  sim::Time last_at_{};
+  sim::Time last_at_{sim::kTimeMin};
   /// Min deadline over ripe_ (kTimeMax when none): one compare per event.
   sim::Time next_deadline_{sim::kTimeMax};
   std::size_t retained_ = 0;
   std::size_t peak_retained_ = 0;
-  bool budget_exceeded_ = false;
   bool out_of_order_ = false;
   bool finished_ = false;
 };
-
-/// Convenience: streams `events` through a fresh analyzer. Exists mostly
-/// for tests and benches comparing against obs::analyze.
-RunReport analyze_streaming(const std::vector<TraceEvent>& events);
 
 }  // namespace tls::obs

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "simcore/log.hpp"
 
 namespace tls::core {
 
@@ -94,8 +93,6 @@ void Controller::on_job_arrival(const dl::JobSpec& spec,
     }
     install_gradient_filters();
   }
-  TLS_DEBUG << "TensorLights: job " << spec.job_id << " arrived ("
-            << spec.num_ps << " PS shard(s))";
 }
 
 void Controller::on_job_departure(const dl::JobSpec& spec,

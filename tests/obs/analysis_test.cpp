@@ -2,6 +2,8 @@
 // hand-computed expectations: critical-path decomposition, exact
 // conservation, blame-window semantics, graceful degradation on partial
 // traces, the trace-CSV reader round trip, and the FlowKind-ordinal pin.
+// Every report comes from the streaming engine and is checked byte for
+// byte against the batch oracle.
 #include "obs/analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -12,15 +14,28 @@
 
 #include "net/chunk.hpp"
 #include "obs/export.hpp"
-#include "obs/reader.hpp"
+#include "obs/streaming.hpp"
 #include "obs/trace.hpp"
+#include "oracle.hpp"
 
 namespace tls::obs {
 namespace {
 
+/// The streaming engine's report on `events`, which must render exactly as
+/// the batch oracle's does.
+RunReport analyze(const std::vector<TraceEvent>& events) {
+  StreamingAnalyzer engine;
+  for (const TraceEvent& e : events) engine.ingest(e);
+  RunReport report = engine.finish();
+  RunReport batch = oracle::analyze(events);
+  EXPECT_EQ(report_text(report), report_text(batch));
+  EXPECT_EQ(report_json(report), report_json(batch));
+  return report;
+}
+
 // The analysis pins FlowKind ordinals (model=0, gradient=1) so it can run
 // on offline CSVs without linking net/. If this enum is ever reordered,
-// analysis.cpp must follow.
+// analysis_detail.hpp must follow.
 TEST(AnalysisContract, FlowKindOrdinalsPinned) {
   EXPECT_EQ(static_cast<int>(net::FlowKind::kModelUpdate), 0);
   EXPECT_EQ(static_cast<int>(net::FlowKind::kGradientUpdate), 1);
@@ -291,7 +306,7 @@ TEST(AnalysisReader, TraceCsvRoundTripsEveryField) {
   std::istringstream in(trace_csv(t));
   std::vector<TraceEvent> parsed;
   std::string error;
-  ASSERT_TRUE(read_trace_csv(in, &parsed, &error)) << error;
+  ASSERT_TRUE(oracle::read_trace_csv(in, &parsed, nullptr, &error)) << error;
   ASSERT_EQ(parsed.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(parsed[i].at, events[i].at) << i;
@@ -314,7 +329,7 @@ TEST(AnalysisReader, RejectsWrongHeader) {
   std::istringstream in("time,stuff\n1,2\n");
   std::vector<TraceEvent> out;
   std::string error;
-  EXPECT_FALSE(read_trace_csv(in, &out, &error));
+  EXPECT_FALSE(oracle::read_trace_csv(in, &out, nullptr, &error));
   EXPECT_NE(error.find("header"), std::string::npos) << error;
 }
 
@@ -325,7 +340,7 @@ TEST(AnalysisReader, RejectsMalformedRowWithLineNumber) {
       "20,not_a_kind,chunk,0,0,0,1,100,0,0,0\n");
   std::vector<TraceEvent> out;
   std::string error;
-  EXPECT_FALSE(read_trace_csv(in, &out, &error));
+  EXPECT_FALSE(oracle::read_trace_csv(in, &out, nullptr, &error));
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
   EXPECT_EQ(out.size(), 1u);  // rows before the error are kept
 }
@@ -336,15 +351,15 @@ TEST(AnalysisReader, RejectsShortRow) {
       "10,chunk_enqueue,chunk\n");
   std::vector<TraceEvent> out;
   std::string error;
-  EXPECT_FALSE(read_trace_csv(in, &out, &error));
+  EXPECT_FALSE(oracle::read_trace_csv(in, &out, nullptr, &error));
   EXPECT_NE(error.find("11 columns"), std::string::npos) << error;
 }
 
 TEST(AnalysisReader, MissingFileReportsPath) {
   std::vector<TraceEvent> out;
   std::string error;
-  EXPECT_FALSE(
-      read_trace_csv_file("/nonexistent-dir-xyz/trace.csv", &out, &error));
+  EXPECT_FALSE(oracle::read_trace_csv_file("/nonexistent-dir-xyz/trace.csv",
+                                           &out, nullptr, &error));
   EXPECT_NE(error.find("/nonexistent-dir-xyz/trace.csv"), std::string::npos);
 }
 

@@ -1,8 +1,9 @@
 // obs::report_html tests: the dashboard is one self-contained document
 // (no external references, balanced markup, the report JSON embedded
-// verbatim and script-safe), plus the tlsreport CLI's --html/--stream
-// flags and --follow driven end-to-end with an injected between-poll hook
-// that grows the trace file — no wall-clock sleeps anywhere.
+// verbatim and script-safe), plus the tlsreport CLI's --html flag and
+// --follow driven end-to-end with an injected between-poll hook that
+// grows the trace file — no wall-clock sleeps anywhere. CLI output is
+// checked against the batch oracle.
 #include "obs/html.hpp"
 
 #include <gtest/gtest.h>
@@ -16,8 +17,8 @@
 #include "obs/analysis.hpp"
 #include "obs/export.hpp"
 #include "obs/report_cli.hpp"
-#include "obs/streaming.hpp"
 #include "obs/trace.hpp"
+#include "oracle.hpp"
 
 namespace tls::obs {
 namespace {
@@ -62,7 +63,7 @@ std::string small_report_json() {
   t.flow_end(sim::Time{1300}, net::HostId{1}, net::HostId{0}, 0, 1, 101,
              net::Bytes{5000}, 0, sim::Time{200});
   t.barrier_release(sim::Time{2000}, 0, 0, 0, sim::Time{1000});
-  return report_json(analyze(t.events()));
+  return report_json(oracle::analyze(t.events()));
 }
 
 TEST(Html, SingleRunPageIsSelfContained) {
@@ -150,7 +151,7 @@ TEST(Html, JsonScriptEscapeForeclosesScriptTermination) {
 }
 
 // ---------------------------------------------------------------------------
-// CLI: --html, --stream, and --follow with an injected poll hook.
+// CLI: --html and --follow with an injected poll hook.
 
 struct CliRun {
   int code = 0;
@@ -171,8 +172,7 @@ CliRun report_cli(std::vector<std::string> args,
 
 /// Synthetic two-iteration trace reused by the CLI tests (no simulation:
 /// these tests are about plumbing, not attribution).
-std::string cli_trace_csv() {
-  Tracer t;
+void emit_cli_trace(Tracer& t) {
   for (std::int64_t iter = 0; iter < 2; ++iter) {
     sim::Time base{iter * 10000};
     t.worker_compute(base + sim::Time{0}, net::HostId{1}, 0, 0, iter,
@@ -180,7 +180,19 @@ std::string cli_trace_csv() {
     t.barrier_enter(base + sim::Time{100}, 0, 0, iter);
     t.barrier_release(base + sim::Time{1100}, 0, 0, iter, sim::Time{1000});
   }
+}
+
+std::string cli_trace_csv() {
+  Tracer t;
+  emit_cli_trace(t);
   return trace_csv(t);
+}
+
+/// What the batch oracle reports for the CLI trace.
+std::string cli_trace_oracle_json() {
+  Tracer t;
+  emit_cli_trace(t);
+  return report_json(oracle::analyze(t.events()));
 }
 
 TEST(ReportCliHtml, WritesDashboardAndStreamMatchesBatch) {
@@ -191,22 +203,18 @@ TEST(ReportCliHtml, WritesDashboardAndStreamMatchesBatch) {
   std::ofstream(trace, std::ios::binary) << cli_trace_csv();
 
   fs::path html = dir / "out.html";
-  fs::path json_batch = dir / "batch.json";
-  fs::path json_stream = dir / "stream.json";
+  fs::path json = dir / "out.json";
 
-  CliRun batch = report_cli({trace.string(), "--quiet", "--html",
-                             html.string(), "--json", json_batch.string()});
-  ASSERT_EQ(batch.code, 0) << batch.err;
-  CliRun stream = report_cli({trace.string(), "--quiet", "--stream", "--json",
-                              json_stream.string()});
-  ASSERT_EQ(stream.code, 0) << stream.err;
-  EXPECT_EQ(read_file(json_batch), read_file(json_stream))
-      << "--stream diverged from the batch engine";
+  CliRun r = report_cli({trace.string(), "--quiet", "--html", html.string(),
+                         "--json", json.string()});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(read_file(json), cli_trace_oracle_json())
+      << "tlsreport diverged from the batch oracle";
 
   std::string page = read_file(html);
   ASSERT_FALSE(page.empty());
   EXPECT_EQ(page.rfind("<!doctype html>", 0), 0u);
-  EXPECT_NE(page.find(read_file(json_batch)), std::string::npos)
+  EXPECT_NE(page.find(read_file(json)), std::string::npos)
       << "dashboard must embed the exact report JSON";
 }
 
@@ -247,14 +255,10 @@ TEST(ReportCliFollow, RendersGrowingTraceViaHook) {
   // The final render is static (the run is over).
   EXPECT_EQ(page.find("http-equiv=\"refresh\""), std::string::npos);
 
-  // The finished follow report equals a batch run over the complete file.
-  std::ostringstream sink;
-  fs::path json_batch = dir / "batch.json";
-  CliRun batch = report_cli(
-      {trace.string(), "--quiet", "--json", json_batch.string()});
-  ASSERT_EQ(batch.code, 0) << batch.err;
-  EXPECT_EQ(read_file(json), read_file(json_batch));
-  EXPECT_NE(page.find(read_file(json_batch)), std::string::npos);
+  // The finished follow report equals the batch oracle over the complete
+  // file.
+  EXPECT_EQ(read_file(json), cli_trace_oracle_json());
+  EXPECT_NE(page.find(read_file(json)), std::string::npos);
 }
 
 TEST(ReportCliFollow, CarriesHealthTrailerIntoBannerAndJson) {

@@ -1,19 +1,22 @@
 // obs::reader tests: fixed-size chunked parsing (files far larger than one
 // read granule, rows straddling chunk boundaries), exact legacy error
-// messages, the #health trailer round trip, the streaming per-event entry
-// point, and TraceCsvTail across partial appends.
+// messages, out-of-range integer rejection, the #health trailer round
+// trip, the per-event entry point, and TraceCsvTail across partial
+// appends.
 #include "obs/reader.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "oracle.hpp"
 
 namespace tls::obs {
 namespace {
@@ -52,11 +55,14 @@ TEST(Reader, ChunkedFileReadMatchesStreamRead) {
 
   std::vector<TraceEvent> from_file;
   std::string error;
-  ASSERT_TRUE(read_trace_csv_file(p.string(), &from_file, &error)) << error;
+  ASSERT_TRUE(oracle::read_trace_csv_file(p.string(), &from_file, nullptr,
+                                          &error))
+      << error;
 
   std::istringstream in(csv);
   std::vector<TraceEvent> from_stream;
-  ASSERT_TRUE(read_trace_csv(in, &from_stream, &error)) << error;
+  ASSERT_TRUE(oracle::read_trace_csv(in, &from_stream, nullptr, &error))
+      << error;
 
   ASSERT_EQ(from_file.size(), 6000u);
   ASSERT_EQ(from_stream.size(), from_file.size());
@@ -79,7 +85,7 @@ TEST(Reader, FinalLineWithoutNewlineIsComplete) {
   std::istringstream in(csv);
   std::vector<TraceEvent> events;
   std::string error;
-  ASSERT_TRUE(read_trace_csv(in, &events, &error)) << error;
+  ASSERT_TRUE(oracle::read_trace_csv(in, &events, nullptr, &error)) << error;
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].flow, 42);
 }
@@ -89,32 +95,78 @@ TEST(Reader, LegacyErrorMessagesPreserved) {
   std::vector<TraceEvent> events;
 
   std::istringstream bad_header("nope\n");
-  EXPECT_FALSE(read_trace_csv(bad_header, &events, &error));
+  EXPECT_FALSE(oracle::read_trace_csv(bad_header, &events, nullptr, &error));
   EXPECT_EQ(error,
             "not a trace CSV (expected header "
             "'at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns', got "
             "'nope')");
 
   std::istringstream empty("");
-  EXPECT_FALSE(read_trace_csv(empty, &events, &error));
+  EXPECT_FALSE(oracle::read_trace_csv(empty, &events, nullptr, &error));
   EXPECT_NE(error.find("got ''"), std::string::npos);
 
   std::istringstream short_row(
       "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n1,2,3\n");
   events.clear();
-  EXPECT_FALSE(read_trace_csv(short_row, &events, &error));
+  EXPECT_FALSE(oracle::read_trace_csv(short_row, &events, nullptr, &error));
   EXPECT_EQ(error, "line 2: expected 11 columns, got 3");
 
   std::istringstream bad_row(
       "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n"
       "1,not_a_kind,chunk,0,0,0,1,1,0,0,0\n");
   events.clear();
-  EXPECT_FALSE(read_trace_csv(bad_row, &events, &error));
+  EXPECT_FALSE(oracle::read_trace_csv(bad_row, &events, nullptr, &error));
   EXPECT_EQ(error, "line 2: malformed row '1,not_a_kind,chunk,0,0,0,1,1,0,0,0'");
 
-  EXPECT_FALSE(
-      read_trace_csv_file("/nonexistent-dir-xyz/t.csv", &events, &error));
+  EXPECT_FALSE(oracle::read_trace_csv_file("/nonexistent-dir-xyz/t.csv",
+                                           &events, nullptr, &error));
   EXPECT_EQ(error, "cannot open trace CSV: /nonexistent-dir-xyz/t.csv");
+}
+
+TEST(Reader, RejectsOutOfRangeIntegers) {
+  // host, job and band are int32 columns; every other integer column is
+  // int64. A value outside its column's range is a malformed row, never a
+  // silently narrowed or saturated one (host 4294967296 must not alias
+  // host 0); so is anything but a bare decimal, which is all the writer
+  // emits.
+  const std::string header =
+      "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n";
+  for (const char* row : {
+           "1,chunk_enqueue,chunk,4294967296,0,0,1,1,0,0,0",
+           "1,chunk_enqueue,chunk,2147483648,0,0,1,1,0,0,0",
+           "1,chunk_enqueue,chunk,0,-2147483649,0,1,1,0,0,0",
+           "1,chunk_enqueue,chunk,0,0,4294967297,1,1,0,0,0",
+           "9223372036854775808,chunk_enqueue,chunk,0,0,0,1,1,0,0,0",
+           "1,chunk_enqueue,chunk,0,0,0,1,99999999999999999999,0,0,0",
+           "1,chunk_enqueue,chunk,0,0,0,1,1,0,-9223372036854775809,0",
+           "1,chunk_enqueue,chunk,+1,0,0,1,1,0,0,0",
+           "1,chunk_enqueue,chunk,0,0,0,1, 1,0,0,0",
+       }) {
+    std::istringstream in(header + row + "\n");
+    std::vector<TraceEvent> events;
+    std::string error;
+    EXPECT_FALSE(oracle::read_trace_csv(in, &events, nullptr, &error)) << row;
+    EXPECT_EQ(error, "line 2: malformed row '" + std::string(row) + "'");
+    EXPECT_TRUE(events.empty()) << row;
+  }
+
+  // The extremes of each column's range still parse.
+  std::istringstream in(
+      header +
+      "9223372036854775807,chunk_enqueue,chunk,2147483647,-2147483648,"
+      "2147483647,1,9223372036854775807,0,-9223372036854775808,0\n");
+  std::vector<TraceEvent> events;
+  std::string error;
+  ASSERT_TRUE(oracle::read_trace_csv(in, &events, nullptr, &error)) << error;
+  ASSERT_EQ(events.size(), 1u);
+  using I32 = std::numeric_limits<std::int32_t>;
+  using I64 = std::numeric_limits<std::int64_t>;
+  EXPECT_EQ(events[0].at, sim::kTimeMax);
+  EXPECT_EQ(events[0].host, I32::max());
+  EXPECT_EQ(events[0].job, I32::min());
+  EXPECT_EQ(events[0].band, I32::max());
+  EXPECT_EQ(events[0].bytes, I64::max());
+  EXPECT_EQ(events[0].b, I64::min());
 }
 
 TEST(Reader, HealthTrailerRoundTrips) {
@@ -136,7 +188,7 @@ TEST(Reader, HealthTrailerRoundTrips) {
   std::vector<TraceEvent> events;
   TraceHealth health;
   std::string error;
-  ASSERT_TRUE(read_trace_csv(in, &events, &health, &error)) << error;
+  ASSERT_TRUE(oracle::read_trace_csv(in, &events, &health, &error)) << error;
   EXPECT_EQ(events.size(), t.events().size());
   EXPECT_EQ(health.dropped_total, t.health().dropped_total);
   EXPECT_EQ(health.sampled_out_total, t.health().sampled_out_total);
@@ -159,7 +211,7 @@ TEST(Reader, CompleteTraceCarriesNoTrailerAndUnknownCommentsSkip) {
   std::vector<TraceEvent> events;
   TraceHealth health;
   std::string error;
-  ASSERT_TRUE(read_trace_csv(in, &events, &health, &error)) << error;
+  ASSERT_TRUE(oracle::read_trace_csv(in, &events, &health, &error)) << error;
   EXPECT_EQ(events.size(), 1u);
   EXPECT_TRUE(health.complete());
 }

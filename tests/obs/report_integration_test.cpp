@@ -3,7 +3,8 @@
 // critical-path decomposition, blame-byte cross checks, report artifact
 // determinism (repeated runs and serial-vs-parallel RunSets), the
 // machine-checked FIFO-vs-TLs-One cross-job-blame elimination, and the
-// tlsreport CLI driven in-process.
+// tlsreport CLI driven in-process. Reports rebuilt from a trace CSV come
+// from the batch oracle; the CLI's report and diff bytes are pinned to it.
 //
 // Regenerate the golden after an intentional format or scenario change:
 //   TLS_REGOLDEN=1 ./test_obs --gtest_filter='ReportGolden.*'
@@ -20,9 +21,9 @@
 
 #include "exp/experiment.hpp"
 #include "obs/analysis.hpp"
-#include "obs/reader.hpp"
 #include "obs/report_cli.hpp"
 #include "obs/trace.hpp"
+#include "oracle.hpp"
 #include "runtime/runner.hpp"
 
 namespace tls {
@@ -53,8 +54,19 @@ exp::ExperimentConfig contended_scenario(core::PolicyKind policy) {
   return c;
 }
 
+/// The batch oracle's report on a trace CSV.
+obs::RunReport oracle_report(const std::string& trace_csv) {
+  std::vector<obs::TraceEvent> events;
+  std::string error;
+  EXPECT_TRUE(obs::oracle::read_trace_csv_file(trace_csv, &events, nullptr,
+                                               &error))
+      << error;
+  return obs::oracle::analyze(events);
+}
+
 /// Runs `config` with report + trace-CSV artifacts under `dir`; returns the
-/// analysis rebuilt offline from the trace CSV (exercising the reader).
+/// oracle's analysis rebuilt offline from the trace CSV (exercising the
+/// reader).
 obs::RunReport run_and_analyze(exp::ExperimentConfig config,
                                const fs::path& dir) {
   fs::create_directories(dir);
@@ -64,12 +76,7 @@ obs::RunReport run_and_analyze(exp::ExperimentConfig config,
   config.obs.report_json_path = (dir / "report.json").string();
   exp::ExperimentResult result = exp::run_experiment(config);
   EXPECT_TRUE(result.all_finished);
-  std::vector<obs::TraceEvent> events;
-  std::string error;
-  EXPECT_TRUE(obs::read_trace_csv_file((dir / "trace.csv").string(), &events,
-                                       &error))
-      << error;
-  return obs::analyze(events);
+  return oracle_report(config.obs.trace_csv_path);
 }
 
 TEST(ReportGolden, ContendedFifoReportMatchesGolden) {
@@ -204,10 +211,10 @@ TEST(ReportConservation, BlameBytesBracketedByIndependentRecount) {
   exp::run_experiment(c);
   std::vector<obs::TraceEvent> events;
   std::string error;
-  ASSERT_TRUE(obs::read_trace_csv_file((dir / "trace.csv").string(), &events,
-                                       &error))
+  ASSERT_TRUE(obs::oracle::read_trace_csv_file((dir / "trace.csv").string(),
+                                               &events, nullptr, &error))
       << error;
-  obs::RunReport report = obs::analyze(events);
+  obs::RunReport report = obs::oracle::analyze(events);
 
   std::int64_t reported = 0;
   for (const obs::IterationReport& r : report.iterations) {
@@ -257,10 +264,10 @@ TEST(ReportConservation, IngressBlameBytesBracketedByIndependentRecount) {
   exp::run_experiment(c);
   std::vector<obs::TraceEvent> events;
   std::string error;
-  ASSERT_TRUE(obs::read_trace_csv_file((dir / "trace.csv").string(), &events,
-                                       &error))
+  ASSERT_TRUE(obs::oracle::read_trace_csv_file((dir / "trace.csv").string(),
+                                               &events, nullptr, &error))
       << error;
-  obs::RunReport report = obs::analyze(events);
+  obs::RunReport report = obs::oracle::analyze(events);
 
   std::int64_t reported = 0;
   for (const obs::IterationReport& r : report.iterations) {
@@ -466,10 +473,7 @@ TEST(ReportCli, SingleTraceReportMatchesInProcessAnalysis) {
   CliRun r = report_cli({trace, "--csv", csv_path, "--json", json_path});
   ASSERT_EQ(r.code, 0) << r.err;
 
-  std::vector<obs::TraceEvent> events;
-  std::string error;
-  ASSERT_TRUE(obs::read_trace_csv_file(trace, &events, &error)) << error;
-  obs::RunReport report = obs::analyze(events);
+  obs::RunReport report = oracle_report(trace);
   EXPECT_EQ(r.out, obs::report_text(report));
   EXPECT_EQ(read_file(csv_path), obs::report_csv(report));
   EXPECT_EQ(read_file(json_path), obs::report_json(report));
@@ -486,6 +490,29 @@ TEST(ReportCli, DiffCertifiesElimination) {
   EXPECT_NE(r.out.find("[queueing-behind-other-jobs eliminated]"),
             std::string::npos)
       << r.out;
+}
+
+TEST(ReportCli, DiffBytesMatchOracleOnSharedTraces) {
+  // Diff mode streams both traces through the engine; its text, CSV and
+  // JSON must equal the renderers over two oracle reports. (The pair is
+  // not trivial: DiffCertifiesElimination finds the certificate in it.)
+  const std::string& fifo = shared_trace_csv(core::PolicyKind::kFifo, "fifo");
+  const std::string& one =
+      shared_trace_csv(core::PolicyKind::kTlsOne, "tls-one");
+  fs::path dir = fs::path(testing::TempDir()) / "tls_report_cli_diff";
+  fs::create_directories(dir);
+  std::string csv_path = (dir / "diff.csv").string();
+  std::string json_path = (dir / "diff.json").string();
+  CliRun r =
+      report_cli({"--diff", fifo, one, "--csv", csv_path, "--json", json_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+
+  obs::DiffReport want = obs::diff_reports(oracle_report(fifo),
+                                           oracle_report(one), "fifo",
+                                           "tls-one");
+  EXPECT_EQ(r.out, obs::diff_text(want));
+  EXPECT_EQ(read_file(csv_path), obs::diff_csv(want));
+  EXPECT_EQ(read_file(json_path), obs::diff_json(want));
 }
 
 TEST(ReportCli, QuietSuppressesText) {
@@ -516,6 +543,27 @@ TEST(ReportCli, HelpAndErrors) {
   CliRun no_value = report_cli({"a.csv", "--csv"});
   EXPECT_EQ(no_value.code, 2);
   EXPECT_NE(no_value.err.find("--csv requires a value"), std::string::npos);
+
+  // The batch engine and its --stream switch are gone: every mode streams.
+  CliRun stream = report_cli({"a.csv", "--stream"});
+  EXPECT_EQ(stream.code, 2);
+  EXPECT_NE(stream.err.find("unknown flag --stream"), std::string::npos);
+
+  // --poll-ms feeds an int sleeper: values past INT_MAX (and past long)
+  // are rejected, not wrapped. --max-polls bounds the loop were one to
+  // slip through.
+  fs::path dir = fs::path(testing::TempDir()) / "tls_report_cli_errors";
+  fs::create_directories(dir);
+  std::string html = (dir / "follow.html").string();
+  for (const char* poll_ms : {"2147483648", "4294967297",
+                              "99999999999999999999"}) {
+    CliRun big = report_cli({"--follow", (dir / "t.csv").string(), "--html",
+                             html, "--max-polls", "1", "--poll-ms", poll_ms});
+    EXPECT_EQ(big.code, 2) << poll_ms;
+    EXPECT_NE(big.err.find("--poll-ms expects a non-negative integer"),
+              std::string::npos)
+        << big.err;
+  }
 }
 
 }  // namespace

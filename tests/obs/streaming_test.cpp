@@ -1,8 +1,8 @@
 // StreamingAnalyzer tests: byte-identical equivalence with the batch
-// engine (hand-built multi-iteration traces, a real contended simulation
+// oracle (hand-built multi-iteration traces, a real contended simulation
 // with a golden JSON, mid-stream snapshots), bounded retention (peak
-// retained records independent of trace length), and the diagnostic
-// budget/out-of-order flags.
+// retained records independent of trace length), and the out-of-order
+// flag.
 //
 // Regenerate the golden after an intentional format or scenario change:
 //   TLS_REGOLDEN=1 ./test_obs --gtest_filter='StreamingGolden.*'
@@ -19,8 +19,8 @@
 
 #include "exp/experiment.hpp"
 #include "obs/analysis.hpp"
-#include "obs/reader.hpp"
 #include "obs/trace.hpp"
+#include "oracle.hpp"
 
 namespace tls::obs {
 namespace {
@@ -106,6 +106,13 @@ void emit_iteration(Tracer& t, std::int32_t job, std::int64_t iter,
   t.barrier_release(at(1100), job, /*worker=*/0, iter, sim::Time{1000});
 }
 
+/// Streams `events` through a fresh analyzer.
+RunReport stream(const std::vector<TraceEvent>& events) {
+  StreamingAnalyzer analyzer;
+  for (const TraceEvent& e : events) analyzer.ingest(e);
+  return analyzer.finish();
+}
+
 /// A jobs x iters synthetic run, one job block after another in strictly
 /// increasing time (the simulator's append order).
 std::vector<TraceEvent> synthetic_trace(int jobs, int iters) {
@@ -122,8 +129,8 @@ std::vector<TraceEvent> synthetic_trace(int jobs, int iters) {
 
 TEST(Streaming, MatchesBatchOnHandBuiltTrace) {
   std::vector<TraceEvent> events = synthetic_trace(2, 6);
-  RunReport batch = analyze(events);
-  RunReport streaming = analyze_streaming(events);
+  RunReport batch = oracle::analyze(events);
+  RunReport streaming = stream(events);
   EXPECT_EQ(report_text(batch), report_text(streaming));
   EXPECT_EQ(report_csv(batch), report_csv(streaming));
   EXPECT_EQ(report_json(batch), report_json(streaming));
@@ -143,8 +150,8 @@ TEST(Streaming, MatchesBatchWithStragglerIterations) {
   for (const TraceEvent& e : synthetic_trace(2, 4)) {
     if (e.kind != EventKind::kBarrierEnter) events.push_back(e);
   }
-  RunReport batch = analyze(events);
-  RunReport streaming = analyze_streaming(events);
+  RunReport batch = oracle::analyze(events);
+  RunReport streaming = stream(events);
   ASSERT_FALSE(batch.iterations.empty());
   EXPECT_EQ(report_json(batch), report_json(streaming));
 }
@@ -166,7 +173,8 @@ TEST(Streaming, SnapshotMidStreamThenFinishStillMatchesBatch) {
 
   for (std::size_t i = half; i < events.size(); ++i)
     analyzer.ingest(events[i]);
-  EXPECT_EQ(report_json(analyze(events)), report_json(analyzer.finish()));
+  EXPECT_EQ(report_json(oracle::analyze(events)),
+            report_json(analyzer.finish()));
 }
 
 TEST(Streaming, PeakRetentionIndependentOfTraceLength) {
@@ -190,21 +198,6 @@ TEST(Streaming, PeakRetentionIndependentOfTraceLength) {
   // And the peak is a small fraction of what batch retains (every event).
   EXPECT_LT(peak_80, events_80 / 4);
   EXPECT_GT(events_80, events_20 * 3);
-}
-
-TEST(Streaming, RetentionBudgetIsDiagnosticOnly) {
-  std::vector<TraceEvent> events = synthetic_trace(2, 4);
-  StreamingOptions opts;
-  opts.retention_budget = 1;  // absurdly small: must flag, never degrade
-  StreamingAnalyzer tight(opts);
-  for (const TraceEvent& e : events) tight.ingest(e);
-  EXPECT_TRUE(tight.budget_exceeded());
-  RunReport report = tight.finish();
-  EXPECT_EQ(report_json(analyze(events)), report_json(report));
-
-  StreamingAnalyzer roomy(StreamingOptions{1u << 20});
-  for (const TraceEvent& e : events) roomy.ingest(e);
-  EXPECT_FALSE(roomy.budget_exceeded());
 }
 
 TEST(Streaming, FlagsOutOfOrderInput) {
@@ -259,10 +252,10 @@ TEST(StreamingGolden, ContendedRunJsonIdenticalBatchVsStreaming) {
 
   std::vector<TraceEvent> events;
   std::string error;
-  ASSERT_TRUE(obs::read_trace_csv_file((dir / "trace.csv").string(), &events,
-                                       &error))
+  ASSERT_TRUE(oracle::read_trace_csv_file((dir / "trace.csv").string(),
+                                          &events, nullptr, &error))
       << error;
-  std::string batch_json = report_json(analyze(events));
+  std::string batch_json = report_json(oracle::analyze(events));
   std::string streaming_json = read_file(dir / "report.json");
   ASSERT_FALSE(streaming_json.empty());
   EXPECT_EQ(batch_json, streaming_json)

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "simcore/log.hpp"
-
 namespace tls::sim {
 namespace {
 
