@@ -1,9 +1,12 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "cluster/launcher.hpp"
 #include "exp/export.hpp"
@@ -19,6 +22,53 @@
 
 namespace tls::exp {
 
+namespace {
+
+/// The --trace-csv file, streamed: opened before the simulation so rows
+/// land as events are emitted. Unless commit() succeeds, the destructor
+/// removes the partial file, so a run that throws leaves none behind.
+class StreamedTraceCsv {
+ public:
+  explicit StreamedTraceCsv(std::string path)
+      : path_(std::move(path)),
+        out_(path_, std::ios::binary | std::ios::trunc),
+        writer_(out_) {
+    if (!out_) {
+      throw std::runtime_error("trace CSV export failed: cannot open '" +
+                               path_ + "' for writing");
+    }
+  }
+  ~StreamedTraceCsv() {
+    if (committed_) return;
+    out_.close();
+    std::remove(path_.c_str());
+  }
+  StreamedTraceCsv(const StreamedTraceCsv&) = delete;
+  StreamedTraceCsv& operator=(const StreamedTraceCsv&) = delete;
+
+  obs::TraceSink* sink() { return &writer_; }
+
+  /// Appends the health trailer and closes the file, which then takes no
+  /// more rows; throws if any write failed.
+  void commit(const obs::TraceHealth& health) {
+    writer_.finish(health);
+    out_.close();
+    if (!out_) {
+      throw std::runtime_error("trace CSV export failed: write to '" +
+                               path_ + "' failed");
+    }
+    committed_ = true;
+  }
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+  obs::TraceCsvWriter writer_;
+  bool committed_ = false;
+};
+
+}  // namespace
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.placement.total_jobs() != config.workload.num_jobs) {
     throw std::invalid_argument("placement job count != workload job count");
@@ -27,9 +77,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   sim::Simulator simulator(config.seed);
 
   // Observability attaches before any component is built so every port and
-  // qdisc picks the tracer up at wiring time.
+  // qdisc picks the tracer up at wiring time. The sinks are declared after
+  // the tracer and before the components, so they outlive every emission.
   std::unique_ptr<obs::Registry> registry;
   std::unique_ptr<obs::Tracer> tracer;
+  std::unique_ptr<StreamedTraceCsv> trace_csv;
+  std::unique_ptr<obs::StreamingAnalyzer> analyzer;
   if (config.obs.any()) {
     std::uint32_t cats = config.obs.trace_categories;
     // The attribution report needs the causal-event categories regardless
@@ -47,6 +100,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       for (int i = 0; i < obs::kNumCats; ++i) {
         tracer->set_sample_every(static_cast<obs::Cat>(1u << i), every[i]);
       }
+    }
+    // Only the Chrome exporter needs the whole log (it lists every track
+    // before the first event); the trace CSV and the report stream.
+    tracer->set_retain_events(!config.obs.trace_path.empty());
+    if (!config.obs.trace_csv_path.empty()) {
+      trace_csv =
+          std::make_unique<StreamedTraceCsv>(config.obs.trace_csv_path);
+      tracer->add_sink(trace_csv->sink());
+    }
+    if (config.obs.report_any()) {
+      // Same engine as offline tlsreport, so the in-process report and
+      // `tlsreport <trace.csv>` are byte-identical (CI cmp's the two).
+      analyzer = std::make_unique<obs::StreamingAnalyzer>();
+      tracer->add_sink(analyzer.get());
     }
     if (!config.obs.metrics_path.empty()) {
       registry = std::make_unique<obs::Registry>();
@@ -256,8 +323,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
-  // Artifact writing happens last so a short run that threw earlier leaves
-  // no partial files behind.
+  // Artifact writing happens last. The trace CSV has been streaming since
+  // the start, but it is removed unless committed here, so a run that threw
+  // earlier leaves no partial files behind.
   if (tracer) {
     if (obs_sampler) obs_sampler->stop();
     std::string err;
@@ -266,23 +334,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                     &err)) {
       throw std::runtime_error("trace export failed: " + err);
     }
-    if (!config.obs.trace_csv_path.empty() &&
-        !write_file(config.obs.trace_csv_path, obs::trace_csv(*tracer),
-                    &err)) {
-      throw std::runtime_error("trace CSV export failed: " + err);
-    }
+    if (trace_csv) trace_csv->commit(tracer->health());
     if (registry && !config.obs.metrics_path.empty() &&
         !write_file(config.obs.metrics_path,
                     registry->timeseries_csv(simulator.now()), &err)) {
       throw std::runtime_error("metrics export failed: " + err);
     }
-    if (config.obs.report_any()) {
-      // Same engine as offline tlsreport, so the in-process report and
-      // `tlsreport <trace.csv>` are byte-identical (CI cmp's the two).
-      obs::StreamingAnalyzer analyzer;
-      for (const obs::TraceEvent& e : tracer->events()) analyzer.ingest(e);
-      analyzer.set_health(tracer->health());
-      obs::RunReport report = analyzer.finish();
+    if (analyzer) {
+      analyzer->set_health(tracer->health());
+      obs::RunReport report = analyzer->finish();
       if (!config.obs.report_path.empty() &&
           !write_file(config.obs.report_path, obs::report_text(report),
                       &err)) {

@@ -24,7 +24,8 @@ namespace tls::exp {
 struct ObsOptions {
   /// Chrome trace-event JSON output (Perfetto/chrome://tracing).
   std::string trace_path;
-  /// Compact CSV rendering of the same events.
+  /// Compact CSV rendering of the same events, written row by row while
+  /// the run simulates.
   std::string trace_csv_path;
   /// Category bitmask for the event log (obs::parse_categories).
   std::uint32_t trace_categories = obs::kAllCats;
@@ -40,7 +41,9 @@ struct ObsOptions {
   std::string report_html_path;  ///< self-contained HTML dashboard
   /// Period of the queue-depth / iteration-lag gauge sampler.
   sim::Time sample_period = 100 * sim::kMillisecond;
-  /// Event-log cap guarding memory on big sweeps (0 = unlimited).
+  /// Cap on accepted trace events (0 = unlimited); the rest count as
+  /// dropped in every artifact's capture health. Only the trace_path
+  /// export holds events in memory, so that log is all the cap bounds.
   std::size_t max_events = 0;
   /// Capture-sampling spec, a comma list of cat=N keep-1-in-N rates (see
   /// obs::parse_sampling, e.g. "qdisc=16,htb=8"). Critical-chain

@@ -1,7 +1,9 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -256,32 +258,75 @@ std::string chrome_trace_json(const Tracer& tracer) {
   return os.str();
 }
 
-std::string trace_csv(const Tracer& tracer) {
-  std::ostringstream os;
-  os << "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n";
-  for (const TraceEvent& e : tracer.events()) {
-    os << e.at << ',' << to_string(e.kind) << ',' << to_string(e.cat) << ','
-       << e.host << ',' << e.job << ',' << e.band << ',' << e.flow << ','
-       << e.bytes << ',' << e.a << ',' << e.b << ',' << e.dur << '\n';
-  }
+namespace {
+
+constexpr char kTraceCsvHeader[] =
+    "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n";
+
+// Longest row: eleven fields of at most 20 chars each (an int64 with its
+// sign; names are shorter), ten commas and the newline.
+constexpr std::size_t kMaxCsvRow = 11 * 20 + 11;
+
+char* put_field(char* p, std::int64_t v) {
+  p = std::to_chars(p, p + 20, v).ptr;
+  *p = ',';
+  return p + 1;
+}
+
+char* put_field(char* p, const char* name) {
+  std::size_t n = std::strlen(name);
+  std::memcpy(p, name, n);
+  p[n] = ',';
+  return p + n + 1;
+}
+
+}  // namespace
+
+TraceCsvWriter::TraceCsvWriter(std::ostream& out) : out_(out) {
+  out_.write(kTraceCsvHeader, sizeof(kTraceCsvHeader) - 1);
+}
+
+void TraceCsvWriter::on_event(const TraceEvent& e) {
+  char row[kMaxCsvRow];
+  char* p = put_field(row, sim::to_nanos(e.at));
+  p = put_field(p, to_string(e.kind));
+  p = put_field(p, to_string(e.cat));
+  p = put_field(p, e.host);
+  p = put_field(p, e.job);
+  p = put_field(p, e.band);
+  p = put_field(p, e.flow);
+  p = put_field(p, e.bytes);
+  p = put_field(p, e.a);
+  p = put_field(p, e.b);
+  p = put_field(p, sim::to_nanos(e.dur));
+  p[-1] = '\n';
+  out_.write(row, p - row);
+}
+
+void TraceCsvWriter::finish(const TraceHealth& h) {
   // Capture-health trailer: omitted entirely for complete traces, so the
   // file format (and every golden) is unchanged unless events went missing.
-  const TraceHealth& h = tracer.health();
-  if (!h.complete()) {
-    auto emit = [&os](const char* which, std::uint64_t total,
-                      const std::uint64_t (&by_cat)[kNumCats]) {
-      if (total == 0) return;
-      os << "#health," << which << ",total," << total << '\n';
-      for (std::uint32_t bit = 1; bit <= kAllCats; bit <<= 1) {
-        Cat cat = static_cast<Cat>(bit);
-        std::uint64_t n = by_cat[cat_index(cat)];
-        if (n != 0) os << "#health," << which << ',' << to_string(cat) << ','
+  if (h.complete()) return;
+  auto emit = [this](const char* which, std::uint64_t total,
+                     const std::uint64_t (&by_cat)[kNumCats]) {
+    if (total == 0) return;
+    out_ << "#health," << which << ",total," << total << '\n';
+    for (std::uint32_t bit = 1; bit <= kAllCats; bit <<= 1) {
+      Cat cat = static_cast<Cat>(bit);
+      std::uint64_t n = by_cat[cat_index(cat)];
+      if (n != 0) out_ << "#health," << which << ',' << to_string(cat) << ','
                        << n << '\n';
-      }
-    };
-    emit("dropped", h.dropped_total, h.dropped_by_cat);
-    emit("sampled", h.sampled_out_total, h.sampled_out_by_cat);
-  }
+    }
+  };
+  emit("dropped", h.dropped_total, h.dropped_by_cat);
+  emit("sampled", h.sampled_out_total, h.sampled_out_by_cat);
+}
+
+std::string trace_csv(const Tracer& tracer) {
+  std::ostringstream os;
+  TraceCsvWriter writer(os);
+  for (const TraceEvent& e : tracer.events()) writer.on_event(e);
+  writer.finish(tracer.health());
   return os.str();
 }
 

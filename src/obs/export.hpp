@@ -1,7 +1,6 @@
 // tls::obs — trace/metrics file renderers.
 //
-// Pure functions from an in-memory Tracer/Registry to file contents; the
-// caller (exp::run_experiment, tests) decides where bytes land. Formats:
+// Formats:
 //
 //  * chrome_trace_json(): Chrome trace-event JSON (the `traceEvents` array
 //    form), loadable in Perfetto and chrome://tracing. Tracks: one "thread"
@@ -9,12 +8,18 @@
 //    process, and a "tensorlights" process for controller activity.
 //    Timestamps are simulation nanoseconds rendered as microseconds with
 //    three fixed decimals — integer arithmetic only, so output bytes are a
-//    pure function of the event list.
+//    pure function of the event list. The document lists its tracks before
+//    the first event, so it renders from a Tracer's in-memory log.
 //
-//  * trace_csv(): the same events in compact long form, one row per event,
-//    for ad-hoc grep/pandas work without a JSON parser.
+//  * TraceCsvWriter: the same events in compact long form, one row per
+//    event, for ad-hoc grep/pandas work without a JSON parser. It is a
+//    TraceSink, so a live run streams rows to the file as events are
+//    emitted; trace_csv() renders a Tracer's log through the same writer.
+//
+// The caller (exp::run_experiment, tests) decides where bytes land.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -27,7 +32,26 @@ const char* to_string(EventKind kind);
 /// Renders the full Chrome trace-event JSON document.
 std::string chrome_trace_json(const Tracer& tracer);
 
-/// Renders events as CSV: at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns.
+/// Streams events as CSV: at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns.
+/// Writes the header on construction and one row per on_event(); finish()
+/// appends the capture-health trailer. Write errors stay in the stream's
+/// state for the owner to check after finish().
+class TraceCsvWriter final : public TraceSink {
+ public:
+  /// `out` is not owned and must outlive the writer.
+  explicit TraceCsvWriter(std::ostream& out);
+
+  void on_event(const TraceEvent& e) override;
+
+  /// Appends the `#health` trailer — nothing for a complete trace, so
+  /// complete files are exactly header plus rows.
+  void finish(const TraceHealth& health);
+
+ private:
+  std::ostream& out_;
+};
+
+/// Renders a Tracer's log as CSV through TraceCsvWriter, trailer included.
 std::string trace_csv(const Tracer& tracer);
 
 }  // namespace tls::obs

@@ -3,13 +3,13 @@
 // A batch analysis would buffer a complete trace and walk it post-mortem;
 // at Fig. 5a scale that means holding millions of events for a report that
 // only ever inspects a sliding window of them. This engine is a consumer
-// instead: events are ingested one at a time (from a live Tracer, a trace
-// CSV, or a tailed growing CSV), each (job, iteration) is finalized the
-// moment its barrier fully releases and the stream moves past the release
-// instant, and everything behind the finalization watermark is retired —
-// so peak retention is proportional to the in-flight window (roughly two
-// iterations per job), independent of trace length. The in-process report
-// (tlsim --report*) and every tlsreport mode run on it.
+// instead: events are ingested one at a time (as a live Tracer's sink, from
+// a trace CSV, or from a tailed growing CSV), each (job, iteration) is
+// finalized the moment its barrier fully releases and the stream moves past
+// the release instant, and everything behind the finalization watermark is
+// retired — so peak retention is proportional to the in-flight window
+// (roughly two iterations per job), independent of trace length. The
+// in-process report (tlsim --report*) and every tlsreport mode run on it.
 //
 // Equivalence contract: on any trace the simulator emits (events appended
 // in nondecreasing time order), finish() returns a RunReport whose three
@@ -70,7 +70,7 @@
 
 namespace tls::obs {
 
-class StreamingAnalyzer {
+class StreamingAnalyzer final : public TraceSink {
  public:
   StreamingAnalyzer() = default;
 
@@ -78,9 +78,11 @@ class StreamingAnalyzer {
   StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
 
   /// Consumes the next trace event. Events must arrive in nondecreasing
-  /// time order (the simulator's append order; out_of_order() reports
+  /// time order (the simulator's emission order; out_of_order() reports
   /// violations, under which equivalence to batch is no longer promised).
   void ingest(const TraceEvent& e);
+  /// TraceSink: ingests each event a live Tracer accepts.
+  void on_event(const TraceEvent& e) override { ingest(e); }
 
   /// Attaches the capture-health record carried into the final report
   /// (tracer drops / sampling exclusions).

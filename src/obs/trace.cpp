@@ -160,12 +160,14 @@ void Tracer::push(const TraceEvent& e) {
     ++health_.sampled_out_by_cat[ci];
     return;
   }
-  if (max_events_ != 0 && events_.size() >= max_events_) {
+  if (max_events_ != 0 && accepted_ >= max_events_) {
     ++health_.dropped_total;
     ++health_.dropped_by_cat[ci];
     return;
   }
-  events_.push_back(e);
+  ++accepted_;
+  if (retain_) events_.push_back(e);
+  for (TraceSink* sink : sinks_) sink->on_event(e);
 }
 
 void Tracer::chunk_enqueue(sim::Time at, net::HostId host, std::int32_t job,

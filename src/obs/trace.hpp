@@ -1,6 +1,6 @@
 // tls::obs — structured simulation tracing.
 //
-// A Tracer is the per-simulation observability sink: typed trace events
+// A Tracer is the per-simulation observability hub: typed trace events
 // (chunk enqueue/dequeue, qdisc band service, htb green/yellow borrowing,
 // TLs-RR rotations, barrier enter/release, straggler-lag samples) plus an
 // optional metrics Registry the same emission sites feed. Components reach
@@ -8,8 +8,13 @@
 // tracer attached pays one null check per emission site, and building with
 // -DTLS_OBS=OFF compiles the sites out entirely (TLS_OBS_DISABLED).
 //
+// Every event the tracer accepts goes, as it is emitted, to each attached
+// TraceSink (the streaming trace-CSV writer, the attribution engine). The
+// in-memory log is optional (on by default), so an owner whose consumers
+// are all sinks holds no memory that grows with trace length.
+//
 // Determinism contract (DESIGN.md "Observability"): every event is stamped
-// with *simulation* time passed in by the emitter, events are appended in
+// with *simulation* time passed in by the emitter, events are delivered in
 // emission order by the single-threaded event loop, and the exporters
 // format integers only — so trace files are byte-identical across repeated
 // seeded runs and across serial vs parallel (tls::runtime) execution.
@@ -72,10 +77,10 @@ bool parse_categories(const std::string& text, std::uint32_t* mask,
                       std::string* error);
 
 /// Capture-completeness record for one trace: how many events the tracer
-/// refused to store, split by why (the max_events cap vs deliberate
-/// sampling) and by category. It travels with the trace — trace_csv()
-/// appends it as `#health` trailer comments and the reader restores it —
-/// so offline attribution can warn that it ran on an incomplete log
+/// refused to accept, split by why (the max_events cap vs deliberate
+/// sampling) and by category. It travels with the trace — the trace-CSV
+/// writer appends it as `#health` trailer comments and the reader restores
+/// it — so offline attribution can warn that it ran on an incomplete log
 /// instead of silently passing a truncated trace as a complete one.
 struct TraceHealth {
   std::uint64_t dropped_total = 0;      ///< events past the max_events cap
@@ -83,7 +88,7 @@ struct TraceHealth {
   std::uint64_t dropped_by_cat[kNumCats] = {};
   std::uint64_t sampled_out_by_cat[kNumCats] = {};
 
-  /// True when every emitted event was stored.
+  /// True when every emitted event was accepted.
   bool complete() const {
     return dropped_total == 0 && sampled_out_total == 0;
   }
@@ -140,10 +145,20 @@ struct TraceEvent {
   sim::Time dur{};
 };
 
-/// Per-simulation observability sink: an append-only event log behind a
-/// category mask, plus an optional metrics Registry fed by the same typed
-/// emission methods. Single-threaded by contract, like everything else
-/// inside one simulation.
+/// Consumer of a tracer's live event stream (Tracer::add_sink).
+class TraceSink {
+ public:
+  virtual ~TraceSink() = default;
+  /// Receives one accepted event; called in emission order.
+  virtual void on_event(const TraceEvent& e) = 0;
+};
+
+/// Per-simulation observability hub: typed emission methods behind a
+/// category mask, capture sampling and an event cap, delivering each
+/// accepted event to the attached sinks and (unless turned off) an
+/// append-only in-memory log, plus an optional metrics Registry fed by the
+/// same methods. Single-threaded by contract, like everything else inside
+/// one simulation.
 class Tracer {
  public:
   explicit Tracer(std::uint32_t categories = kAllCats) : mask_(categories) {}
@@ -166,9 +181,9 @@ class Tracer {
   void set_registry(Registry* registry) { registry_ = registry; }
   Registry* registry() const { return registry_; }
 
-  /// Caps the event log (0 = unlimited). Events past the cap are counted
-  /// in dropped() instead of stored, so a runaway trace degrades instead
-  /// of exhausting memory.
+  /// Caps the accepted events (0 = unlimited). Events past the cap reach
+  /// neither the log nor any sink; they are counted in dropped(), so a
+  /// runaway trace degrades instead of exhausting memory.
   void set_max_events(std::size_t cap) { max_events_ = cap; }
   std::uint64_t dropped() const { return health_.dropped_total; }
 
@@ -184,8 +199,20 @@ class Tracer {
   /// Capture-health snapshot: cap drops and sampling exclusions, per cat.
   const TraceHealth& health() const { return health_; }
 
+  /// Delivers every event accepted from now on to `sink`, in emission
+  /// order, after the sinks attached before it. Not owned; it must outlive
+  /// the last emission.
+  void add_sink(TraceSink* sink) { sinks_.push_back(sink); }
+
+  /// Whether accepted events are also appended to events() (the default).
+  /// An owner whose consumers are all sinks turns this off, so the tracer
+  /// holds no per-event memory.
+  void set_retain_events(bool retain) { retain_ = retain; }
+
+  /// The in-memory log: every accepted event while retention is on.
   const std::vector<TraceEvent>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
+  /// Events accepted so far (past mask, sampling and cap), retained or not.
+  std::size_t size() const { return accepted_; }
 
   // --- typed emission sites (hot path: check enabled() before calling) ---
 
@@ -255,6 +282,9 @@ class Tracer {
   std::uint32_t sample_every_[kNumCats] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
   std::uint64_t sample_seen_[kNumCats] = {};
   TraceHealth health_;
+  std::size_t accepted_ = 0;
+  bool retain_ = true;
+  std::vector<TraceSink*> sinks_;
   std::vector<TraceEvent> events_;
 };
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -95,6 +97,81 @@ TEST(TraceCsv, RendersEveryFieldExactly) {
 TEST(TraceCsv, EmptyTracerIsHeaderOnly) {
   Tracer t;
   EXPECT_EQ(trace_csv(t), "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n");
+}
+
+TEST(TraceCsv, NegativeAndExtremeFieldsRenderExactly) {
+  // Rows pinned to what the original iostream formatter printed: a
+  // default event's -1 host, job and band, and every integer column at
+  // the limits of its type.
+  TraceEvent unset;
+  unset.at = tls::sim::Time{7};
+  unset.kind = EventKind::kRotation;
+  unset.cat = Cat::kRotation;
+  unset.a = -3;
+  TraceEvent lo;
+  lo.at = tls::sim::kTimeMin;
+  lo.kind = EventKind::kChunkDequeue;
+  lo.cat = Cat::kChunk;
+  lo.host = lo.job = lo.band = INT32_MIN;
+  lo.flow = lo.bytes = lo.a = lo.b = INT64_MIN;
+  lo.dur = tls::sim::kTimeMin;
+  TraceEvent hi;
+  hi.at = tls::sim::kTimeMax;
+  hi.kind = EventKind::kIngressDeliver;
+  hi.cat = Cat::kIngress;
+  hi.host = hi.job = hi.band = INT32_MAX;
+  hi.flow = hi.bytes = hi.a = hi.b = INT64_MAX;
+  hi.dur = tls::sim::kTimeMax;
+
+  std::ostringstream os;
+  TraceCsvWriter writer(os);
+  writer.on_event(unset);
+  writer.on_event(lo);
+  writer.on_event(hi);
+  writer.finish(TraceHealth{});
+  EXPECT_EQ(os.str(),
+            "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n"
+            "7,rotation,rotation,-1,-1,-1,0,0,-3,0,0\n"
+            "-9223372036854775808,chunk_dequeue,chunk,-2147483648,"
+            "-2147483648,-2147483648,-9223372036854775808,"
+            "-9223372036854775808,-9223372036854775808,"
+            "-9223372036854775808,-9223372036854775808\n"
+            "9223372036854775807,ingress_deliver,ingress,2147483647,"
+            "2147483647,2147483647,9223372036854775807,9223372036854775807,"
+            "9223372036854775807,9223372036854775807,9223372036854775807\n");
+}
+
+TEST(TraceCsvWriter, StreamedBytesEqualTraceCsvIncludingHealthTrailer) {
+  // One emission sequence into a retaining tracer (rendered afterwards by
+  // trace_csv) and into a non-retaining one streaming through the writer.
+  auto emit = [](Tracer& t) {
+    t.set_sample_every(Cat::kQdisc, 2);
+    t.set_max_events(5);
+    for (int i = 0; i < 4; ++i) {
+      tls::sim::Time at{100 * i};
+      t.band_service(at, tls::net::HostId{1}, tls::net::BandId{i % 2},
+                     tls::net::Bytes{512});
+      t.chunk_enqueue(at, tls::net::HostId{0}, -1, tls::net::BandId{0}, i, 0,
+                      tls::net::Bytes{1000});
+    }
+  };
+  Tracer retaining;
+  emit(retaining);
+
+  Tracer streamed;
+  streamed.set_retain_events(false);
+  std::ostringstream os;
+  TraceCsvWriter writer(os);
+  streamed.add_sink(&writer);
+  emit(streamed);
+  writer.finish(streamed.health());
+
+  const std::string want = trace_csv(retaining);
+  ASSERT_NE(want.find("#health,dropped,total,1\n"), std::string::npos)
+      << want;
+  ASSERT_NE(want.find("#health,sampled,qdisc,2\n"), std::string::npos)
+      << want;
+  EXPECT_EQ(os.str(), want);
 }
 
 }  // namespace

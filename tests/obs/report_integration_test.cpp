@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "exp/experiment.hpp"
 #include "obs/analysis.hpp"
 #include "obs/report_cli.hpp"
@@ -449,13 +451,16 @@ CliRun report_cli(std::vector<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
-/// Writes the contended scenario's trace CSV once per binary run.
+/// Writes the contended scenario's trace CSV once per process. ctest runs
+/// each test case in its own process, possibly in parallel, so the
+/// directory is per process: no test rewrites a file another one reads.
 const std::string& shared_trace_csv(core::PolicyKind policy,
                                     const char* name) {
   static std::map<std::string, std::string> cache;
   auto it = cache.find(name);
   if (it != cache.end()) return it->second;
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_cli" / name;
+  fs::path dir = fs::path(testing::TempDir()) /
+                 ("tls_report_cli-" + std::to_string(getpid())) / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   exp::ExperimentConfig c = contended_scenario(policy);

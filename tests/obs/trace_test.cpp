@@ -1,9 +1,12 @@
 // Unit tests for the tls::obs trace layer: category parsing and filtering,
-// the event-log cap, tracer/registry coupling, and per-run artifact path
-// derivation used by tls::runtime sweeps.
+// the event cap, sink delivery and log retention, tracer/registry
+// coupling, and per-run artifact path derivation used by tls::runtime
+// sweeps.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "obs/metrics_registry.hpp"
 
@@ -134,6 +137,99 @@ TEST(Tracer, EventCapCountsDrops) {
   t.rotation(tls::sim::Time{3}, 2);
   EXPECT_EQ(t.size(), 2u);
   EXPECT_EQ(t.dropped(), 1u);
+}
+
+// --- sink delivery ----------------------------------------------------------
+
+/// Records every event its tracer delivers.
+struct RecordingSink : TraceSink {
+  std::vector<TraceEvent> seen;
+  void on_event(const TraceEvent& e) override { seen.push_back(e); }
+};
+
+/// Keep-1-in-3 qdisc and 1-in-4 htb sampling under a 70-event cap: the
+/// mixed stream below hits every filter (mask, sampling, cap).
+void limit(Tracer& t) {
+  t.set_sample_every(Cat::kQdisc, 3);
+  t.set_sample_every(Cat::kHtb, 4);
+  t.set_max_events(70);
+}
+
+void emit_mixed(Tracer& t) {
+  using tls::net::BandId;
+  using tls::net::Bytes;
+  using tls::net::HostId;
+  for (int i = 0; i < 40; ++i) {
+    tls::sim::Time at{10 * i};
+    t.band_service(at, HostId{i % 3}, BandId{i % 2}, Bytes{100 + i});
+    t.chunk_enqueue(at, HostId{0}, i % 4, BandId{1}, i, i, Bytes{1000});
+    t.htb_send(at, HostId{1}, BandId{0}, Bytes{i}, i % 2 == 0);
+    t.straggler_lag(at, 1, i, tls::sim::Time{i});  // masked out below
+    t.barrier_enter(at, 1, i, i / 4);
+  }
+}
+
+void expect_same_events(const std::vector<TraceEvent>& got,
+                        const std::vector<TraceEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const TraceEvent& g = got[i];
+    const TraceEvent& w = want[i];
+    EXPECT_TRUE(g.at == w.at && g.kind == w.kind && g.cat == w.cat &&
+                g.host == w.host && g.job == w.job && g.band == w.band &&
+                g.flow == w.flow && g.bytes == w.bytes && g.a == w.a &&
+                g.b == w.b && g.dur == w.dur)
+        << "event " << i << " differs";
+  }
+}
+
+constexpr std::uint32_t kMixedMask =
+    kAllCats & ~static_cast<std::uint32_t>(Cat::kStraggler);
+
+TEST(TracerSinks, EverySinkSeesExactlyTheRetainedEventsInOrder) {
+  Tracer retaining(kMixedMask);
+  limit(retaining);
+  emit_mixed(retaining);
+  // The stream really exercised sampling and the cap.
+  ASSERT_EQ(retaining.size(), 70u);
+  ASSERT_GT(retaining.health().sampled_out_total, 0u);
+  ASSERT_GT(retaining.health().dropped_total, 0u);
+
+  Tracer streamed(kMixedMask);
+  limit(streamed);
+  RecordingSink first, second;
+  streamed.add_sink(&first);
+  streamed.add_sink(&second);
+  emit_mixed(streamed);
+  expect_same_events(first.seen, retaining.events());
+  expect_same_events(second.seen, retaining.events());
+  expect_same_events(streamed.events(), retaining.events());
+}
+
+TEST(TracerSinks, RetentionOffKeepsNoLogButCountsCapsAndDeliversTheSame) {
+  Tracer retaining(kMixedMask);
+  limit(retaining);
+  emit_mixed(retaining);
+
+  Tracer lean(kMixedMask);
+  limit(lean);
+  lean.set_retain_events(false);
+  RecordingSink sink;
+  lean.add_sink(&sink);
+  emit_mixed(lean);
+
+  EXPECT_TRUE(lean.events().empty());
+  // The cap counts accepted events, not stored ones.
+  EXPECT_EQ(lean.size(), retaining.size());
+  const TraceHealth& got = lean.health();
+  const TraceHealth& want = retaining.health();
+  EXPECT_EQ(got.dropped_total, want.dropped_total);
+  EXPECT_EQ(got.sampled_out_total, want.sampled_out_total);
+  for (int i = 0; i < kNumCats; ++i) {
+    EXPECT_EQ(got.dropped_by_cat[i], want.dropped_by_cat[i]) << i;
+    EXPECT_EQ(got.sampled_out_by_cat[i], want.sampled_out_by_cat[i]) << i;
+  }
+  expect_same_events(sink.seen, retaining.events());
 }
 
 TEST(PerRunPath, InsertsLabelBeforeExtension) {

@@ -185,4 +185,30 @@ cmake --preset ci
 cmake --build --preset ci -j "$jobs"
 ctest --preset ci -j "$jobs"
 
+echo "==> [4b/4] in-process report memory: 60-iteration paper run"
+# The trace CSV and the report stream from tracer sinks, so a paper run
+# with both stays near an untraced run's RSS (~32 MB) instead of holding
+# the whole event log (977 MB when every event was kept). build-ci, not
+# build-asan: ASan inflates RSS.
+mem_run=(./build-ci/tools/tlsim run --policy tls-one --threads 1 --no-cache
+  --trace-csv "$smoke_dir/paper.csv" --report "$smoke_dir/paper.txt"
+  --report-json "$smoke_dir/paper.json")
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "${mem_run[@]}" <<'PYEOF'
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 100, f"in-process report peak RSS {peak_mb:.1f} MB >= 100 MB"
+print(f"in-process report OK: peak RSS {peak_mb:.1f} MB (ceiling 100 MB)")
+PYEOF
+else
+  echo "python3 not installed; skipping the peak-RSS check"
+  "${mem_run[@]}" >/dev/null
+fi
+./build-ci/tools/tlsreport "$smoke_dir/paper.csv" --quiet \
+  --json "$smoke_dir/paper-offline.json"
+cmp "$smoke_dir/paper.json" "$smoke_dir/paper-offline.json" \
+  || { echo "offline tlsreport diverges from in-process report"; exit 1; }
+rm -f "$smoke_dir/paper.csv"
+
 echo "==> ci.sh: all green"
