@@ -4,11 +4,7 @@
 // priority avoids head-of-line blocking behind large bursts.
 #include "common.hpp"
 
-#include "cluster/launcher.hpp"
-#include "metrics/util_sampler.hpp"
-#include "simcore/simulator.hpp"
-#include "tc/tc.hpp"
-#include "tensorlights/controller.hpp"
+#include "exp/session.hpp"
 
 namespace {
 
@@ -22,17 +18,11 @@ struct MixResult {
 
 MixResult run_mix(core::PolicyKind policy, core::AssignStrategy strategy,
                   std::uint64_t seed) {
-  sim::Simulator simulator(seed);
-  net::FabricConfig fc;
-  fc.num_hosts = 9;
-  net::Fabric fabric(simulator, fc);
-  tc::TrafficControl control(fabric);
   core::ControllerConfig cc;
   cc.policy = policy;
   cc.strategy = strategy;
-  core::Controller controller(simulator, control, cc);
-  cluster::Launcher launcher(simulator, fabric);
-  launcher.add_listener(&controller);
+  exp::Session session(seed, /*num_hosts=*/9, /*fabric=*/{}, cc);
+  cluster::Launcher& launcher = session.launcher();
 
   // 4 small (ResNet-32) + 2 large (Inception-v3) jobs, all PSes colocated.
   // Interleaved so arrival order differs from size order and the
@@ -46,10 +36,7 @@ MixResult run_mix(core::PolicyKind policy, core::AssignStrategy strategy,
   auto specs = workload::heterogeneous_jobs(mix, /*workers=*/8);
   auto placements = cluster::assign_tasks(cluster::table1(1, 6), 9, 8);
   launcher.launch_all(std::move(specs), std::move(placements), {});
-  while (!launcher.all_finished() && !simulator.idle() &&
-         simulator.now() < 3600 * sim::kSecond) {
-    simulator.run(simulator.now() + sim::kSecond);
-  }
+  session.run(3600 * sim::kSecond);
 
   MixResult r;
   int small_n = 0, big_n = 0;
@@ -73,8 +60,8 @@ MixResult run_mix(core::PolicyKind policy, core::AssignStrategy strategy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Drives a hand-built heterogeneous mix directly (no ExperimentConfig),
-  // so it picks up init()/Timing only.
+  // Drives a hand-built heterogeneous mix on an exp::Session (no
+  // ExperimentConfig), so it picks up init()/Timing only.
   bench::init(argc, argv);
   bench::Timing timing("ablate_assigner");
   bench::print_header(

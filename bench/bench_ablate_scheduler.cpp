@@ -7,11 +7,8 @@
 // TensorLights removes the rest without touching the scheduler.
 #include "common.hpp"
 
-#include "cluster/launcher.hpp"
 #include "cluster/scheduler.hpp"
-#include "simcore/simulator.hpp"
-#include "tc/tc.hpp"
-#include "tensorlights/controller.hpp"
+#include "exp/session.hpp"
 
 namespace {
 
@@ -19,17 +16,12 @@ using namespace tls;
 
 double run_jct(cluster::SchedulerPolicy sched_policy,
                core::PolicyKind net_policy, int* max_colocation) {
-  sim::Simulator simulator(bench::bench_seed());
-  net::FabricConfig fc;
-  fc.num_hosts = 21;
-  net::Fabric fabric(simulator, fc);
-  tc::TrafficControl control(fabric);
   core::ControllerConfig cc;
   cc.policy = net_policy;
   cc.rotation_interval = 10 * sim::kSecond;
-  core::Controller controller(simulator, control, cc);
-  cluster::Launcher launcher(simulator, fabric);
-  launcher.add_listener(&controller);
+  exp::Session session(bench::bench_seed(), /*num_hosts=*/21, /*fabric=*/{},
+                       cc);
+  cluster::Launcher& launcher = session.launcher();
 
   workload::GridSearchConfig w;
   w.global_step_target = 20L * bench::bench_iters();
@@ -43,10 +35,7 @@ double run_jct(cluster::SchedulerPolicy sched_policy,
   }
 
   launcher.launch_all(std::move(specs), std::move(placements), {});
-  while (!launcher.all_finished() && !simulator.idle() &&
-         simulator.now() < 48L * 3600 * sim::kSecond) {
-    simulator.run(simulator.now() + sim::kSecond);
-  }
+  session.run(48L * 3600 * sim::kSecond);
   double total = 0;
   for (const auto& job : launcher.jobs()) total += sim::to_seconds(job->jct());
   return total / static_cast<double>(launcher.jobs().size());
@@ -55,8 +44,8 @@ double run_jct(cluster::SchedulerPolicy sched_policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Drives the online scheduler directly (no ExperimentConfig), so it
-  // picks up init()/Timing only.
+  // Drives the online scheduler on an exp::Session (no ExperimentConfig),
+  // so it picks up init()/Timing only.
   bench::init(argc, argv);
   bench::Timing timing("ablate_scheduler");
   bench::print_header(

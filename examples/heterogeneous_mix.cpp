@@ -10,12 +10,9 @@
 // Run: ./build/examples/heterogeneous_mix
 #include <iostream>
 
-#include "cluster/launcher.hpp"
 #include "cluster/placement.hpp"
+#include "exp/session.hpp"
 #include "metrics/report.hpp"
-#include "simcore/simulator.hpp"
-#include "tc/tc.hpp"
-#include "tensorlights/controller.hpp"
 #include "workload/gridsearch.hpp"
 
 using namespace tls;
@@ -30,17 +27,11 @@ struct Outcome {
 };
 
 Outcome run(core::PolicyKind policy, core::AssignStrategy strategy) {
-  sim::Simulator simulator(11);
-  net::FabricConfig fc;
-  fc.num_hosts = 11;
-  net::Fabric fabric(simulator, fc);
-  tc::TrafficControl control(fabric);
   core::ControllerConfig cc;
   cc.policy = policy;
   cc.strategy = strategy;
-  core::Controller controller(simulator, control, cc);
-  cluster::Launcher launcher(simulator, fabric);
-  launcher.add_listener(&controller);
+  exp::Session session(/*seed=*/11, /*num_hosts=*/11, /*fabric=*/{}, cc);
+  cluster::Launcher& launcher = session.launcher();
 
   std::vector<workload::MixEntry> mix = {
       {dl::zoo::inception_v3(), 2, 2, 10L * 4},
@@ -52,10 +43,7 @@ Outcome run(core::PolicyKind policy, core::AssignStrategy strategy) {
       cluster::assign_tasks(cluster::table1(1, static_cast<int>(specs.size())),
                             11, 10);
   launcher.launch_all(std::move(specs), std::move(placements), {});
-  while (!launcher.all_finished() && !simulator.idle() &&
-         simulator.now() < 3600 * sim::kSecond) {
-    simulator.run(simulator.now() + sim::kSecond);
-  }
+  session.run(3600 * sim::kSecond);
 
   Outcome o;
   o.policy = std::string(to_string(policy)) +

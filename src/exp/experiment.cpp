@@ -1,135 +1,27 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
-#include "cluster/launcher.hpp"
-#include "exp/export.hpp"
-#include "metrics/util_sampler.hpp"
-#include "obs/analysis.hpp"
-#include "obs/export.hpp"
-#include "obs/html.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/streaming.hpp"
-#include "simcore/simulator.hpp"
-#include "tc/tc.hpp"
-#include "tensorlights/controller.hpp"
+#include "exp/session.hpp"
 
 namespace tls::exp {
-
-namespace {
-
-/// The --trace-csv file, streamed: opened before the simulation so rows
-/// land as events are emitted. Unless commit() succeeds, the destructor
-/// removes the partial file, so a run that throws leaves none behind.
-class StreamedTraceCsv {
- public:
-  explicit StreamedTraceCsv(std::string path)
-      : path_(std::move(path)),
-        out_(path_, std::ios::binary | std::ios::trunc),
-        writer_(out_) {
-    if (!out_) {
-      throw std::runtime_error("trace CSV export failed: cannot open '" +
-                               path_ + "' for writing");
-    }
-  }
-  ~StreamedTraceCsv() {
-    if (committed_) return;
-    out_.close();
-    std::remove(path_.c_str());
-  }
-  StreamedTraceCsv(const StreamedTraceCsv&) = delete;
-  StreamedTraceCsv& operator=(const StreamedTraceCsv&) = delete;
-
-  obs::TraceSink* sink() { return &writer_; }
-
-  /// Appends the health trailer and closes the file, which then takes no
-  /// more rows; throws if any write failed.
-  void commit(const obs::TraceHealth& health) {
-    writer_.finish(health);
-    out_.close();
-    if (!out_) {
-      throw std::runtime_error("trace CSV export failed: write to '" +
-                               path_ + "' failed");
-    }
-    committed_ = true;
-  }
-
- private:
-  std::string path_;
-  std::ofstream out_;
-  obs::TraceCsvWriter writer_;
-  bool committed_ = false;
-};
-
-}  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.placement.total_jobs() != config.workload.num_jobs) {
     throw std::invalid_argument("placement job count != workload job count");
   }
 
-  sim::Simulator simulator(config.seed);
-
-  // Observability attaches before any component is built so every port and
-  // qdisc picks the tracer up at wiring time. The sinks are declared after
-  // the tracer and before the components, so they outlive every emission.
-  std::unique_ptr<obs::Registry> registry;
-  std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<StreamedTraceCsv> trace_csv;
-  std::unique_ptr<obs::StreamingAnalyzer> analyzer;
-  if (config.obs.any()) {
-    std::uint32_t cats = config.obs.trace_categories;
-    // The attribution report needs the causal-event categories regardless
-    // of how narrow the user's --trace-filter is.
-    if (config.obs.report_any()) cats |= obs::kAnalysisCats;
-    tracer = std::make_unique<obs::Tracer>(cats);
-    tracer->set_max_events(config.obs.max_events);
-    if (!config.obs.trace_sample.empty()) {
-      std::uint32_t every[obs::kNumCats];
-      for (int i = 0; i < obs::kNumCats; ++i) every[i] = 1;
-      std::string sample_err;
-      if (!obs::parse_sampling(config.obs.trace_sample, every, &sample_err)) {
-        throw std::invalid_argument("bad trace sampling spec: " + sample_err);
-      }
-      for (int i = 0; i < obs::kNumCats; ++i) {
-        tracer->set_sample_every(static_cast<obs::Cat>(1u << i), every[i]);
-      }
-    }
-    // Only the Chrome exporter needs the whole log (it lists every track
-    // before the first event); the trace CSV and the report stream.
-    tracer->set_retain_events(!config.obs.trace_path.empty());
-    if (!config.obs.trace_csv_path.empty()) {
-      trace_csv =
-          std::make_unique<StreamedTraceCsv>(config.obs.trace_csv_path);
-      tracer->add_sink(trace_csv->sink());
-    }
-    if (config.obs.report_any()) {
-      // Same engine as offline tlsreport, so the in-process report and
-      // `tlsreport <trace.csv>` are byte-identical (CI cmp's the two).
-      analyzer = std::make_unique<obs::StreamingAnalyzer>();
-      tracer->add_sink(analyzer.get());
-    }
-    if (!config.obs.metrics_path.empty()) {
-      registry = std::make_unique<obs::Registry>();
-      tracer->set_registry(registry.get());
-    }
-    simulator.set_tracer(tracer.get());
-  }
-
-  net::FabricConfig fabric_config = config.fabric;
-  fabric_config.num_hosts = config.num_hosts;
-  net::Fabric fabric(simulator, fabric_config);
-  tc::TrafficControl control(fabric);
-  core::Controller controller(simulator, control, config.controller);
-  metrics::BusyAccumulator busy(config.num_hosts);
+  Session session(config.seed, config.num_hosts, config.fabric,
+                  config.controller, config.obs);
+  sim::Simulator& simulator = session.sim();
+  net::Fabric& fabric = session.fabric();
+  cluster::Launcher& launcher = session.launcher();
   metrics::NicSampler nic(simulator, fabric, config.nic_sample_period,
-                          registry.get());
+                          session.registry());
 
   std::unique_ptr<workload::BackgroundTraffic> background;
   if (config.background) {
@@ -142,14 +34,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.coordinated_transport) {
     coordinator = std::make_unique<core::CentralCoordinator>(
         simulator, config.coordinator_config);
+    launcher.set_transmission_gate(coordinator.get());
   }
-
-  cluster::Launcher launcher(simulator, fabric);
-  launcher.add_listener(&controller);
-  if (coordinator) launcher.set_transmission_gate(coordinator.get());
-  launcher.set_busy_sink([&busy](net::HostId h, sim::Time b, sim::Time e) {
-    busy.add(h, b, e);
-  });
 
   std::vector<dl::JobSpec> specs = workload::grid_search_jobs(config.workload);
   std::vector<dl::JobPlacement> placements =
@@ -162,46 +48,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   cluster::LaunchConfig launch;
   launch.stagger = config.stagger;
   launcher.launch_all(std::move(specs), std::move(placements), launch);
-
-  // Periodic gauge sampling on the simulation clock: per-host egress queue
-  // depth and per-job iteration lag behind the front-runner.
-  std::unique_ptr<sim::PeriodicTimer> obs_sampler;
-  if (tracer && config.obs.sample_period > sim::Time{0}) {
-    obs_sampler = std::make_unique<sim::PeriodicTimer>(
-        simulator, config.obs.sample_period, [&] {
-          for (net::HostId h{0}; h < net::HostId{config.num_hosts}; ++h) {
-            tracer->gauge_sample(
-                simulator.now(), "egress_backlog_bytes", h, -1,
-                net::to_double(fabric.egress(h).qdisc().backlog_bytes()));
-          }
-          std::int64_t lead = 0;
-          for (const auto& job : launcher.jobs()) {
-            lead = std::max(lead, job->iteration());
-          }
-          for (const auto& job : launcher.jobs()) {
-            tracer->gauge_sample(
-                simulator.now(), "job_iteration_lag", net::kNoHost,
-                job->spec().job_id,
-                static_cast<double>(lead - job->iteration()));
-          }
-        });
-    obs_sampler->start();
-  }
-
-  // The NIC sampler and the TLs-RR rotation timer re-arm forever, so the
-  // event queue never drains; run in slices until the workload completes.
-  const sim::Time slice = 1 * sim::kSecond;
-  while (!launcher.all_finished() && simulator.now() < config.time_limit &&
-         !simulator.idle()) {
-    simulator.run(simulator.now() + slice);
-  }
+  session.run(config.time_limit);
 
   ExperimentResult result;
   result.policy_name = to_string(config.controller.policy);
   result.sim_events = simulator.dispatched();
   result.sim_horizon_s = sim::to_seconds(simulator.now());
-  result.rotations = controller.rotations();
-  result.tc_commands = control.history().size();
+  result.rotations = session.controller().rotations();
+  result.tc_commands = session.control().history().size();
   result.all_finished = launcher.all_finished();
   if (background) {
     background->stop();
@@ -271,9 +125,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     double cpu_ps = 0, cpu_wk = 0, nic_in = 0, nic_out = 0;
     int n_ps = 0, n_wk = 0;
     for (net::HostId h{0}; h < net::HostId{config.num_hosts}; ++h) {
-      double cpu = busy.cpu_utilization(h, result.active_window_begin,
-                                        result.active_window_end,
-                                        config.cores_per_host);
+      double cpu = session.busy().cpu_utilization(
+          h, result.active_window_begin, result.active_window_end,
+          config.cores_per_host);
       if (ps_hosts.count(h)) {
         cpu_ps += cpu;
         ++n_ps;
@@ -294,83 +148,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.nic_out_util = nic_out / config.num_hosts;
   }
 
-  // Simulator-core health counters: event-queue activity and the egress
-  // fast-forward hit rate land in the metrics export so a perf regression
-  // in the scheduling substrate is visible from any traced run.
-  if (registry) {
-    const sim::EventQueue::Stats& qs = simulator.queue_stats();
-    auto add = [&](const char* name, std::uint64_t v) {
-      registry->counter(name, -1, -1, -1).add(static_cast<std::int64_t>(v));
-    };
-    add("eventq_scheduled", qs.scheduled);
-    add("eventq_cancelled", qs.cancelled);
-    add("eventq_popped", qs.popped);
-    add("eventq_tombstones_skipped", qs.tombstones_skipped);
-    add("eventq_overflow_pulls", qs.overflow_pulls);
-    add("eventq_window_jumps", qs.window_jumps);
-    std::uint64_t promotions = 0;
-    std::uint64_t polls = 0;
-    for (net::HostId h{0}; h < net::HostId{config.num_hosts}; ++h) {
-      promotions += fabric.egress(h).ff_promotions();
-      polls += fabric.egress(h).ff_polls();
-    }
-    add("egress_ff_promotions", promotions);
-    add("egress_ff_polls", polls);
-    if (promotions + polls > 0) {
-      registry->gauge("egress_ff_hit_rate", -1, -1, -1)
-          .set(static_cast<double>(promotions) /
-               static_cast<double>(promotions + polls));
-    }
-  }
-
-  // Artifact writing happens last. The trace CSV has been streaming since
-  // the start, but it is removed unless committed here, so a run that threw
-  // earlier leaves no partial files behind.
-  if (tracer) {
-    if (obs_sampler) obs_sampler->stop();
-    std::string err;
-    if (!config.obs.trace_path.empty() &&
-        !write_file(config.obs.trace_path, obs::chrome_trace_json(*tracer),
-                    &err)) {
-      throw std::runtime_error("trace export failed: " + err);
-    }
-    if (trace_csv) trace_csv->commit(tracer->health());
-    if (registry && !config.obs.metrics_path.empty() &&
-        !write_file(config.obs.metrics_path,
-                    registry->timeseries_csv(simulator.now()), &err)) {
-      throw std::runtime_error("metrics export failed: " + err);
-    }
-    if (analyzer) {
-      analyzer->set_health(tracer->health());
-      obs::RunReport report = analyzer->finish();
-      if (!config.obs.report_path.empty() &&
-          !write_file(config.obs.report_path, obs::report_text(report),
-                      &err)) {
-        throw std::runtime_error("report export failed: " + err);
-      }
-      if (!config.obs.report_csv_path.empty() &&
-          !write_file(config.obs.report_csv_path, obs::report_csv(report),
-                      &err)) {
-        throw std::runtime_error("report CSV export failed: " + err);
-      }
-      if (!config.obs.report_json_path.empty() &&
-          !write_file(config.obs.report_json_path, obs::report_json(report),
-                      &err)) {
-        throw std::runtime_error("report JSON export failed: " + err);
-      }
-      if (!config.obs.report_html_path.empty()) {
-        obs::HtmlOptions html_opts;
-        html_opts.title = "tlsreport: " + result.policy_name;
-        html_opts.label_a = result.policy_name;
-        if (!write_file(config.obs.report_html_path,
-                        obs::report_html(obs::report_json(report), "",
-                                         html_opts),
-                        &err)) {
-          throw std::runtime_error("report HTML export failed: " + err);
-        }
-      }
-    }
-  }
+  session.write_artifacts(result.policy_name);
   return result;
 }
 

@@ -151,7 +151,7 @@ struct ExperimentResult {
   double coordinator_wait_s = 0;
 };
 
-/// Runs one experiment to completion (or the time limit).
+/// Runs one experiment to completion or to exactly config.time_limit.
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// Per-job normalized JCT: jct(policy) / jct(baseline), matched by job id
@@ -166,9 +166,10 @@ double avg_normalized_jct(const ExperimentResult& policy,
 /// Convenience: a copy of `base` with the given policy installed.
 ExperimentConfig with_policy(ExperimentConfig base, core::PolicyKind policy);
 
-// Replicated and comparative drivers (run_replicated, compare) live in
-// runtime/replicate.hpp: they fan out across the tls::runtime thread pool,
-// and exp must stay below runtime in the include-layer DAG.
+// Replicated and comparative runs are runtime::RunPlan::replicated and
+// ::policy_comparison (runtime/runner.hpp): they fan out across the
+// tls::runtime thread pool, and exp must stay below runtime in the
+// include-layer DAG.
 
 /// Summary of avg-JCT across replicated runs (mean/stddev/min/max).
 metrics::Summary jct_across(const std::vector<ExperimentResult>& runs);

@@ -1,9 +1,16 @@
 #include "runtime/cli.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "exp/experiment.hpp"
 #include "exp/export.hpp"
@@ -77,13 +84,18 @@ commands:
                    hours of simulated time (see scenario flags below)
   help             this text
 
+Every command rejects a flag it does not read and lists the ones it does.
+
 flags (defaults = the paper's testbed):
   --hosts N (21) --jobs N (21) --workers N (20) --ps N (1)
   --batch N (4) --iters N (60) --placement IDX (1) --seed N (1)
   --policy fifo|tls-one|tls-rr (tls-rr)
   --strategy arrival|random|smallest (arrival)
   --bands N (6) --interval-s X (10) --link-gbps X (10)
-  --replicas N (1) --background --csv --export-prefix PATH
+  --background --csv
+  run also reads --replicas N (1) and --export-prefix PATH; compare and
+  the sweeps run every policy and take no --policy, sweep-placement sets
+  --placement itself and sweep-batch sets --batch
 
 execution flags (host-side; results are byte-identical at any thread count):
   --threads N      worker threads for independent runs
@@ -112,6 +124,8 @@ derive per-run paths, e.g. trace.json -> trace.run-label.json):
 scenario flags (shared flags that apply: --hosts (12 here), --policy,
 --strategy, --bands, --interval-s (20 here), --link-gbps, --seed,
 --threads, --csv):
+  --cores N (6)                  CPU cores per host
+  --metrics PATH                 occupancy timeseries CSV
   --scenario-jobs N (100)        trace length
   --scenario-arrivals poisson|pareto (poisson)
   --scenario-mean-s X (30)       Poisson mean interarrival
@@ -136,102 +150,123 @@ scenario flags (shared flags that apply: --hosts (12 here), --policy,
   --scenario-csv PATH            per-job outcome CSV
 )";
 
-bool parse_policy(const std::string& s, core::PolicyKind* out) {
-  if (s == "fifo") *out = core::PolicyKind::kFifo;
-  else if (s == "tls-one") *out = core::PolicyKind::kTlsOne;
-  else if (s == "tls-rr") *out = core::PolicyKind::kTlsRR;
-  else return false;
-  return true;
-}
+/// The flag reader every command shares. An absent flag yields its
+/// fallback. The first value that does not parse whole or falls outside
+/// its range is kept as the error and later reads yield their fallbacks,
+/// so a builder reads every flag and then checks ok() once.
+class FlagReader {
+ public:
+  explicit FlagReader(const CliArgs& args) : args_(args) {}
 
-bool parse_strategy(const std::string& s, core::AssignStrategy* out) {
-  if (s == "arrival") *out = core::AssignStrategy::kArrivalOrder;
-  else if (s == "random") *out = core::AssignStrategy::kRandom;
-  else if (s == "smallest") *out = core::AssignStrategy::kSmallestModelFirst;
-  else return false;
-  return true;
+  long integer(const std::string& key, long fallback, long lo, long hi) {
+    std::string v = args_.get(key);
+    if (v.empty()) return fallback;
+    char* end = nullptr;
+    long parsed = std::strtol(v.c_str(), &end, 10);
+    if (*end != '\0' || parsed < lo || parsed > hi) {
+      return bad(key, v, fallback);
+    }
+    return parsed;
+  }
+
+  /// Reals are also capped at 1e9, so any time in seconds fits sim::Time.
+  double real(const std::string& key, double fallback, double lo) {
+    std::string v = args_.get(key);
+    if (v.empty()) return fallback;
+    char* end = nullptr;
+    double parsed = std::strtod(v.c_str(), &end);
+    if (*end != '\0' || !(parsed >= lo && parsed <= 1e9)) {
+      return bad(key, v, fallback);
+    }
+    return parsed;
+  }
+
+  /// One of `choices`, by name.
+  template <typename T>
+  T choice(const std::string& key, const std::string& fallback,
+           std::initializer_list<std::pair<std::string_view, T>> choices) {
+    std::string v = args_.get(key, fallback);
+    std::string names;
+    for (const auto& [name, value] : choices) {
+      if (name == v) return value;
+      names += (names.empty() ? "" : "|") + std::string(name);
+    }
+    if (error_.empty()) {
+      error_ = "bad --" + key + " '" + v + "' (" + names + ")";
+    }
+    return choices.begin()->second;
+  }
+
+  /// False, with the first failure in `*error`, once any read failed.
+  bool ok(std::string* error) const {
+    if (error_.empty()) return true;
+    *error = error_;
+    return false;
+  }
+
+ private:
+  template <typename T>
+  T bad(const std::string& key, const std::string& value, T fallback) {
+    if (error_.empty()) error_ = "bad value for --" + key + ": '" + value + "'";
+    return fallback;
+  }
+
+  const CliArgs& args_;
+  std::string error_;
+};
+
+/// The cluster and controller flags every command parses, into either
+/// configuration (exp::ExperimentConfig or scenario::Config). Only the
+/// defaults of --hosts and --interval-s differ between the two.
+template <typename Config>
+void read_cluster_flags(FlagReader& flags, long default_hosts,
+                        double default_interval_s, Config* config) {
+  config->num_hosts =
+      static_cast<int>(flags.integer("hosts", default_hosts, 2, 4096));
+  config->seed = static_cast<std::uint64_t>(
+      flags.integer("seed", 1, 0, INT64_MAX / 2));
+  config->fabric.link_rate = net::gbps(flags.real("link-gbps", 10.0, 1e-3));
+  core::ControllerConfig& c = config->controller;
+  c.max_bands = static_cast<int>(flags.integer("bands", 6, 1, 15));
+  c.rotation_interval =
+      sim::from_seconds(flags.real("interval-s", default_interval_s, 1e-3));
+  // The prio data plane allows more bands than htb's 8 priority levels.
+  if (c.max_bands > 8) c.data_plane = core::DataPlane::kPrio;
+  using core::PolicyKind;
+  c.policy = flags.choice<PolicyKind>("policy", "tls-rr",
+                                      {{"fifo", PolicyKind::kFifo},
+                                       {"tls-one", PolicyKind::kTlsOne},
+                                       {"tls-rr", PolicyKind::kTlsRR}});
+  using core::AssignStrategy;
+  c.strategy = flags.choice<AssignStrategy>(
+      "strategy", "arrival",
+      {{"arrival", AssignStrategy::kArrivalOrder},
+       {"random", AssignStrategy::kRandom},
+       {"smallest", AssignStrategy::kSmallestModelFirst}});
 }
 
 /// Builds the experiment configuration from flags; returns false with a
 /// message on any invalid value.
 bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
                   std::string* error) {
-  auto to_long = [&](const std::string& key, long fallback, long lo, long hi,
-                     long* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || parsed < lo || parsed > hi) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
-  auto to_double = [&](const std::string& key, double fallback, double* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    double parsed = std::strtod(v.c_str(), &end);
-    if (end == nullptr || *end != '\0' || parsed <= 0) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
-
-  long hosts, jobs, workers, ps, batch, iters, placement, seed, bands;
-  double interval_s, link_gbps;
-  if (!to_long("hosts", 21, 2, 4096, &hosts)) return false;
-  if (!to_long("jobs", 21, 1, 4096, &jobs)) return false;
-  if (!to_long("workers", 20, 1, 4095, &workers)) return false;
-  if (!to_long("ps", 1, 1, 64, &ps)) return false;
-  if (!to_long("batch", 4, 1, 65536, &batch)) return false;
-  if (!to_long("iters", 60, 1, 1000000, &iters)) return false;
-  if (!to_long("placement", 1, 1, 8, &placement)) return false;
-  if (!to_long("seed", 1, 0, INT64_MAX / 2, &seed)) return false;
-  if (!to_long("bands", 6, 1, 15, &bands)) return false;
-  if (!to_double("interval-s", 10.0, &interval_s)) return false;
-  if (!to_double("link-gbps", 10.0, &link_gbps)) return false;
-
-  config->num_hosts = static_cast<int>(hosts);
-  config->workload.num_jobs = static_cast<int>(jobs);
-  config->workload.workers_per_job = static_cast<int>(workers);
-  config->workload.ps_per_job = static_cast<int>(ps);
-  config->workload.local_batch_size = static_cast<int>(batch);
-  config->workload.global_step_target = workers * iters;
+  FlagReader flags(args);
+  read_cluster_flags(flags, 21, 10.0, config);
+  long jobs = flags.integer("jobs", 21, 1, 4096);
+  long workers = flags.integer("workers", 20, 1, 4095);
+  long placement = flags.integer("placement", 1, 1, 8);
+  workload::GridSearchConfig& w = config->workload;
+  w.num_jobs = static_cast<int>(jobs);
+  w.workers_per_job = static_cast<int>(workers);
+  w.ps_per_job = static_cast<int>(flags.integer("ps", 1, 1, 64));
+  w.local_batch_size = static_cast<int>(flags.integer("batch", 4, 1, 65536));
+  w.global_step_target = workers * flags.integer("iters", 60, 1, 1000000);
   config->placement =
       cluster::table1(static_cast<int>(placement), static_cast<int>(jobs));
-  config->seed = static_cast<std::uint64_t>(seed);
-  config->fabric.link_rate = net::gbps(link_gbps);
-  config->controller.max_bands = static_cast<int>(bands);
-  config->controller.rotation_interval = sim::from_seconds(interval_s);
   config->background = args.has("background");
-
-  if (workers > hosts - 1) {
+  if (!flags.ok(error)) return false;
+  if (workers > config->num_hosts - 1) {
     *error = "--workers must be <= --hosts - 1";
     return false;
-  }
-  if (!parse_policy(args.get("policy", "tls-rr"), &config->controller.policy)) {
-    *error = "bad --policy (fifo|tls-one|tls-rr)";
-    return false;
-  }
-  if (!parse_strategy(args.get("strategy", "arrival"),
-                      &config->controller.strategy)) {
-    *error = "bad --strategy (arrival|random|smallest)";
-    return false;
-  }
-  // The prio data plane allows more bands than htb's 8 priority levels.
-  if (config->controller.max_bands > 8) {
-    config->controller.data_plane = core::DataPlane::kPrio;
   }
 
   config->obs.trace_path = args.get("trace");
@@ -249,7 +284,7 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
   std::string sample = args.get("trace-sample");
   if (!sample.empty()) {
     // Validate the spec here so a typo fails at flag parse, not mid-run;
-    // the parsed rates are re-derived inside run_experiment.
+    // the parsed rates are re-derived inside the run's exp::Session.
     std::uint32_t every[obs::kNumCats];
     for (int i = 0; i < obs::kNumCats; ++i) every[i] = 1;
     if (!obs::parse_sampling(sample, every, error)) return false;
@@ -262,18 +297,12 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
 /// with a message on a malformed value.
 bool build_run_options(const CliArgs& args, RunOptions* options,
                        std::string* error) {
-  std::string threads = args.get("threads", "0");
-  char* end = nullptr;
-  long parsed = std::strtol(threads.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 0 || parsed > 4096) {
-    *error = "bad value for --threads: '" + threads + "'";
-    return false;
-  }
-  options->jobs = static_cast<int>(parsed);
+  FlagReader flags(args);
+  options->jobs = static_cast<int>(flags.integer("threads", 0, 0, 4096));
   if (args.has("cache")) options->cache_dir = args.get("cache");
   if (args.has("no-cache")) options->cache_dir.clear();
   options->progress = args.has("progress");
-  return true;
+  return flags.ok(error);
 }
 
 void emit(const metrics::Table& table, bool csv, std::ostream& out) {
@@ -293,8 +322,13 @@ void add_result_row(metrics::Table* table, const exp::ExperimentResult& r,
 int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
             const RunOptions& options, std::ostream& out,
             std::ostream& err) {
-  long replicas = std::strtol(args.get("replicas", "1").c_str(), nullptr, 10);
-  if (replicas < 1) replicas = 1;
+  FlagReader flags(args);
+  long replicas = flags.integer("replicas", 1, 1, 10000);
+  std::string error;
+  if (!flags.ok(&error)) {
+    err << "tlsim: " << error << "\n";
+    return 2;
+  }
   RunReport report = run_plan(
       RunPlan::replicated(config, static_cast<int>(replicas)),
       options);
@@ -312,7 +346,6 @@ int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
   // PATH.json for the first replica.
   std::string prefix = args.get("export-prefix");
   if (!prefix.empty()) {
-    std::string error;
     if (!exp::write_file(prefix + ".jobs.csv", exp::jobs_csv(runs.front()), &error) ||
         !exp::write_file(prefix + ".barriers.csv", exp::barriers_csv(runs.front()),
                     &error) ||
@@ -389,206 +422,66 @@ int cmd_sweep_batch(const CliArgs& args, const exp::ExperimentConfig& config,
 // ---------------------------------------------------------------------
 // tlsim scenario — the dynamic-cluster workload engine front end.
 
-/// Every --scenario-* key the CLI understands; anything else starting
-/// with "scenario-" is rejected with this list (mirroring the
-/// --trace-filter category check).
-const char* const kScenarioFlagNames[] = {
-    "scenario-jobs",         "scenario-arrivals",
-    "scenario-mean-s",       "scenario-pareto-alpha",
-    "scenario-pareto-min-s", "scenario-pareto-max-s",
-    "scenario-models",       "scenario-workers-min",
-    "scenario-workers-max",  "scenario-iters-min",
-    "scenario-iters-max",    "scenario-batch",
-    "scenario-evict-frac",   "scenario-evict-min-s",
-    "scenario-evict-max-s",  "scenario-trace-seed",
-    "scenario-admission",    "scenario-band-limit",
-    "scenario-time-limit-s", "scenario-sample-s",
-    "scenario-compare",      "scenario-trace",
-    "scenario-trace-out",    "scenario-out",
-    "scenario-csv",
-};
-
-bool check_scenario_flag_names(const CliArgs& args, std::string* error) {
-  for (const auto& [k, v] : args.flags) {
-    (void)v;
-    if (k.rfind("scenario-", 0) != 0) continue;
-    bool known = false;
-    for (const char* name : kScenarioFlagNames) {
-      if (k == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string valid;
-      for (const char* name : kScenarioFlagNames) {
-        if (!valid.empty()) valid += ", ";
-        valid += "--";
-        valid += name;
-      }
-      *error = "unknown flag --" + k + " (valid scenario flags: " + valid + ")";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool parse_arrivals(const std::string& s, scenario::ArrivalProcess* out) {
-  if (s == "poisson") *out = scenario::ArrivalProcess::kPoisson;
-  else if (s == "pareto") *out = scenario::ArrivalProcess::kParetoBounded;
-  else return false;
-  return true;
-}
-
-bool parse_admission(const std::string& s, cluster::AdmissionPolicy* out) {
-  if (s == "share") *out = cluster::AdmissionPolicy::kShareBand;
-  else if (s == "queue") *out = cluster::AdmissionPolicy::kQueue;
-  else if (s == "reject") *out = cluster::AdmissionPolicy::kReject;
-  else return false;
-  return true;
-}
-
 bool build_scenario_config(const CliArgs& args, scenario::Config* config,
                            std::string* error) {
-  if (!check_scenario_flag_names(args, error)) return false;
+  FlagReader flags(args);
+  read_cluster_flags(flags, 12, 20.0, config);
+  config->cores_per_host = static_cast<int>(flags.integer("cores", 6, 1, 1024));
+  config->ps_band_limit =
+      static_cast<int>(flags.integer("scenario-band-limit", -1, -1, 4096));
+  config->time_limit =
+      sim::from_seconds(flags.real("scenario-time-limit-s", 14400.0, 1.0));
+  config->sample_period =
+      sim::from_seconds(flags.real("scenario-sample-s", 10.0, 0.0));
+  config->admission = flags.choice<cluster::AdmissionPolicy>(
+      "scenario-admission", "share",
+      {{"share", cluster::AdmissionPolicy::kShareBand},
+       {"queue", cluster::AdmissionPolicy::kQueue},
+       {"reject", cluster::AdmissionPolicy::kReject}});
+  config->metrics_path = args.get("metrics");
 
-  auto to_long = [&](const std::string& key, long fallback, long lo, long hi,
-                     long* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || parsed < lo || parsed > hi) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
-  auto to_double = [&](const std::string& key, double fallback, double lo,
-                       double* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    double parsed = std::strtod(v.c_str(), &end);
-    if (end == nullptr || *end != '\0' || parsed < lo) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
+  scenario::TraceConfig& t = config->trace;
+  t.process = flags.choice<scenario::ArrivalProcess>(
+      "scenario-arrivals", "poisson",
+      {{"poisson", scenario::ArrivalProcess::kPoisson},
+       {"pareto", scenario::ArrivalProcess::kParetoBounded}});
+  t.num_jobs = static_cast<int>(flags.integer("scenario-jobs", 100, 1, 100000));
+  t.mean_interarrival_s = flags.real("scenario-mean-s", 30.0, 1e-6);
+  t.pareto_alpha = flags.real("scenario-pareto-alpha", 1.5, 1e-6);
+  t.pareto_min_s = flags.real("scenario-pareto-min-s", 2.0, 1e-6);
+  t.pareto_max_s = flags.real("scenario-pareto-max-s", 600.0, 1e-6);
+  t.min_workers =
+      static_cast<int>(flags.integer("scenario-workers-min", 2, 1, 4095));
+  t.max_workers =
+      static_cast<int>(flags.integer("scenario-workers-max", 8, 1, 4095));
+  t.min_iterations = flags.integer("scenario-iters-min", 20, 1, 1000000);
+  t.max_iterations = flags.integer("scenario-iters-max", 80, 1, 1000000);
+  t.local_batch_size =
+      static_cast<int>(flags.integer("scenario-batch", 4, 1, 65536));
+  t.evict_fraction = flags.real("scenario-evict-frac", 0.0, 0.0);
+  t.evict_min_s = flags.real("scenario-evict-min-s", 30.0, 1e-6);
+  t.evict_max_s = flags.real("scenario-evict-max-s", 300.0, 1e-6);
+  t.seed = static_cast<std::uint64_t>(
+      flags.integer("scenario-trace-seed", 1, 0, INT64_MAX / 2));
+  if (!flags.ok(error)) return false;
 
-  long hosts, cores, bands, seed, trace_seed, jobs, workers_min, workers_max;
-  long iters_min, iters_max, batch, band_limit;
-  double interval_s, link_gbps, mean_s, alpha, pareto_min, pareto_max;
-  double evict_frac, evict_min, evict_max, time_limit_s, sample_s;
-  if (!to_long("hosts", 12, 2, 4096, &hosts)) return false;
-  if (!to_long("cores", 6, 1, 1024, &cores)) return false;
-  if (!to_long("bands", 6, 1, 15, &bands)) return false;
-  if (!to_long("seed", 1, 0, INT64_MAX / 2, &seed)) return false;
-  if (!to_long("scenario-trace-seed", 1, 0, INT64_MAX / 2, &trace_seed)) {
-    return false;
-  }
-  if (!to_long("scenario-jobs", 100, 1, 100000, &jobs)) return false;
-  if (!to_long("scenario-workers-min", 2, 1, 4095, &workers_min)) return false;
-  if (!to_long("scenario-workers-max", 8, 1, 4095, &workers_max)) return false;
-  if (!to_long("scenario-iters-min", 20, 1, 1000000, &iters_min)) return false;
-  if (!to_long("scenario-iters-max", 80, 1, 1000000, &iters_max)) return false;
-  if (!to_long("scenario-batch", 4, 1, 65536, &batch)) return false;
-  if (!to_long("scenario-band-limit", -1, -1, 4096, &band_limit)) return false;
-  if (!to_double("interval-s", 20.0, 1e-3, &interval_s)) return false;
-  if (!to_double("link-gbps", 10.0, 1e-3, &link_gbps)) return false;
-  if (!to_double("scenario-mean-s", 30.0, 1e-6, &mean_s)) return false;
-  if (!to_double("scenario-pareto-alpha", 1.5, 1e-6, &alpha)) return false;
-  if (!to_double("scenario-pareto-min-s", 2.0, 1e-6, &pareto_min)) return false;
-  if (!to_double("scenario-pareto-max-s", 600.0, 1e-6, &pareto_max)) {
-    return false;
-  }
-  if (!to_double("scenario-evict-frac", 0.0, 0.0, &evict_frac)) return false;
-  if (!to_double("scenario-evict-min-s", 30.0, 1e-6, &evict_min)) return false;
-  if (!to_double("scenario-evict-max-s", 300.0, 1e-6, &evict_max)) {
-    return false;
-  }
-  if (!to_double("scenario-time-limit-s", 14400.0, 1.0, &time_limit_s)) {
-    return false;
-  }
-  if (!to_double("scenario-sample-s", 10.0, 0.0, &sample_s)) return false;
-
-  config->num_hosts = static_cast<int>(hosts);
-  config->cores_per_host = static_cast<int>(cores);
-  config->controller.max_bands = static_cast<int>(bands);
-  config->controller.rotation_interval = sim::from_seconds(interval_s);
-  config->fabric.link_rate = net::gbps(link_gbps);
-  config->seed = static_cast<std::uint64_t>(seed);
-  config->ps_band_limit = static_cast<int>(band_limit);
-  config->time_limit = sim::from_seconds(time_limit_s);
-  config->sample_period = sim::from_seconds(sample_s);
-
-  if (!parse_policy(args.get("policy", "tls-rr"),
-                    &config->controller.policy)) {
-    *error = "bad --policy (fifo|tls-one|tls-rr)";
-    return false;
-  }
-  if (!parse_strategy(args.get("strategy", "arrival"),
-                      &config->controller.strategy)) {
-    *error = "bad --strategy (arrival|random|smallest)";
-    return false;
-  }
-  if (config->controller.max_bands > 8) {
-    config->controller.data_plane = core::DataPlane::kPrio;
-  }
-  std::string arrivals = args.get("scenario-arrivals", "poisson");
-  if (!parse_arrivals(arrivals, &config->trace.process)) {
-    *error = "bad --scenario-arrivals '" + arrivals + "' (poisson|pareto)";
-    return false;
-  }
-  std::string admission = args.get("scenario-admission", "share");
-  if (!parse_admission(admission, &config->admission)) {
-    *error = "bad --scenario-admission '" + admission +
-             "' (share|queue|reject)";
-    return false;
-  }
   std::string models = args.get("scenario-models");
-  if (!models.empty() &&
-      !scenario::parse_model_mix(models, &config->trace.models, error)) {
+  if (!models.empty() && !scenario::parse_model_mix(models, &t.models, error)) {
     *error = "bad --scenario-models: " + *error;
     return false;
   }
-
-  config->trace.num_jobs = static_cast<int>(jobs);
-  config->trace.mean_interarrival_s = mean_s;
-  config->trace.pareto_alpha = alpha;
-  config->trace.pareto_min_s = pareto_min;
-  config->trace.pareto_max_s = pareto_max;
-  config->trace.min_workers = static_cast<int>(workers_min);
-  config->trace.max_workers = static_cast<int>(workers_max);
-  config->trace.min_iterations = iters_min;
-  config->trace.max_iterations = iters_max;
-  config->trace.local_batch_size = static_cast<int>(batch);
-  config->trace.evict_fraction = evict_frac;
-  config->trace.evict_min_s = evict_min;
-  config->trace.evict_max_s = evict_max;
-  config->trace.seed = static_cast<std::uint64_t>(trace_seed);
-  if (workers_min > workers_max) {
+  if (t.min_workers > t.max_workers) {
     *error = "--scenario-workers-min must be <= --scenario-workers-max";
     return false;
   }
-  if (iters_min > iters_max) {
+  if (t.min_iterations > t.max_iterations) {
     *error = "--scenario-iters-min must be <= --scenario-iters-max";
     return false;
   }
-  if (evict_frac > 1.0) {
+  if (t.evict_fraction > 1.0) {
     *error = "--scenario-evict-frac must be <= 1";
     return false;
   }
-  config->metrics_path = args.get("metrics");
 
   std::string trace_path = args.get("scenario-trace");
   if (!trace_path.empty()) {
@@ -633,7 +526,7 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
     scenario::Trace trace = config.replay.jobs.empty()
                                 ? scenario::generate_trace(config.trace)
                                 : config.replay;
-    if (!scenario::write_file(trace_out, scenario::trace_csv(trace), &error)) {
+    if (!exp::write_file(trace_out, scenario::trace_csv(trace), &error)) {
       err << "tlsim: trace export failed: " << error << "\n";
       return 1;
     }
@@ -663,7 +556,7 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
     if (!json_path.empty()) {
       std::string path =
           multi ? obs::per_run_path(json_path, report.labels[i]) : json_path;
-      if (!scenario::write_file(path, scenario::scenario_json(r), &error)) {
+      if (!exp::write_file(path, scenario::scenario_json(r), &error)) {
         err << "tlsim: scenario export failed: " << error << "\n";
         return 1;
       }
@@ -671,13 +564,119 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
     if (!csv_path.empty()) {
       std::string path =
           multi ? obs::per_run_path(csv_path, report.labels[i]) : csv_path;
-      if (!scenario::write_file(path, scenario::scenario_csv(r), &error)) {
+      if (!exp::write_file(path, scenario::scenario_csv(r), &error)) {
         err << "tlsim: scenario export failed: " << error << "\n";
         return 1;
       }
     }
   }
   return 0;
+}
+
+// ---------------------------------------------------------------------
+// Flag tables: a command accepts exactly the flags it reads, so a typo
+// (--iter) or another command's flag (--trace on scenario) fails with the
+// valid list instead of silently running the defaults.
+
+/// Cluster, controller and output flags every command reads.
+constexpr std::string_view kClusterFlags[] = {
+    "hosts",     "seed",     "bands", "interval-s", "link-gbps",
+    "strategy",  "threads",  "csv",   "metrics",
+};
+/// The static testbed's workload, execution and observability flags.
+constexpr std::string_view kTestbedFlags[] = {
+    "jobs",        "workers",      "ps",         "iters",
+    "background",  "cache",        "no-cache",   "progress",
+    "trace",       "trace-csv",    "trace-filter", "trace-sample",
+    "report",      "report-csv",   "report-json",  "report-html",
+};
+/// The dynamic cluster's flags.
+constexpr std::string_view kScenarioFlags[] = {
+    "policy",                "cores",
+    "scenario-jobs",         "scenario-arrivals",
+    "scenario-mean-s",       "scenario-pareto-alpha",
+    "scenario-pareto-min-s", "scenario-pareto-max-s",
+    "scenario-models",       "scenario-workers-min",
+    "scenario-workers-max",  "scenario-iters-min",
+    "scenario-iters-max",    "scenario-batch",
+    "scenario-evict-frac",   "scenario-evict-min-s",
+    "scenario-evict-max-s",  "scenario-trace-seed",
+    "scenario-admission",    "scenario-band-limit",
+    "scenario-time-limit-s", "scenario-sample-s",
+    "scenario-compare",      "scenario-trace",
+    "scenario-trace-out",    "scenario-out",
+    "scenario-csv",
+};
+// What each static command reads beyond the testbed flags: compare and
+// the sweeps run every policy, sweep-placement every Table I placement and
+// sweep-batch every batch size themselves.
+constexpr std::string_view kRunFlags[] = {"policy", "placement", "batch",
+                                          "replicas", "export-prefix"};
+constexpr std::string_view kCompareFlags[] = {"placement", "batch"};
+constexpr std::string_view kSweepPlacementFlags[] = {"batch"};
+constexpr std::string_view kSweepBatchFlags[] = {"placement"};
+
+struct Command {
+  std::string_view name;
+  std::span<const std::string_view> group;
+  std::span<const std::string_view> own;
+};
+
+constexpr Command kCommands[] = {
+    {"run", kTestbedFlags, kRunFlags},
+    {"compare", kTestbedFlags, kCompareFlags},
+    {"sweep-placement", kTestbedFlags, kSweepPlacementFlags},
+    {"sweep-batch", kTestbedFlags, kSweepBatchFlags},
+    {"scenario", kScenarioFlags, {}},
+};
+
+/// Rejects the first flag `command` does not read, listing the ones it
+/// does.
+bool check_flags(const Command& command, const CliArgs& args,
+                 std::string* error) {
+  std::vector<std::string_view> valid(std::begin(kClusterFlags),
+                                      std::end(kClusterFlags));
+  valid.insert(valid.end(), command.group.begin(), command.group.end());
+  valid.insert(valid.end(), command.own.begin(), command.own.end());
+  for (const auto& [key, value] : args.flags) {
+    (void)value;
+    if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
+    std::string list;
+    for (std::string_view name : valid) {
+      list += list.empty() ? "--" : ", --";
+      list += name;
+    }
+    *error = "unknown flag --" + key + " (valid flags for " +
+             std::string(command.name) + ": " + list + ")";
+    return false;
+  }
+  return true;
+}
+
+/// Runs a known command whose flags passed check_flags.
+int dispatch(const std::string& command, const CliArgs& args,
+             std::ostream& out, std::ostream& err) {
+  std::string error;
+  RunOptions options;
+  if (!build_run_options(args, &options, &error)) {
+    err << "tlsim: " << error << "\n";
+    return 2;
+  }
+  // The scenario command has its own configuration surface (dynamic
+  // cluster, not the static testbed), so it skips build_config.
+  if (command == "scenario") return cmd_scenario(args, options, out, err);
+
+  exp::ExperimentConfig config;
+  if (!build_config(args, &config, &error)) {
+    err << "tlsim: " << error << "\n";
+    return 2;
+  }
+  if (command == "run") return cmd_run(args, config, options, out, err);
+  if (command == "compare") return cmd_compare(args, config, options, out);
+  if (command == "sweep-placement") {
+    return cmd_sweep_placement(args, config, options, out);
+  }
+  return cmd_sweep_batch(args, config, options, out);
 }
 
 }  // namespace
@@ -696,33 +695,26 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     out << kUsage;
     return 0;
   }
-
-  RunOptions options;
-  if (!build_run_options(parsed, &options, &error)) {
+  const Command* spec = nullptr;
+  for (const Command& c : kCommands) {
+    if (c.name == command) spec = &c;
+  }
+  if (spec == nullptr) {
+    err << "tlsim: unknown command '" << command << "'\n" << kUsage;
+    return 2;
+  }
+  if (!check_flags(*spec, parsed, &error)) {
     err << "tlsim: " << error << "\n";
     return 2;
   }
-  // The scenario command has its own configuration surface (dynamic
-  // cluster, not the static testbed), so it skips build_config.
-  if (command == "scenario") return cmd_scenario(parsed, options, out, err);
-
-  exp::ExperimentConfig config;
-  if (!build_config(parsed, &config, &error)) {
-    err << "tlsim: " << error << "\n";
-    return 2;
+  // A run that fails (an unwritable artifact path, a configuration the
+  // simulator rejects) reports its message instead of aborting.
+  try {
+    return dispatch(command, parsed, out, err);
+  } catch (const std::exception& e) {
+    err << "tlsim: " << e.what() << "\n";
+    return 1;
   }
-
-  if (command == "run") return cmd_run(parsed, config, options, out, err);
-  if (command == "compare") return cmd_compare(parsed, config, options, out);
-  if (command == "sweep-placement") {
-    return cmd_sweep_placement(parsed, config, options, out);
-  }
-  if (command == "sweep-batch") {
-    return cmd_sweep_batch(parsed, config, options, out);
-  }
-
-  err << "tlsim: unknown command '" << command << "'\n" << kUsage;
-  return 2;
 }
 
 }  // namespace tls::runtime

@@ -5,7 +5,11 @@
 //   tlsim compare          FIFO vs TLs-One vs TLs-RR on one configuration
 //   tlsim sweep-placement  Table I placements under every policy
 //   tlsim sweep-batch      local batch sizes under every policy
+//   tlsim scenario         trace-driven dynamic cluster
 //   tlsim help
+//
+// Each command accepts only the flags it reads (one table per command in
+// cli.cpp) and rejects any other with the list of valid ones.
 //
 // Common flags (with defaults matching the paper's testbed):
 //   --hosts N (21) --jobs N (21) --workers N (20) --ps N (1)
@@ -45,7 +49,8 @@ bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
                 std::string* error);
 
 /// Executes a tlsim invocation. `args` excludes the program name.
-/// Returns the process exit code (0 ok, 2 usage error).
+/// Returns the process exit code: 0 ok, 1 the run failed (its message is
+/// on `err`), 2 usage error.
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
 

@@ -1,5 +1,6 @@
 #include "runtime/runner.hpp"
 
+#include <algorithm>
 #include <chrono>  // host wall clock for progress/ETA only; see allowlist
 #include <cstdio>
 #include <cstdlib>
@@ -138,6 +139,37 @@ std::string default_cache_dir() {
   return env != nullptr ? env : "";
 }
 
+int fan_out(std::size_t n, int jobs,
+            const std::function<void(std::size_t)>& run_one) {
+  if (jobs <= 0) jobs = default_jobs();
+  if (static_cast<std::size_t>(jobs) > n) jobs = static_cast<int>(n);
+  jobs = std::max(jobs, 1);
+
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  // Each call writes only its own result slot; the error slot is the sole
+  // state shared here.
+  auto guarded = [&](std::size_t i) {
+    try {
+      run_one(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (first_error == nullptr) first_error = std::current_exception();
+    }
+  };
+  if (jobs == 1) {
+    for (std::size_t i = 0; i < n; ++i) guarded(i);
+  } else {
+    ThreadPool pool(jobs);
+    for (std::size_t i = 0; i < n; ++i) {
+      pool.submit([&guarded, i] { guarded(i); });
+    }
+    pool.wait_idle();
+  }
+  if (first_error != nullptr) std::rethrow_exception(first_error);
+  return jobs;
+}
+
 RunSet::RunSet(RunOptions options) : options_(std::move(options)) {}
 
 RunReport RunSet::run(const RunPlan& plan) {
@@ -197,47 +229,21 @@ RunReport RunSet::run(const RunPlan& plan) {
     misses.push_back(i);
   }
 
-  int jobs = options_.jobs > 0 ? options_.jobs : default_jobs();
-  if (jobs < 1) jobs = 1;
-  if (static_cast<std::size_t>(jobs) > misses.size() && !misses.empty()) {
-    jobs = static_cast<int>(misses.size());
-  }
-  report.jobs_used = misses.empty() ? 1 : jobs;
-
-  std::mutex state_mu;  // first_error + cache_stores
-  std::exception_ptr first_error;
+  // Each call writes only results[i]; the progress lines and the cache
+  // synchronize themselves.
+  std::mutex stores_mu;
   std::size_t stores = 0;
-
-  // Each worker writes only results[i] for its own i, so result slots need
-  // no lock; everything shared is guarded or internally synchronized.
-  auto run_one = [&](std::size_t i) {
-    const RunPlan::Entry& entry = plan.entries[i];
-    try {
-      exp::ExperimentResult result = exp::run_experiment(configs[i]);
-      if (cache != nullptr && !configs[i].obs.any() &&
-          cache->store(configs[i], result)) {
-        std::lock_guard<std::mutex> lock(state_mu);
-        ++stores;
-      }
-      report.results[i] = std::move(result);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(state_mu);
-      if (first_error == nullptr) first_error = std::current_exception();
+  report.jobs_used = fan_out(misses.size(), options_.jobs, [&](std::size_t k) {
+    const std::size_t i = misses[k];
+    exp::ExperimentResult result = exp::run_experiment(configs[i]);
+    if (cache != nullptr && !configs[i].obs.any() &&
+        cache->store(configs[i], result)) {
+      std::lock_guard<std::mutex> lock(stores_mu);
+      ++stores;
     }
-    progress.tick(entry.label, /*cached=*/false);
-  };
-
-  if (report.jobs_used <= 1) {
-    for (std::size_t i : misses) run_one(i);
-  } else {
-    ThreadPool pool(report.jobs_used);
-    for (std::size_t i : misses) {
-      pool.submit([&run_one, i] { run_one(i); });
-    }
-    pool.wait_idle();
-  }
-
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+    report.results[i] = std::move(result);
+    progress.tick(plan.entries[i].label, /*cached=*/false);
+  });
   report.cache_stores = stores;
   report.wall_s = seconds_since(t0);
   return report;

@@ -13,6 +13,7 @@
 // sweep is near-instant.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -32,8 +33,8 @@ struct RunPlan {
   std::size_t size() const { return entries.size(); }
   bool empty() const { return entries.empty(); }
 
-  /// `replicas` copies of `base` seeded base.seed, +1, ... (the
-  /// exp::run_replicated contract).
+  /// `replicas` copies of `base` seeded base.seed, +1, ..., so replica i
+  /// equals a direct run at seed base.seed + i.
   static RunPlan replicated(const exp::ExperimentConfig& base, int replicas);
 
   /// One run of `base` per policy, in the given order (default: FIFO,
@@ -63,6 +64,14 @@ int default_jobs();
 /// Cache directory when RunOptions::cache_dir is untouched: $TLS_CACHE_DIR
 /// when set, else "" (caching off).
 std::string default_cache_dir();
+
+/// The one fan-out both plan runners share. Calls run_one(i) for every i
+/// in [0, n) on `jobs` threads (0 = default_jobs(); clamped to [1, n]):
+/// inline on the caller's thread at one, a ThreadPool otherwise. Every
+/// call runs even after one throws; the first exception is rethrown once
+/// all have returned. Returns the thread count used.
+int fan_out(std::size_t n, int jobs,
+            const std::function<void(std::size_t)>& run_one);
 
 struct RunOptions {
   /// Worker threads; 0 = default_jobs(). 1 runs inline on the caller's

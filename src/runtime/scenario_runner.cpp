@@ -1,12 +1,9 @@
 #include "runtime/scenario_runner.hpp"
 
-#include <exception>
-#include <mutex>
 #include <utility>
 
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace tls::runtime {
 
@@ -56,37 +53,9 @@ ScenarioReport run_scenario_plan(const ScenarioPlan& plan, int jobs) {
     configs.push_back(std::move(c));
   }
 
-  if (jobs <= 0) jobs = default_jobs();
-  if (static_cast<std::size_t>(jobs) > n && n > 0) {
-    jobs = static_cast<int>(n);
-  }
-  report.jobs_used = n == 0 ? 1 : jobs;
-
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  // Each worker writes only results[i] for its own i; the error slot is
-  // the sole shared state.
-  auto run_one = [&](std::size_t i) {
-    try {
-      report.results[i] = scenario::run_scenario(configs[i]);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  };
-
-  if (report.jobs_used <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    ThreadPool pool(report.jobs_used);
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&run_one, i] { run_one(i); });
-    }
-    pool.wait_idle();
-  }
-
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  report.jobs_used = fan_out(n, jobs, [&](std::size_t i) {
+    report.results[i] = scenario::run_scenario(configs[i]);
+  });
   return report;
 }
 

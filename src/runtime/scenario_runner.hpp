@@ -43,8 +43,8 @@ struct ScenarioReport {
   int jobs_used = 1;
 };
 
-/// Executes every entry across `jobs` worker threads (0 = default_jobs()
-/// from runner.hpp; 1 = inline on the caller's thread), rethrowing the
+/// Executes every entry through runtime::fan_out on `jobs` threads
+/// (0 = default_jobs(); 1 = inline on the caller's thread), rethrowing the
 /// first worker exception after in-flight runs drain.
 ScenarioReport run_scenario_plan(const ScenarioPlan& plan, int jobs = 0);
 

@@ -7,12 +7,9 @@
 #include <utility>
 
 #include "dl/model.hpp"
-#include "metrics/util_sampler.hpp"
+#include "exp/export.hpp"
+#include "exp/session.hpp"
 #include "obs/metrics_registry.hpp"
-#include "scenario/export.hpp"
-#include "simcore/simulator.hpp"
-#include "tc/tc.hpp"
-#include "tensorlights/controller.hpp"
 
 namespace tls::scenario {
 
@@ -37,28 +34,18 @@ int effective_band_limit(const Config& config) {
   return config.ps_band_limit;
 }
 
-net::FabricConfig fabric_config(const Config& config) {
-  net::FabricConfig fc = config.fabric;
-  fc.num_hosts = config.num_hosts;
-  return fc;
-}
-
-/// One scenario simulation: owns the whole component stack and the
-/// churn bookkeeping (pending queue, per-job outcomes, peaks).
+/// One scenario simulation: the churn bookkeeping (pending queue, per-job
+/// outcomes, peaks) on top of one exp::Session.
 class Engine {
  public:
   explicit Engine(const Config& config)
       : config_(config),
         trace_(config.replay.jobs.empty() ? generate_trace(config.trace)
                                           : config.replay),
-        sim_(config.seed),
-        fabric_(sim_, fabric_config(config)),
-        control_(fabric_),
-        controller_(sim_, control_, config.controller),
+        session_(config.seed, config.num_hosts, config.fabric,
+                 config.controller),
         scheduler_(config.num_hosts, config.scheduler, config.admission,
-                   effective_band_limit(config)),
-        busy_(config.num_hosts),
-        launcher_(sim_, fabric_) {
+                   effective_band_limit(config)) {
     if (config.num_hosts < 2) throw std::invalid_argument("num_hosts < 2");
     if (config.cores_per_host < 1) {
       throw std::invalid_argument("cores_per_host < 1");
@@ -68,9 +55,6 @@ class Engine {
         throw std::invalid_argument("unknown model in trace: " + job.model);
       }
     }
-    launcher_.add_listener(&controller_);
-    launcher_.set_busy_sink(
-        [this](net::HostId h, sim::Time b, sim::Time e) { busy_.add(h, b, e); });
   }
 
   Result run() {
@@ -93,16 +77,8 @@ class Engine {
       sampler->start();
     }
 
-    // The sampler and the TLs-RR rotation timer re-arm forever, so the
-    // event queue never drains on its own; run in slices until every
-    // trace entry is resolved or the horizon is hit.
-    const sim::Time slice = 1 * sim::kSecond;
-    while (resolved_ < trace_.jobs.size() && sim_.now() < config_.time_limit &&
-           !sim_.idle()) {
-      sim::Time until = sim_.now() + slice;
-      if (until > config_.time_limit) until = config_.time_limit;
-      sim_.run(until);
-    }
+    session_.run(config_.time_limit,
+                 [this] { return resolved_ == trace_.jobs.size(); });
     if (sampler) sampler->stop();
     return finalize();
   }
@@ -152,19 +128,19 @@ class Engine {
                  dl::JobPlacement placement) {
     const TraceJob& tj = trace_.jobs[index];
     JobOutcome& o = outcomes_[index];
-    dl::JobRuntime& job = launcher_.admit(
+    dl::JobRuntime& job = session_.launcher().admit(
         std::move(spec), std::move(placement), config_.launch,
         [this, index](const dl::JobRuntime& j) { on_departure(index, j); });
     o.admit_s = sim::to_seconds(sim_.now());
     o.queue_wait_s = o.admit_s - o.arrival_s;
-    o.band_at_admit = controller_.band_of(o.job_id);
+    o.band_at_admit = session_.controller().band_of(o.job_id);
     registry_.histogram("scenario_queue_wait_ns", -1, -1, -1)
         .record(sim::to_nanos(sim_.now() - tj.arrival));
     ++active_;
     peak_active_ = std::max(peak_active_, active_);
     if (tj.lifetime > sim::Time{0}) {
       sim_.schedule_after(tj.lifetime, [this, job_ptr = &job] {
-        if (!job_ptr->finished()) launcher_.evict(*job_ptr);
+        if (!job_ptr->finished()) session_.launcher().evict(*job_ptr);
       });
     }
   }
@@ -211,7 +187,8 @@ class Engine {
       registry_.record(now, "scenario_ps_jobs", h.idx(), -1, -1,
                        static_cast<double>(scheduler_.ps_count(h)));
       registry_.record(now, "scenario_band_jobs", h.idx(), -1, -1,
-                       static_cast<double>(controller_.managed_job_count(h)));
+                       static_cast<double>(
+                           session_.controller().managed_job_count(h)));
     }
   }
 
@@ -228,8 +205,8 @@ class Engine {
     result.num_hosts = config_.num_hosts;
     result.peak_active_jobs = peak_active_;
     result.peak_ps_colocation = peak_coloc_;
-    result.rotations = controller_.rotations();
-    result.tc_commands = control_.history().size();
+    result.rotations = session_.controller().rotations();
+    result.tc_commands = session_.control().history().size();
     result.sim_events = sim_.dispatched();
     result.horizon_s = sim::to_seconds(sim_.now());
     result.trace_drained = resolved_ == trace_.jobs.size();
@@ -253,8 +230,8 @@ class Engine {
 
     double cpu = 0;
     for (net::HostId h{0}; h < net::HostId{config_.num_hosts}; ++h) {
-      cpu += busy_.cpu_utilization(h, sim::Time{0}, sim_.now(),
-                                   config_.cores_per_host);
+      cpu += session_.busy().cpu_utilization(h, sim::Time{0}, sim_.now(),
+                                             config_.cores_per_host);
     }
     result.cluster_cpu_util = cpu / config_.num_hosts;
 
@@ -266,8 +243,8 @@ class Engine {
         .set(result.cluster_cpu_util);
     if (!config_.metrics_path.empty()) {
       std::string error;
-      if (!write_file(config_.metrics_path,
-                      registry_.timeseries_csv(sim_.now()), &error)) {
+      if (!exp::write_file(config_.metrics_path,
+                           registry_.timeseries_csv(sim_.now()), &error)) {
         throw std::runtime_error("scenario metrics export failed: " + error);
       }
     }
@@ -277,14 +254,10 @@ class Engine {
 
   const Config& config_;
   Trace trace_;
-  sim::Simulator sim_;
+  exp::Session session_;
+  sim::Simulator& sim_ = session_.sim();
   obs::Registry registry_;
-  net::Fabric fabric_;
-  tc::TrafficControl control_;
-  core::Controller controller_;
   cluster::OnlineScheduler scheduler_;
-  metrics::BusyAccumulator busy_;
-  cluster::Launcher launcher_;
   std::deque<std::size_t> pending_;
   std::vector<JobOutcome> outcomes_;
   int active_ = 0;

@@ -1,7 +1,6 @@
 #include "scenario/export.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 namespace tls::scenario {
 
@@ -103,22 +102,6 @@ std::string scenario_csv(const Result& result) {
     out += '\n';
   }
   return out;
-}
-
-bool write_file(const std::string& path, const std::string& content,
-                std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  out << content;
-  out.flush();
-  if (!out) {
-    *error = "write failed for " + path;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace tls::scenario

@@ -21,9 +21,4 @@ std::string scenario_json(const Result& result);
 ///   finish_s,queue_wait_s,jct_s,band,status
 std::string scenario_csv(const Result& result);
 
-/// Writes `content` to `path` (trailing newline not added). Returns false
-/// and fills `error` on I/O failure.
-bool write_file(const std::string& path, const std::string& content,
-                std::string* error);
-
 }  // namespace tls::scenario

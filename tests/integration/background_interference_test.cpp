@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hpp"
-#include "runtime/replicate.hpp"
+#include "runtime/runner.hpp"
 
 namespace tls::exp {
 namespace {
@@ -55,8 +55,11 @@ TEST(BackgroundInterference, DefaultClassPreventsStarvation) {
 TEST(Replication, SeedsVaryResultsButNotConclusion) {
   ExperimentConfig base = noisy_config(core::PolicyKind::kFifo);
   base.background = false;
-  auto fifo = runtime::run_replicated(base, 3);
-  auto tls = runtime::run_replicated(with_policy(base, core::PolicyKind::kTlsOne), 3);
+  using runtime::RunPlan;
+  auto fifo = runtime::run_plan(RunPlan::replicated(base, 3)).results;
+  auto tls = runtime::run_plan(
+      RunPlan::replicated(with_policy(base, core::PolicyKind::kTlsOne), 3))
+      .results;
   metrics::Summary norm = normalized_across(tls, fifo);
   EXPECT_EQ(norm.count, 3u);
   EXPECT_LT(norm.max, 1.0);  // every seed agrees TLs wins here
@@ -65,8 +68,6 @@ TEST(Replication, SeedsVaryResultsButNotConclusion) {
 }
 
 TEST(Replication, Validation) {
-  ExperimentConfig base = noisy_config(core::PolicyKind::kFifo);
-  EXPECT_THROW(runtime::run_replicated(base, 0), std::invalid_argument);
   std::vector<ExperimentResult> two(2), three(3);
   EXPECT_THROW(normalized_across(two, three), std::invalid_argument);
 }

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hpp"
-#include "runtime/replicate.hpp"
+#include "runtime/runner.hpp"
 #include "exp/export.hpp"
 
 namespace tls::exp {
@@ -62,11 +62,12 @@ TEST(Determinism, EveryPolicyIsReproducible) {
 }
 
 TEST(Determinism, ReplicatedRunsMatchDirectRuns) {
-  // runtime::run_replicated() seeds replicas as seed, seed+1, ... — each replica
+  // RunPlan::replicated seeds replicas as seed, seed+1, ... — each replica
   // must agree byte-for-byte with a direct run at that seed, so replicated
   // figures can be regenerated piecemeal.
   ExperimentConfig config = small_contended(core::PolicyKind::kTlsRR);
-  std::vector<ExperimentResult> replicas = runtime::run_replicated(config, 2);
+  std::vector<ExperimentResult> replicas =
+      runtime::run_plan(runtime::RunPlan::replicated(config, 2)).results;
   ASSERT_EQ(replicas.size(), 2u);
   ExperimentConfig direct = config;
   for (int i = 0; i < 2; ++i) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace tls::runtime {
 namespace {
@@ -314,6 +316,103 @@ TEST(Cli, ScenarioMissingTraceFileRejected) {
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("cannot open --scenario-trace file"), std::string::npos)
       << r.err;
+}
+
+TEST(Cli, RunRejectsAMistypedFlagAndListsTheValidOnes) {
+  // --iter is not --iters: the run must not silently use 60 iterations.
+  CliRun r = cli({"run", SMALL, "--iter", "500"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  EXPECT_NE(r.err.find("unknown flag --iter "), std::string::npos) << r.err;
+  for (const char* valid : {"--iters", "--replicas", "--export-prefix",
+                            "--trace-csv", "--threads"}) {
+    EXPECT_NE(r.err.find(valid), std::string::npos) << valid << ": " << r.err;
+  }
+}
+
+TEST(Cli, ScenarioRejectsTraceAndReportFlagsAndWritesNothing) {
+  std::string prefix = ::testing::TempDir() + "/tlsim_cli_scenario_obs";
+  std::remove((prefix + ".json").c_str());
+  std::remove((prefix + ".txt").c_str());
+  CliRun r = cli({SMALL_SCENARIO, "--trace", prefix + ".json", "--report",
+                  prefix + ".txt"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown flag --trace "), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--scenario-jobs"), std::string::npos) << r.err;
+  EXPECT_FALSE(std::ifstream(prefix + ".json").good());
+  EXPECT_FALSE(std::ifstream(prefix + ".txt").good());
+}
+
+TEST(Cli, EachCommandRejectsTheFlagsItDoesNotRead) {
+  // compare and the sweeps run every policy / placement / batch size
+  // themselves; only run replicates and exports; scenario has no testbed.
+  const std::vector<std::vector<std::string>> rejected = {
+      {"compare", "--policy", "fifo"},
+      {"compare", "--replicas", "2"},
+      {"sweep-placement", "--placement", "2"},
+      {"sweep-batch", "--batch", "2"},
+      {"sweep-batch", "--export-prefix", "out"},
+      {"run", "--cores", "4"},
+      {"run", "--scenario-jobs", "4"},
+      {"scenario", "--jobs", "4"},
+      {"scenario", "--no-cache"},
+  };
+  for (const std::vector<std::string>& args : rejected) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, out, err), 2) << args[0] << " " << args[1];
+    EXPECT_NE(err.str().find("unknown flag " + args[1]), std::string::npos)
+        << err.str();
+  }
+}
+
+TEST(Cli, ReplicasIsRangeChecked) {
+  std::string prefix = ::testing::TempDir() + "/tlsim_cli_replicas";
+  std::remove((prefix + ".json").c_str());
+  for (const char* bad : {"abc", "0", "-1", "4294967296"}) {
+    CliRun r = cli({"run", SMALL, "--replicas", bad, "--export-prefix",
+                    prefix});
+    EXPECT_EQ(r.code, 2) << bad;
+    EXPECT_NE(r.err.find("bad value for --replicas: '" + std::string(bad)),
+              std::string::npos)
+        << r.err;
+    EXPECT_FALSE(std::ifstream(prefix + ".json").good()) << bad;
+  }
+}
+
+TEST(Cli, UnwritableTraceCsvFailsWithExitOne) {
+  CliRun r = cli({"run", SMALL, "--trace-csv", "/nonexistent-dir-xyz/t.csv"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("tlsim: trace CSV export failed: cannot open"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(Cli, UnwritableScenarioMetricsFailsWithExitOne) {
+  CliRun r = cli({SMALL_SCENARIO, "--metrics", "/nonexistent-dir-xyz/m.csv"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("tlsim: scenario metrics export failed"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(Cli, SubMillisecondRotationIntervalIsAUsageError) {
+  // 1e-10 s rounds to a zero rotation interval, which the controller
+  // rejects; the shared reader refuses it up front, on every command.
+  CliRun run = cli({"run", SMALL, "--interval-s", "1e-10"});
+  EXPECT_EQ(run.code, 2);
+  EXPECT_NE(run.err.find("bad value for --interval-s: '1e-10'"),
+            std::string::npos)
+      << run.err;
+  CliRun scenario = cli({SMALL_SCENARIO, "--interval-s", "1e-10"});
+  EXPECT_EQ(scenario.code, 2);
+}
+
+TEST(Cli, NonFiniteAndHugeRealsAreRejected) {
+  for (const char* bad : {"nan", "inf", "1e300", "2.5x"}) {
+    EXPECT_EQ(cli({"run", SMALL, "--link-gbps", bad}).code, 2) << bad;
+    EXPECT_EQ(cli({SMALL_SCENARIO, "--scenario-time-limit-s", bad}).code, 2)
+        << bad;
+  }
 }
 
 TEST(Cli, SweepBatchRuns) {

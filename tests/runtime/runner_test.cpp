@@ -5,12 +5,12 @@
 // and still byte-identical.
 #include "runtime/runner.hpp"
 
-#include "runtime/replicate.hpp"
-
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "exp/export.hpp"
 
@@ -117,9 +117,9 @@ TEST(Runner, ReplicatedPlanMatchesRunReplicatedContract) {
     EXPECT_EQ(plan.entries[static_cast<std::size_t>(i)].config.seed,
               base.seed + static_cast<std::uint64_t>(i));
   }
-  // runtime::run_replicated rides on this plan; results must agree with
-  // direct runs at each seed.
-  std::vector<exp::ExperimentResult> replicas = runtime::run_replicated(base, 2);
+  // Running the plan must agree with direct runs at each seed.
+  std::vector<exp::ExperimentResult> replicas =
+      run_plan(RunPlan::replicated(base, 2)).results;
   exp::ExperimentConfig direct = base;
   direct.seed = base.seed + 1;
   EXPECT_EQ(exp::to_json(exp::run_experiment(direct)),
@@ -135,7 +135,7 @@ TEST(Runner, PolicyComparisonPlanIsFifoFirst) {
             core::PolicyKind::kTlsOne);
   EXPECT_EQ(plan.entries[2].config.controller.policy, core::PolicyKind::kTlsRR);
 
-  std::vector<exp::ExperimentResult> results = runtime::compare(base);
+  std::vector<exp::ExperimentResult> results = run_plan(plan).results;
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].policy_name, "FIFO");
 }
@@ -163,6 +163,38 @@ TEST(Runner, ProgressLinesGoToTheGivenStream) {
   EXPECT_EQ(report.results.size(), 1u);
   EXPECT_NE(progress.str().find("only"), std::string::npos);
   EXPECT_NE(progress.str().find("1/1"), std::string::npos);
+}
+
+TEST(Runner, FanOutCallsEveryIndexOnceAndReportsItsThreads) {
+  for (int jobs : {1, 3, 8}) {
+    std::vector<int> calls(5, 0);
+    int used = fan_out(calls.size(), jobs,
+                       [&calls](std::size_t i) { ++calls[i]; });
+    EXPECT_EQ(used, std::min(jobs, 5));
+    EXPECT_EQ(calls, std::vector<int>(5, 1)) << "jobs=" << jobs;
+  }
+  EXPECT_EQ(fan_out(0, 4, [](std::size_t) {}), 1);
+}
+
+TEST(Runner, FanOutRunsEveryCallBeforeRethrowingTheFirstError) {
+  for (int jobs : {1, 4}) {
+    std::vector<int> calls(6, 0);
+    auto run_one = [&calls](std::size_t i) {
+      ++calls[i];
+      if (i % 2 == 1) throw std::runtime_error("odd " + std::to_string(i));
+    };
+    EXPECT_THROW(fan_out(calls.size(), jobs, run_one), std::runtime_error);
+    EXPECT_EQ(calls, std::vector<int>(6, 1)) << "jobs=" << jobs;
+  }
+  // Serially the first error is the first index that throws.
+  try {
+    fan_out(4, 1, [](std::size_t i) {
+      if (i >= 1) throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "fan_out swallowed the error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 1");
+  }
 }
 
 TEST(Runner, EmptyPlanIsANoOp) {

@@ -174,10 +174,12 @@ cmake --build --preset debug-asan -j "$jobs" --target bench_diff
 ./build-asan/tools/bench_diff . "$smoke_dir" --max-regress-pct 15 \
   || echo "bench_diff: regression worse than 15% (non-fatal; see table above)"
 
-echo "==> [3/4] debug-tsan: tls::runtime pool/runner under ThreadSanitizer"
+echo "==> [3/4] debug-tsan: tls::runtime pool + both plan runners under ThreadSanitizer"
+# Runner* and ScenarioRunner*/ScenarioPlan* drive RunSet and
+# run_scenario_plan through the one shared fan-out.
 cmake --preset debug-tsan
 cmake --build --preset debug-tsan -j "$jobs" --target test_runtime
-(cd build-tsan && ctest -R '^(ThreadPool|Runner|ResultCache|Fnv1a64|CanonicalConfig)' \
+(cd build-tsan && ctest -R '^(ThreadPool|Runner|ScenarioRunner|ScenarioPlan|ResultCache|Fnv1a64|CanonicalConfig)' \
   --output-on-failure -j "$jobs")
 
 echo "==> [4/4] ci preset: RelWithDebInfo + TLS_WERROR=ON, tier-1 ctest"
