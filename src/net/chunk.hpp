@@ -48,28 +48,30 @@ struct FlowSpec {
   double weight = 1.0;
 };
 
-/// One schedulable segment of a flow.
+/// One schedulable segment of a flow. Fields are ordered by size so the
+/// struct packs into 56 bytes: a transmit-completion event captures
+/// `[this, chunk]`, which must fit EventQueue::Callback's 64-byte buffer.
 struct Chunk {
   FlowId flow = 0;
   Bytes size{};
-  std::uint32_t index = 0;
-  bool last = false;
-  /// Band/class assigned by the egress classifier at admission time.
-  BandId band{0};
   /// Service weight inherited from the flow (with noise applied).
   double weight = 1.0;
+  /// Simulation time the chunk entered the egress qdisc (stamped by
+  /// EgressPort::submit); queue-wait and HOL-blocking metrics derive from
+  /// dequeue-time minus this.
+  sim::Time enqueued_at{};
+  std::uint32_t index = 0;
+  /// Band/class assigned by the egress classifier at admission time.
+  BandId band{0};
   /// Destination host, denormalized for the egress->ingress handoff.
   HostId dst = kNoHost;
   /// Owning job, denormalized from the flow spec for trace attribution
   /// (-1 = background/non-job traffic).
   std::int32_t job = -1;
+  bool last = false;
   /// Application kind, for priomap-style disciplines (pfifo_fast) and
   /// instrumentation.
   FlowKind kind = FlowKind::kBulk;
-  /// Simulation time the chunk entered the egress qdisc (stamped by
-  /// EgressPort::submit); queue-wait and HOL-blocking metrics derive from
-  /// dequeue-time minus this.
-  sim::Time enqueued_at{};
 };
 
 }  // namespace tls::net

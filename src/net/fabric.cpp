@@ -65,8 +65,11 @@ FlowId Fabric::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
   }
   if (spec.bytes == Bytes{0}) {
     // Degenerate flow: deliver "instantly" but asynchronously, preserving
-    // the invariant that callbacks never run inside start_flow.
-    FlowRecord rec{id, spec, sim_.now(), sim_.now()};
+    // the invariant that callbacks never run inside start_flow. The record
+    // is boxed so the capture fits the event callback's inline buffer;
+    // this path is rare enough that one allocation does not matter.
+    auto rec = std::make_unique<FlowRecord>(
+        FlowRecord{id, spec, sim_.now(), sim_.now()});
     if (TLS_OBS_ACTIVE(sim_.tracer())) {
       sim_.tracer()->flow_end(sim_.now(), spec.src, spec.dst, spec.job_id,
                               static_cast<std::int32_t>(spec.kind),
@@ -74,7 +77,9 @@ FlowId Fabric::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
                               spec.iteration, sim::Time{0});
     }
     sim_.schedule_after(sim::Time{0},
-                        [cb = std::move(on_complete), rec] { cb(rec); });
+                        [cb = std::move(on_complete), rec = std::move(rec)] {
+                          cb(*rec);
+                        });
     ++completed_flows_;
     return id;
   }

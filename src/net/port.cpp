@@ -179,25 +179,30 @@ void IngressPort::serve_next() {
     return;
   }
   busy_ = true;
-  sim::Time arrived_at = queue_.front_stamp();
-  Chunk chunk = queue_.take_front();
-  backlog_bytes_ -= chunk.size;
+  serving_arrived_at_ = queue_.front_stamp();
+  serving_ = queue_.take_front();
+  backlog_bytes_ -= serving_.size;
   TLS_CHECK(backlog_bytes_ >= Bytes{0}, "ingress backlog went negative: ",
             backlog_bytes_);
-  sim::Time wait = sim_.now() - arrived_at;
-  sim_.schedule_after(transmit_time(chunk.size, rate_),
-                      [this, chunk, arrived_at, wait] {
-    counters_.bytes += chunk.size;
-    ++counters_.chunks;
-    if (TLS_OBS_ACTIVE(sim_.tracer())) {
-      sim_.tracer()->ingress_deliver(sim_.now(), host_, chunk.job, chunk.band,
-                                     static_cast<std::int64_t>(chunk.flow),
-                                     chunk.index, chunk.size, wait,
-                                     sim_.now() - arrived_at);
-    }
-    on_delivered_(chunk);
-    serve_next();
-  });
+  serving_wait_ = sim_.now() - serving_arrived_at_;
+  sim_.schedule_after(transmit_time(serving_.size, rate_),
+                      [this] { finish_delivery(); });
+}
+
+void IngressPort::finish_delivery() {
+  counters_.bytes += serving_.size;
+  ++counters_.chunks;
+  if (TLS_OBS_ACTIVE(sim_.tracer())) {
+    sim_.tracer()->ingress_deliver(sim_.now(), host_, serving_.job,
+                                   serving_.band,
+                                   static_cast<std::int64_t>(serving_.flow),
+                                   serving_.index, serving_.size, serving_wait_,
+                                   sim_.now() - serving_arrived_at_);
+  }
+  // busy_ stays set through the callback, so a re-entrant arrive() only
+  // queues and serving_ is not overwritten before serve_next() below.
+  on_delivered_(serving_);
+  serve_next();
 }
 
 }  // namespace tls::net

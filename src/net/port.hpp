@@ -136,6 +136,8 @@ class IngressPort {
 
  private:
   void serve_next();
+  /// Completes the in-service chunk's delivery and starts the next one.
+  void finish_delivery();
 
   sim::Simulator& sim_;
   HostId host_ = kNoHost;
@@ -147,6 +149,13 @@ class IngressPort {
   ChunkRing queue_;
   Bytes backlog_bytes_{};
   bool busy_ = false;
+  /// The chunk in service while busy_, with its arrival instant and the
+  /// time it waited behind earlier chunks. The port serves one chunk at a
+  /// time, so these live here rather than in the completion event's
+  /// capture, which then fits the inline callback buffer.
+  Chunk serving_{};
+  sim::Time serving_arrived_at_{};
+  sim::Time serving_wait_{};
   PortCounters counters_;
 };
 

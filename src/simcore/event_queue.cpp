@@ -6,10 +6,45 @@
 
 namespace tls::sim {
 
-std::uint8_t& EventQueue::state_of(std::uint64_t seq) {
-  TLS_DCHECK(seq >= state_base_ && seq - state_base_ < state_.size(),
-             "liveness table miss for seq=", seq, " base=", state_base_);
-  return state_[static_cast<std::size_t>(seq - state_base_)];
+namespace {
+
+std::uint32_t slot_of(EventId id) {
+  return static_cast<std::uint32_t>(id.value);
+}
+std::uint32_t generation_of(EventId id) {
+  return static_cast<std::uint32_t>(id.value >> 32);
+}
+
+}  // namespace
+
+EventId EventQueue::take_slot(Callback&& cb) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    TLS_CHECK(slot_gen_.size() < UINT32_MAX, "event slot table full");
+    slot = static_cast<std::uint32_t>(slot_gen_.size());
+    slot_gen_.push_back(1);
+    slot_cb_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slot_cb_[slot] = std::move(cb);
+  }
+  return EventId{(std::uint64_t{slot_gen_[slot]} << 32) | slot};
+}
+
+bool EventQueue::pending(EventId id) const {
+  std::uint32_t slot = slot_of(id);
+  return slot < slot_gen_.size() && slot_gen_[slot] == generation_of(id);
+}
+
+void EventQueue::retire(std::uint32_t slot) {
+  // Generation 0 is never handed out, so EventId{} stays invalid after a
+  // wrap.
+  if (++slot_gen_[slot] == 0) slot_gen_[slot] = 1;
+  free_slots_.push_back(slot);
+  // Destroyed only once the slot is consistent: a capture's destructor may
+  // re-enter the queue.
+  Callback dead = std::move(slot_cb_[slot]);
 }
 
 Time EventQueue::window_end() const {
@@ -171,16 +206,21 @@ void EventQueue::drop_front() {
     b.head = 0;
     b.dirty = false;
     occupied_[cur_ >> 6] &= ~(std::uint64_t(1) << (cur_ & 63));
+  } else if (b.head >= kCompactMin && b.head * 2 >= b.v.size()) {
+    // The cursor bucket keeps taking appends while it drains, so without
+    // this its consumed prefix would grow with every event it delivers.
+    // Each pending entry moves at most once per halving of the bucket:
+    // amortized one move per pop.
+    b.v.erase(b.v.begin(), b.v.begin() + static_cast<std::ptrdiff_t>(b.head));
+    b.head = 0;
   }
 }
 
 EventQueue::Entry* EventQueue::next_live() {
   for (;;) {
     Entry* e = peek_physical();
-    std::uint8_t st = e->seq < state_base_ ? std::uint8_t{kFired}
-                                           : state_of(e->seq);
-    if (st == kPending) return e;
-    // Tombstone (cancelled, or retired below the trimmed table base).
+    if (pending(e->id)) return e;
+    // Tombstone: the event was cancelled.
     ++stats_.tombstones_skipped;
     drop_front();
   }
@@ -189,45 +229,27 @@ EventQueue::Entry* EventQueue::next_live() {
 EventId EventQueue::schedule(Time at, Callback cb) {
   TLS_CHECK(cb, "scheduling a null callback at t=", at);
   std::uint64_t seq = next_seq_++;
-  TLS_DCHECK(state_base_ + state_.size() == seq,
-             "liveness table out of sync with seq allocation");
-  state_.push_back(kPending);
+  EventId id = take_slot(std::move(cb));
   if (cal_count_ == 0 && overflow_.empty()) {
     // Physically empty: re-anchor the window so the new event lands in
     // bucket 0 instead of forcing everything through a stale cursor.
     window_start_ = at;
     cur_ = 0;
   }
-  insert_entry(Entry{at, seq, std::move(cb)});
+  insert_entry(Entry{at, seq, id});
   ++live_;
   ++stats_.scheduled;
-  return EventId{seq};
+  return id;
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (id.seq == 0 || id.seq >= next_seq_) return false;
-  if (id.seq < state_base_) return false;  // fired, cancelled, or cleared
-  std::uint8_t& st = state_of(id.seq);
-  if (st != kPending) return false;
-  st = kCancelled;
+  // Fired, cancelled, cleared, or never scheduled.
+  if (!pending(id)) return false;
+  retire(slot_of(id));
   ++stats_.cancelled;
-  TLS_CHECK(live_ > 0, "cancel with zero live events (seq=", id.seq, ")");
+  TLS_CHECK(live_ > 0, "cancel with zero live events (id=", id.value, ")");
   --live_;
   return true;
-}
-
-void EventQueue::maybe_trim_state() {
-  // Each table slot is scanned at most once over its lifetime, so the
-  // trim is amortized O(1) per event.
-  while (state_scan_ < state_.size() && state_[state_scan_] != kPending) {
-    ++state_scan_;
-  }
-  if (state_scan_ >= kStateTrimMin && state_scan_ * 2 >= state_.size()) {
-    state_.erase(state_.begin(),
-                 state_.begin() + static_cast<std::ptrdiff_t>(state_scan_));
-    state_base_ += state_scan_;
-    state_scan_ = 0;
-  }
 }
 
 Time EventQueue::peek_time() {
@@ -237,8 +259,18 @@ Time EventQueue::peek_time() {
 
 std::pair<Time, EventQueue::Callback> EventQueue::pop() {
   TLS_CHECK(!empty(), "pop() on an empty event queue");
+  return *pop_due(kTimeMax);
+}
+
+std::optional<std::pair<Time, EventQueue::Callback>> EventQueue::pop_due(
+    Time until) {
+  std::optional<std::pair<Time, Callback>> out;
+  if (empty()) return out;
   Entry* e = next_live();
-  state_of(e->seq) = kFired;
+  if (e->at > until) return out;
+  std::uint32_t slot = slot_of(e->id);
+  out.emplace(e->at, std::move(slot_cb_[slot]));
+  retire(slot);
   --live_;
   ++stats_.popped;
   // Event-time monotonicity: the queue must deliver times in nondecreasing
@@ -246,10 +278,8 @@ std::pair<Time, EventQueue::Callback> EventQueue::pop() {
   TLS_CHECK(e->at >= last_pop_time_, "event queue went backwards: popped t=",
             e->at, " after t=", last_pop_time_);
   last_pop_time_ = e->at;
-  Entry out = std::move(*e);
   drop_front();
-  maybe_trim_state();
-  return {out.at, std::move(out.cb)};
+  return out;
 }
 
 void EventQueue::clear() {
@@ -263,16 +293,23 @@ void EventQueue::clear() {
   overflow_.clear();
   live_ = 0;
   last_pop_time_ = kTimeMin;
-  // Stale EventIds must stay dead: keep the seq allocator running and
-  // advance the table base past every id issued so far, so cancel() on a
+  // Stale EventIds must stay dead: retire every slot, so cancel() on a
   // pre-clear() handle can never touch a post-clear() event.
-  state_.clear();
-  state_base_ = next_seq_;
-  state_scan_ = 0;
+  free_slots_.clear();
+  for (std::uint32_t slot = 0; slot < slot_gen_.size(); ++slot) retire(slot);
   window_start_ = Time{0};
   width_ = kDefaultWidth;
   width_cap_ = kMaxWidth;
   cur_ = 0;
+}
+
+EventQueue::Footprint EventQueue::footprint() const {
+  Footprint f;
+  for (const Bucket& b : buckets_) {
+    f.max_bucket_capacity = std::max(f.max_bucket_capacity, b.v.capacity());
+  }
+  f.slots = slot_gen_.size();
+  return f;
 }
 
 }  // namespace tls::sim

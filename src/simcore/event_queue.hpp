@@ -11,26 +11,39 @@
 // short-horizon schedule (a transmit completion a few microseconds out)
 // is an O(1) append and never touches the heap. The pop order is exactly
 // ascending (time, seq) — byte-identical to the binary heap this replaced.
+// The consumed prefix of the bucket under the cursor is compacted away
+// once it passes half the bucket, so a bucket holds at most about twice
+// its pending entries plus a small constant, however many events it has
+// already delivered.
 //
-// Cancellation is O(1): every event's liveness lives in a dense
-// seq-indexed state table (pending / fired / cancelled), so cancel() is a
-// table write and cancelled entries are skipped as tombstones when the
-// consuming cursor reaches them. The table's dead prefix is trimmed in
-// amortized O(1) as events retire.
+// Callbacks live in a slot table, not in the calendar: an EventId names a
+// slot plus the slot's generation at scheduling time, and calendar entries
+// are 24-byte (time, seq, id) keys, so sorts, heap moves and compaction
+// never move a callback. Firing or cancelling an event bumps its slot's
+// generation and frees the slot for reuse, so cancel() is a compare and a
+// write, and a cancelled entry is recognised as a tombstone (generation
+// mismatch) and skipped when the consuming cursor reaches it. The table
+// holds one slot per pending event at its peak, not one per event ever
+// scheduled.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "simcore/callback.hpp"
 #include "simcore/check.hpp"
 #include "simcore/time.hpp"
 
 namespace tls::sim {
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
+/// Packs the event's slot-table index (low 32 bits) and the slot's
+/// generation (high 32 bits); generation 0 is never handed out, so the
+/// default-constructed id names no event.
 struct EventId {
-  std::uint64_t seq = 0;
+  std::uint64_t value = 0;
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
@@ -38,7 +51,8 @@ struct EventId {
 /// cancellation.
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  /// Move-only, allocation-free callable; captures up to 64 bytes.
+  using Callback = InlineCallback;
 
   /// Internal activity counters; bench_simcore and the obs wiring read
   /// these to publish events/sec and tier behavior.
@@ -80,6 +94,12 @@ class EventQueue {
   /// The returned pair is (time, callback).
   std::pair<Time, Callback> pop();
 
+  /// Removes and returns the earliest live event if it is due at or
+  /// before `until`; otherwise (or when empty) returns nullopt and leaves
+  /// every pending event in place. Locates the event in one cursor walk,
+  /// where peek_time() followed by pop() takes two.
+  std::optional<std::pair<Time, Callback>> pop_due(Time until);
+
   /// Drops everything, firing nothing. EventIds issued before clear()
   /// become stale: cancelling one returns false and can never affect an
   /// event scheduled afterwards.
@@ -87,11 +107,23 @@ class EventQueue {
 
   const Stats& stats() const { return stats_; }
 
+  /// Storage the queue holds, in entries: the largest calendar bucket's
+  /// capacity and the slot table's size. Tests pin the
+  /// "memory follows the pending set" invariants through it; it is not an
+  /// activity counter, so Stats (and the --metrics export) leave it out.
+  struct Footprint {
+    std::size_t max_bucket_capacity = 0;
+    std::size_t slots = 0;
+  };
+  Footprint footprint() const;
+
  private:
+  /// Calendar key of a pending (or cancelled) event; its callback is in
+  /// slot_cb_.
   struct Entry {
     Time at;
     std::uint64_t seq;
-    Callback cb;
+    EventId id;
   };
   /// Strict total order: (at, seq). seq is unique, so no ties.
   static bool entry_less(const Entry& a, const Entry& b) {
@@ -110,15 +142,14 @@ class EventQueue {
     bool dirty = false;
   };
 
-  // Per-event liveness states in state_.
-  enum : std::uint8_t { kPending = 0, kFired = 1, kCancelled = 2 };
-
   static constexpr std::size_t kBuckets = 512;  // power of two
   static constexpr std::size_t kBitmapWords = kBuckets / 64;
   static constexpr Time kDefaultWidth{1 << 12};  // ~4us at ns resolution
   static constexpr Time kMaxWidth{std::int64_t{1} << 42};
   static constexpr std::size_t kWidthSample = 16;
-  static constexpr std::size_t kStateTrimMin = 4096;
+  /// Consumed-prefix length below which the cursor bucket is never
+  /// compacted, so a small bucket is not shifted on every pop.
+  static constexpr std::size_t kCompactMin = 32;
   /// Pending-range size at which a bucket is too dense for the current
   /// width and the calendar re-anchors with a narrower geometry.
   static constexpr std::size_t kDenseBucket = 64;
@@ -139,17 +170,23 @@ class EventQueue {
   /// Positions (cur_, head) on the earliest physical entry, refilling from
   /// overflow as needed. Requires a physical entry to exist.
   Entry* peek_physical();
-  /// Consumes the entry peek_physical() returned.
+  /// Consumes the entry peek_physical() returned, compacting the
+  /// bucket's consumed prefix once it passes half the bucket.
   void drop_front();
   /// Positions on the earliest *live* entry, discarding tombstones.
   Entry* next_live();
-  std::uint8_t& state_of(std::uint64_t seq);
-  void maybe_trim_state();
+  /// Stores `cb` in a free slot and returns the id naming it.
+  EventId take_slot(Callback&& cb);
+  bool pending(EventId id) const;
+  /// Ends the life of the event in `slot` (fired or cancelled): bumps the
+  /// slot's generation, so its id and queue entry go stale, frees the
+  /// slot, and destroys whatever callback is still in it.
+  void retire(std::uint32_t slot);
 
-  // --- liveness table: state_[seq - state_base_], dense and trimmed ---
-  std::vector<std::uint8_t> state_;
-  std::uint64_t state_base_ = 1;
-  std::size_t state_scan_ = 0;  // dead-prefix scan cursor
+  // --- slot table: generation and callback per slot, plus free slots ---
+  std::vector<std::uint32_t> slot_gen_;
+  std::vector<Callback> slot_cb_;
+  std::vector<std::uint32_t> free_slots_;
 
   // --- calendar window ---
   std::vector<Bucket> buckets_{kBuckets};

@@ -21,10 +21,8 @@ EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
 
 std::uint64_t Simulator::run(Time until) {
   std::uint64_t n = 0;
-  while (!queue_.empty()) {
-    Time t = queue_.peek_time();
-    if (t > until) break;
-    auto [at, cb] = queue_.pop();
+  while (auto due = queue_.pop_due(until)) {
+    auto& [at, cb] = *due;
     TLS_CHECK(at >= now_, "clock would run backwards: event t=", at,
               " now=", now_);
     now_ = at;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -240,8 +244,11 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomMix) {
     } else {
       auto it = pending.begin();
       ASSERT_EQ(q.peek_time(), it->first);
+      // A bound just before the earliest event pops nothing and keeps it.
+      ASSERT_FALSE(q.pop_due(it->first - Time{1}).has_value());
+      ASSERT_EQ(q.size(), pending.size());
       fired_flag = false;
-      auto [t, cb] = q.pop();
+      auto [t, cb] = r % 2 == 0 ? *q.pop_due(it->first) : q.pop();
       cb();
       ASSERT_TRUE(fired_flag);
       ASSERT_EQ(t, it->first);
@@ -356,6 +363,127 @@ TEST(EventQueue, MillionScheduleCancelSubQuadratic) {
   // Generous even for sanitizer builds on one core; the quadratic seed
   // behavior would overshoot this by orders of magnitude.
   EXPECT_LT(secs, 120.0);
+}
+
+TEST(EventQueue, StorageFollowsPendingEventsNotDeliveredOnes) {
+  // Lull, then load: 20 events 1 s apart make the calendar re-anchor with
+  // a bucket several seconds wide, so a 200k-event chain spaced 1 us apart
+  // then appends every event to the bucket under the cursor while 18 far
+  // events stay pending. Without compaction that bucket keeps all 200k
+  // delivered entries; a seq-indexed liveness table pinned by the oldest
+  // far event would span all 200k seqs.
+  EventQueue q;
+  for (std::int64_t i = 0; i < 20; ++i) q.schedule(i * kSecond, [] {});
+  q.pop().second();
+  q.pop().second();
+  constexpr int kChain = 200'000;
+  q.schedule(kSecond + kMicrosecond, [] {});
+  for (int i = 0; i < kChain; ++i) {
+    auto [t, cb] = q.pop();
+    ASSERT_LT(t, 2 * kSecond);
+    cb();
+    if (i + 1 < kChain) q.schedule(t + kMicrosecond, [] {});
+  }
+  EXPECT_EQ(q.size(), 18u);
+  EventQueue::Footprint fp = q.footprint();
+  EXPECT_LE(fp.max_bucket_capacity, 128u);
+  EXPECT_LE(fp.slots, 20u);
+  // The far events still fire, in order.
+  for (std::int64_t i = 2; i < 20; ++i) EXPECT_EQ(q.pop().first, i * kSecond);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueCallback, SizeBoundIsACompileTimeConstraint) {
+  auto fits = [words = std::array<std::uint64_t, 8>{}] { (void)words; };
+  auto too_big = [words = std::array<std::uint64_t, 9>{}] { (void)words; };
+  static_assert(sizeof(fits) == 64);
+  static_assert(sizeof(too_big) == 72);
+  static_assert(std::is_convertible_v<decltype(fits), EventQueue::Callback>);
+  static_assert(
+      !std::is_convertible_v<decltype(too_big), EventQueue::Callback>);
+  static_assert(
+      !std::is_constructible_v<EventQueue::Callback, decltype(too_big)>);
+  static_assert(!std::is_copy_constructible_v<EventQueue::Callback>);
+  EventQueue q;
+  q.schedule(Time{1}, fits);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueueCallback, MoveOnlyCaptureFires) {
+  EventQueue q;
+  int got = 0;
+  auto box = std::make_unique<int>(7);
+  q.schedule(Time{1}, [&got, box = std::move(box)] { got = *box; });
+  q.pop().second();
+  EXPECT_EQ(got, 7);
+}
+
+/// Capture that counts how many times the object owning its token is
+/// destroyed; a moved-from copy gives up the token.
+struct CountedCapture {
+  explicit CountedCapture(int* destroyed) : destroyed_(destroyed) {}
+  CountedCapture(CountedCapture&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)) {}
+  CountedCapture& operator=(CountedCapture&&) = delete;
+  ~CountedCapture() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+  void operator()() const {}
+
+ private:
+  int* destroyed_;
+};
+
+TEST(EventQueueCallback, CaptureDestroyedOnceWhetherFiredCancelledOrCleared) {
+  int fired = 0;
+  int cancelled = 0;
+  int cleared = 0;
+  {
+    EventQueue q;
+    q.schedule(Time{1}, CountedCapture{&fired});
+    EventId id = q.schedule(Time{2}, CountedCapture{&cancelled});
+    q.schedule(Time{3}, CountedCapture{&cleared});
+    q.pop().second();
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(cancelled, 1);
+    q.clear();
+    EXPECT_EQ(cleared, 1);
+  }
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(cancelled, 1);
+  EXPECT_EQ(cleared, 1);
+
+  // The same with many events, so slots are reused and the slot table
+  // grows (moving every stored callback) while the calendar compacts,
+  // sorts, migrates from overflow and rebuckets.
+  int destroyed = 0;
+  constexpr int kEvents = 3000;
+  {
+    EventQueue q;
+    Lcg rng{31};
+    std::vector<EventId> ids;
+    for (int i = 0; i < kEvents; ++i) {
+      Time t = i % 4 == 0 ? static_cast<Time>(rng.next() % (1u << 30))
+                          : static_cast<Time>(rng.next() % 4096);
+      ids.push_back(q.schedule(t, CountedCapture{&destroyed}));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+    EXPECT_EQ(destroyed, kEvents / 3);
+    for (int i = 0; i < kEvents / 3; ++i) q.pop().second();
+    EXPECT_EQ(destroyed, 2 * kEvents / 3);
+    q.clear();
+    EXPECT_EQ(destroyed, kEvents);
+  }
+  EXPECT_EQ(destroyed, kEvents);
+}
+
+TEST(EventQueueDeathTest, NullCallbackIsRejected) {
+  EventQueue q;
+  std::function<void()> empty;
+  EXPECT_DEATH(q.schedule(Time{1}, empty), "scheduling a null callback");
+  void (*null_fn)() = nullptr;
+  EXPECT_DEATH(q.schedule(Time{1}, null_fn), "scheduling a null callback");
 }
 
 }  // namespace

@@ -189,7 +189,7 @@ ctest --preset ci -j "$jobs"
 
 echo "==> [4b/4] in-process report memory: 60-iteration paper run"
 # The trace CSV and the report stream from tracer sinks, so a paper run
-# with both stays near an untraced run's RSS (~32 MB) instead of holding
+# with both stays near an untraced run's RSS (~14 MB) instead of holding
 # the whole event log (977 MB when every event was kept). build-ci, not
 # build-asan: ASan inflates RSS.
 mem_run=(./build-ci/tools/tlsim run --policy tls-one --threads 1 --no-cache
@@ -212,5 +212,31 @@ fi
 cmp "$smoke_dir/paper.json" "$smoke_dir/paper-offline.json" \
   || { echo "offline tlsreport diverges from in-process report"; exit 1; }
 rm -f "$smoke_dir/paper.csv"
+
+echo "==> [4c/4] event-core memory: long sparse churn scenario"
+# 120 Poisson arrivals 36 s apart on average, all scheduled up front, with
+# microsecond-scale chunk events in between. Calendar buckets and the
+# liveness table must follow the pending events, not the delivered ones:
+# when the cursor bucket kept its consumed prefix this run peaked at
+# 458 MB. build-ci, not build-asan: ASan inflates RSS.
+churn_run=(./build-ci/tools/tlsim scenario --hosts 12 --cores 6
+  --scenario-admission share --link-gbps 2.5 --policy tls-rr --interval-s 20
+  --seed 7 --scenario-arrivals poisson --scenario-jobs 120
+  --scenario-mean-s 36 --scenario-workers-min 4 --scenario-workers-max 8
+  --scenario-iters-min 40 --scenario-iters-max 160 --scenario-batch 1
+  --scenario-evict-frac 0.1 --scenario-evict-min-s 30
+  --scenario-evict-max-s 120 --threads 1)
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "${churn_run[@]}" <<'PYEOF'
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 100, f"sparse churn peak RSS {peak_mb:.1f} MB >= 100 MB"
+print(f"sparse churn OK: peak RSS {peak_mb:.1f} MB (ceiling 100 MB)")
+PYEOF
+else
+  echo "python3 not installed; skipping the peak-RSS check"
+  "${churn_run[@]}" >/dev/null
+fi
 
 echo "==> ci.sh: all green"
