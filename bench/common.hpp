@@ -6,8 +6,6 @@
 //   TLS_BENCH_JOBS   / --jobs N    worker threads for independent runs
 //                                  (default 0 = hardware concurrency; results
 //                                  are byte-identical at any thread count)
-//   TLS_CACHE_DIR                  result-cache directory (unset = off);
-//                                  re-running an unchanged bench is near-instant
 //   TLS_BENCH_PROGRESS             1 = per-run progress/ETA lines on stderr
 //   TLS_BENCH_JSON_DIR             where BENCH_<name>.json timing files land
 //                                  (default: current directory)
@@ -93,7 +91,6 @@ class Timing {
   Timing& operator=(const Timing&) = delete;
 
   void add_runs(long runs) { runs_ += runs; }
-  void add_cache_hits(long hits) { cache_hits_ += hits; }
 
   ~Timing() {
     double wall_s =
@@ -110,13 +107,11 @@ class Timing {
                  "  \"bench\": \"%s\",\n"
                  "  \"wall_s\": %.6f,\n"
                  "  \"runs\": %lld,\n"
-                 "  \"cache_hits\": %lld,\n"
                  "  \"jobs\": %lld,\n"
                  "  \"iters\": %lld,\n"
                  "  \"seed\": %llu\n"
                  "}\n",
                  name_.c_str(), wall_s, static_cast<long long>(runs_),
-                 static_cast<long long>(cache_hits_),
                  static_cast<long long>(resolved_jobs()),
                  static_cast<long long>(bench_iters()),
                  static_cast<unsigned long long>(bench_seed()));
@@ -127,12 +122,11 @@ class Timing {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   long runs_ = 0;
-  long cache_hits_ = 0;
 };
 
-/// Fans `configs` across the tls::runtime pool (TLS_BENCH_JOBS threads,
-/// TLS_CACHE_DIR cache) and returns results in submission order — the
-/// parallel output is byte-identical to a serial loop.
+/// Fans `configs` across the tls::runtime pool (TLS_BENCH_JOBS threads)
+/// and returns results in submission order — the parallel output is
+/// byte-identical to a serial loop.
 inline std::vector<exp::ExperimentResult> run_all(
     const std::vector<exp::ExperimentConfig>& configs,
     Timing* timing = nullptr) {
@@ -140,14 +134,11 @@ inline std::vector<exp::ExperimentResult> run_all(
   for (std::size_t i = 0; i < configs.size(); ++i) {
     plan.add("run" + std::to_string(i), configs[i]);
   }
-  runtime::RunOptions options;  // cache_dir defaults from $TLS_CACHE_DIR
+  runtime::RunOptions options;
   options.jobs = static_cast<int>(bench_jobs());
   options.progress = env_long("TLS_BENCH_PROGRESS", 0) != 0;
   runtime::RunReport report = runtime::run_plan(plan, options);
-  if (timing != nullptr) {
-    timing->add_runs(static_cast<long>(configs.size()));
-    timing->add_cache_hits(static_cast<long>(report.cache_hits));
-  }
+  if (timing != nullptr) timing->add_runs(static_cast<long>(configs.size()));
   return std::move(report.results);
 }
 

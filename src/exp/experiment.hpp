@@ -20,7 +20,7 @@ namespace tls::exp {
 /// Observability artifact selection for one experiment. All paths empty
 /// (the default) means no Tracer is attached and the simulation pays only
 /// a null-pointer check per emission site. Artifacts never influence the
-/// ExperimentResult, so the result cache deliberately ignores this struct.
+/// ExperimentResult.
 struct ObsOptions {
   /// Chrome trace-event JSON output (Perfetto/chrome://tracing).
   std::string trace_path;
@@ -97,8 +97,7 @@ struct ExperimentConfig {
   /// Hard simulated-time cap (guards against configuration mistakes).
   sim::Time time_limit = 48L * 3600 * sim::kSecond;
 
-  /// Trace/metrics artifacts (inert by default; excluded from result
-  /// caching — see runtime/result_cache.cpp canonical_config).
+  /// Trace/metrics artifacts (inert by default).
   ObsOptions obs{};
 };
 

@@ -38,7 +38,7 @@
 // Everything is integer arithmetic on trace timestamps, iterated in
 // deterministic (std::map / log) order, and rendered with fixed integer
 // formatting — reports are byte-identical across repeated seeded runs and
-// serial-vs-parallel RunSets (the golden-report test pins this).
+// serial-vs-parallel plan runs (the golden-report test pins this).
 #pragma once
 
 #include <cstdint>

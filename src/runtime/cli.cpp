@@ -100,8 +100,6 @@ flags (defaults = the paper's testbed):
 execution flags (host-side; results are byte-identical at any thread count):
   --threads N      worker threads for independent runs
                    (0 = $TLS_JOBS or hardware concurrency; 1 = serial)
-  --cache DIR      content-addressed result cache (default: $TLS_CACHE_DIR;
-                   unset = off) --no-cache forces it off
   --progress       per-run progress/ETA lines on stderr
 
 observability flags (artifacts never change results; multi-run commands
@@ -293,14 +291,12 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
   return true;
 }
 
-/// Host-execution options (threads / cache / progress) from flags; false
-/// with a message on a malformed value.
+/// Host-execution options (threads / progress) from flags; false with a
+/// message on a malformed value.
 bool build_run_options(const CliArgs& args, RunOptions* options,
                        std::string* error) {
   FlagReader flags(args);
   options->jobs = static_cast<int>(flags.integer("threads", 0, 0, 4096));
-  if (args.has("cache")) options->cache_dir = args.get("cache");
-  if (args.has("no-cache")) options->cache_dir.clear();
   options->progress = args.has("progress");
   return flags.ok(error);
 }
@@ -585,10 +581,10 @@ constexpr std::string_view kClusterFlags[] = {
 };
 /// The static testbed's workload, execution and observability flags.
 constexpr std::string_view kTestbedFlags[] = {
-    "jobs",        "workers",      "ps",         "iters",
-    "background",  "cache",        "no-cache",   "progress",
-    "trace",       "trace-csv",    "trace-filter", "trace-sample",
-    "report",      "report-csv",   "report-json",  "report-html",
+    "jobs",         "workers",      "ps",          "iters",
+    "background",   "progress",     "trace",       "trace-csv",
+    "trace-filter", "trace-sample", "report",      "report-csv",
+    "report-json",  "report-html",
 };
 /// The dynamic cluster's flags.
 constexpr std::string_view kScenarioFlags[] = {

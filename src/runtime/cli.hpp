@@ -22,7 +22,6 @@
 // Host-execution flags (results are byte-identical at any
 // thread count):
 //   --threads N (0 = $TLS_JOBS or hardware concurrency)
-//   --cache DIR | --no-cache (default: $TLS_CACHE_DIR, unset = off)
 //   --progress
 #pragma once
 

@@ -6,11 +6,9 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
-#include <memory>
 #include <mutex>
 
 #include "obs/trace.hpp"
-#include "runtime/result_cache.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace tls::runtime {
@@ -34,24 +32,17 @@ class Progress {
         stream_(stream != nullptr ? stream : &std::cerr),
         start_(Clock::now()) {}
 
-  void tick(const std::string& label, bool cached) {
+  void tick(const std::string& label) {
     if (!enabled_) return;
     std::lock_guard<std::mutex> lock(mu_);
     ++done_;
     double elapsed = seconds_since(start_);
+    double eta = elapsed / static_cast<double>(done_) *
+                 static_cast<double>(total_ - done_);
     char line[160];
-    if (cached) {
-      std::snprintf(line, sizeof(line), "[tls::runtime %zu/%zu] %s (cached)\n",
-                    done_, total_, label.c_str());
-    } else {
-      double eta = done_ > 0
-                       ? elapsed / static_cast<double>(done_) *
-                             static_cast<double>(total_ - done_)
-                       : 0.0;
-      std::snprintf(line, sizeof(line),
-                    "[tls::runtime %zu/%zu] %s  elapsed %.1fs eta %.1fs\n",
-                    done_, total_, label.c_str(), elapsed, eta);
-    }
+    std::snprintf(line, sizeof(line),
+                  "[tls::runtime %zu/%zu] %s  elapsed %.1fs eta %.1fs\n",
+                  done_, total_, label.c_str(), elapsed, eta);
     (*stream_) << line << std::flush;
   }
 
@@ -134,11 +125,6 @@ int default_jobs() {
   return ThreadPool::hardware_threads();
 }
 
-std::string default_cache_dir() {
-  const char* env = std::getenv("TLS_CACHE_DIR");
-  return env != nullptr ? env : "";
-}
-
 int fan_out(std::size_t n, int jobs,
             const std::function<void(std::size_t)>& run_one) {
   if (jobs <= 0) jobs = default_jobs();
@@ -170,10 +156,7 @@ int fan_out(std::size_t n, int jobs,
   return jobs;
 }
 
-RunSet::RunSet(RunOptions options) : options_(std::move(options)) {}
-
-RunReport RunSet::run(const RunPlan& plan) {
-  Clock::time_point t0 = Clock::now();
+RunReport run_plan(const RunPlan& plan, const RunOptions& options) {
   const std::size_t n = plan.entries.size();
 
   RunReport report;
@@ -181,14 +164,6 @@ RunReport RunSet::run(const RunPlan& plan) {
   report.labels.reserve(n);
   for (const RunPlan::Entry& e : plan.entries) report.labels.push_back(e.label);
 
-  std::unique_ptr<ResultCache> cache;
-  if (!options_.cache_dir.empty()) {
-    cache = std::make_unique<ResultCache>(options_.cache_dir);
-  }
-
-  // Multi-entry plans derive per-run artifact paths (trace.json ->
-  // trace.<label>.json) so parallel runs never share an output file; a
-  // single-entry plan keeps the caller's exact paths.
   std::vector<exp::ExperimentConfig> configs;
   configs.reserve(n);
   for (const RunPlan::Entry& e : plan.entries) {
@@ -208,49 +183,14 @@ RunReport RunSet::run(const RunPlan& plan) {
     configs.push_back(std::move(c));
   }
 
-  Progress progress(n, options_.progress, options_.progress_stream);
-
-  // Cache pass: fill hits in place, collect the misses to execute. Runs
-  // that emit observability artifacts bypass the cache entirely — a hit
-  // would return the result without ever writing the trace/metrics files
-  // (the cache key deliberately ignores obs options).
-  std::vector<std::size_t> misses;
-  misses.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cache != nullptr && !configs[i].obs.any()) {
-      if (std::optional<exp::ExperimentResult> hit =
-              cache->load(configs[i])) {
-        report.results[i] = std::move(*hit);
-        ++report.cache_hits;
-        progress.tick(plan.entries[i].label, /*cached=*/true);
-        continue;
-      }
-    }
-    misses.push_back(i);
-  }
-
-  // Each call writes only results[i]; the progress lines and the cache
-  // synchronize themselves.
-  std::mutex stores_mu;
-  std::size_t stores = 0;
-  report.jobs_used = fan_out(misses.size(), options_.jobs, [&](std::size_t k) {
-    const std::size_t i = misses[k];
-    exp::ExperimentResult result = exp::run_experiment(configs[i]);
-    if (cache != nullptr && !configs[i].obs.any() &&
-        cache->store(configs[i], result)) {
-      std::lock_guard<std::mutex> lock(stores_mu);
-      ++stores;
-    }
-    report.results[i] = std::move(result);
-    progress.tick(plan.entries[i].label, /*cached=*/false);
+  Progress progress(n, options.progress, options.progress_stream);
+  // Each call writes only results[i]; the progress lines synchronize
+  // themselves.
+  report.jobs_used = fan_out(n, options.jobs, [&](std::size_t i) {
+    report.results[i] = exp::run_experiment(configs[i]);
+    progress.tick(plan.entries[i].label);
   });
-  report.cache_stores = stores;
-  report.wall_s = seconds_since(t0);
   return report;
-}
-
-RunReport run_plan(const RunPlan& plan, RunOptions options) {
-  return RunSet(std::move(options)).run(plan);
 }
 
 }  // namespace tls::runtime

@@ -2,15 +2,11 @@
 //
 // A RunPlan is an ordered list of labelled, fully independent
 // ExperimentConfigs (seed replicas, placement sweeps, policy comparisons,
-// batch sweeps). RunSet fans the plan's entries across a work-stealing
+// batch sweeps). run_plan fans the plan's entries across a work-stealing
 // thread pool and returns results **keyed by run index, never by
 // completion order**, so the output of a parallel run is byte-identical
 // to a serial one — the repo-wide determinism contract survives
 // parallelism untouched (witnessed by tests/runtime/runner_test.cpp).
-//
-// Each run is checked against the content-addressed ResultCache first
-// (when a cache directory is configured), so re-running an unchanged
-// sweep is near-instant.
 #pragma once
 
 #include <functional>
@@ -61,10 +57,6 @@ struct RunPlan {
 /// positive, else std::thread::hardware_concurrency.
 int default_jobs();
 
-/// Cache directory when RunOptions::cache_dir is untouched: $TLS_CACHE_DIR
-/// when set, else "" (caching off).
-std::string default_cache_dir();
-
 /// The one fan-out both plan runners share. Calls run_one(i) for every i
 /// in [0, n) on `jobs` threads (0 = default_jobs(); clamped to [1, n]):
 /// inline on the caller's thread at one, a ThreadPool otherwise. Every
@@ -77,9 +69,6 @@ struct RunOptions {
   /// Worker threads; 0 = default_jobs(). 1 runs inline on the caller's
   /// thread with no pool at all.
   int jobs = 0;
-  /// Result-cache directory; empty disables caching. Defaults to
-  /// $TLS_CACHE_DIR so any caller can opt a whole process in.
-  std::string cache_dir = default_cache_dir();
   /// Emit one progress/ETA line per completed run.
   bool progress = false;
   /// Progress destination; nullptr = std::cerr.
@@ -88,32 +77,16 @@ struct RunOptions {
 
 struct RunReport {
   /// results[i] corresponds to plan.entries[i], regardless of completion
-  /// order or cache hits.
+  /// order.
   std::vector<exp::ExperimentResult> results;
   std::vector<std::string> labels;
   int jobs_used = 1;
-  std::size_t cache_hits = 0;
-  std::size_t cache_stores = 0;
-  /// Host wall-clock of the whole run (the only wall-clock quantity this
-  /// repo reports; simulation time is unaffected).
-  double wall_s = 0;
 };
 
-class RunSet {
- public:
-  explicit RunSet(RunOptions options = {});
-
-  /// Executes every entry (cache-first), rethrowing the first worker
-  /// exception after all in-flight runs drain.
-  RunReport run(const RunPlan& plan);
-
-  const RunOptions& options() const { return options_; }
-
- private:
-  RunOptions options_;
-};
-
-/// One-shot convenience wrapper around RunSet.
-RunReport run_plan(const RunPlan& plan, RunOptions options = {});
+/// Executes every entry through fan_out, rethrowing the first worker
+/// exception after all in-flight runs drain. A multi-entry plan derives
+/// per-run artifact paths (trace.json -> trace.<label>.json) so parallel
+/// runs never share an output file; a single entry keeps its exact paths.
+RunReport run_plan(const RunPlan& plan, const RunOptions& options = {});
 
 }  // namespace tls::runtime

@@ -21,17 +21,6 @@ ScenarioPlan ScenarioPlan::policy_comparison(const scenario::Config& base) {
   return plan;
 }
 
-ScenarioPlan ScenarioPlan::replicated(const scenario::Config& base,
-                                      int replicas) {
-  ScenarioPlan plan;
-  for (int i = 0; i < replicas; ++i) {
-    scenario::Config c = base;
-    c.seed = base.seed + static_cast<std::uint64_t>(i);
-    plan.add("seed" + std::to_string(c.seed), std::move(c));
-  }
-  return plan;
-}
-
 ScenarioReport run_scenario_plan(const ScenarioPlan& plan, int jobs) {
   const std::size_t n = plan.entries.size();
   ScenarioReport report;

@@ -1,10 +1,8 @@
 // Parallel execution of scenario plans (the dynamic-cluster analog of
-// RunPlan/RunSet). Entries are fully independent scenario::Configs; the
+// RunPlan/run_plan). Entries are fully independent scenario::Configs; the
 // plan fans across the work-stealing thread pool and results come back
 // keyed by entry index, never by completion order, so a parallel plan's
-// output is byte-identical to a serial one. Scenarios are not cached:
-// unlike ExperimentConfig there is no content-addressed key for an
-// arbitrary replayed trace, and a scenario run is the benchmark itself.
+// output is byte-identical to a serial one.
 #pragma once
 
 #include <string>
@@ -29,10 +27,6 @@ struct ScenarioPlan {
   /// default — FIFO first so it is the comparison baseline). The trace
   /// seed is shared, so every policy schedules the identical workload.
   static ScenarioPlan policy_comparison(const scenario::Config& base);
-
-  /// `replicas` copies of `base` with simulator seeds base.seed, +1, ...
-  /// The trace seed stays fixed: same workload, fresh noise streams.
-  static ScenarioPlan replicated(const scenario::Config& base, int replicas);
 };
 
 struct ScenarioReport {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -114,6 +115,34 @@ std::string fmt_seconds(sim::Time t) {
   return buf;
 }
 
+// A replayed trace gets the bounds tlsim scenario puts on a generated one,
+// so every accepted value fits the engine's integer arithmetic: times stay
+// within 1e9 s of zero, and iterations x workers fits std::int64_t.
+constexpr double kMaxSeconds = 1e9;
+constexpr long kMaxWorkers = 4095;
+constexpr long kMaxBatch = 65536;
+constexpr long kMaxIterations = 1000000;
+
+/// A whole, non-empty field holding an integer in [lo, hi].
+bool parse_integer(const std::string& field, long lo, long hi, long* out) {
+  if (field.empty()) return false;
+  char* end = nullptr;
+  long v = std::strtol(field.c_str(), &end, 10);
+  if (*end != '\0' || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+/// A whole, non-empty field holding a finite real in [lo, kMaxSeconds].
+bool parse_seconds(const std::string& field, double lo, double* out) {
+  if (field.empty()) return false;
+  char* end = nullptr;
+  double v = std::strtod(field.c_str(), &end);
+  if (*end != '\0' || !(v >= lo && v <= kMaxSeconds)) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 std::string trace_csv(const Trace& trace) {
@@ -167,37 +196,34 @@ bool parse_trace_csv(const std::string& text, Trace* out, std::string* error) {
       return false;
     };
     TraceJob job;
-    char* end = nullptr;
-    long id = std::strtol(fields[0].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || fields[0].empty()) {
-      return fail("bad job_id");
-    }
+    long id = 0;
+    if (!parse_integer(fields[0], 0, INT32_MAX, &id)) return fail("bad job_id");
     job.job_id = static_cast<std::int32_t>(id);
-    double arrival_s = std::strtod(fields[1].c_str(), &end);
-    if (end == nullptr || *end != '\0' || fields[1].empty() || arrival_s < 0) {
-      return fail("bad arrival_s");
-    }
+    double arrival_s = 0;
+    if (!parse_seconds(fields[1], 0, &arrival_s)) return fail("bad arrival_s");
     job.arrival = sim::from_seconds(arrival_s);
-    double lifetime_s = std::strtod(fields[2].c_str(), &end);
-    if (end == nullptr || *end != '\0' || fields[2].empty()) {
+    double lifetime_s = 0;
+    if (!parse_seconds(fields[2], -kMaxSeconds, &lifetime_s)) {
       return fail("bad lifetime_s");
     }
     job.lifetime = sim::from_seconds(lifetime_s);
     if (fields[3].empty()) return fail("empty model name");
     job.model = fields[3];
-    long workers = std::strtol(fields[4].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || workers < 1) {
+    long workers = 0;
+    if (!parse_integer(fields[4], 1, kMaxWorkers, &workers)) {
       return fail("bad workers");
     }
     job.num_workers = static_cast<int>(workers);
-    long batch = std::strtol(fields[5].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || batch < 1) return fail("bad batch");
+    long batch = 0;
+    if (!parse_integer(fields[5], 1, kMaxBatch, &batch)) {
+      return fail("bad batch");
+    }
     job.local_batch_size = static_cast<int>(batch);
-    long iters = std::strtol(fields[6].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || iters < 1) {
+    long iterations = 0;
+    if (!parse_integer(fields[6], 1, kMaxIterations, &iterations)) {
       return fail("bad iterations");
     }
-    job.iterations = iters;
+    job.iterations = iterations;
     if (!seen_ids.insert(job.job_id).second) {
       return fail("duplicate job_id");
     }

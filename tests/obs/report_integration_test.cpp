@@ -396,7 +396,6 @@ TEST(ReportDeterminism, SerialAndParallelRunSetsWriteIdenticalReports) {
     runtime::RunPlan plan = runtime::RunPlan::policy_comparison(base);
     runtime::RunOptions options;
     options.jobs = jobs;
-    options.cache_dir = "";  // isolate from any $TLS_CACHE_DIR
     return runtime::run_plan(plan, options);
   };
   runtime::RunReport serial = run_with(serial_dir, 1);

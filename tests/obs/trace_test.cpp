@@ -264,7 +264,7 @@ TEST(PerRunPath, IdenticalLabelsCollideByDesign) {
 }
 
 TEST(PerRunPath, EmptyLabelLeavesBaseUntouched) {
-  // A single-entry RunSet has no label; the artifact keeps its plain path
+  // A single-entry plan has no label; the artifact keeps its plain path
   // (no trailing dot, no mangling), extension or not.
   EXPECT_EQ(per_run_path("out/trace.json", ""), "out/trace.json");
   EXPECT_EQ(per_run_path("out/trace", ""), "out/trace");

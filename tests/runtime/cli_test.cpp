@@ -311,6 +311,20 @@ TEST(Cli, ScenarioTraceReplayRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, ScenarioNanArrivalTraceIsAUsageError) {
+  std::string path = ::testing::TempDir() + "/tlsim_cli_nan_arrival.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "job_id,arrival_s,lifetime_s,model,workers,batch,iterations\n"
+        << "0,nan,0,resnet32_cifar10,2,1,3\n";
+  }
+  CliRun r = cli({SMALL_SCENARIO, "--scenario-trace", path});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("trace line 2: bad arrival_s"), std::string::npos)
+      << r.err;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, ScenarioMissingTraceFileRejected) {
   CliRun r = cli({SMALL_SCENARIO, "--scenario-trace", "/nonexistent/t.csv"});
   EXPECT_EQ(r.code, 2);
@@ -345,7 +359,8 @@ TEST(Cli, ScenarioRejectsTraceAndReportFlagsAndWritesNothing) {
 
 TEST(Cli, EachCommandRejectsTheFlagsItDoesNotRead) {
   // compare and the sweeps run every policy / placement / batch size
-  // themselves; only run replicates and exports; scenario has no testbed.
+  // themselves; only run replicates and exports; scenario has no testbed;
+  // and no command has a result cache.
   const std::vector<std::vector<std::string>> rejected = {
       {"compare", "--policy", "fifo"},
       {"compare", "--replicas", "2"},
@@ -355,7 +370,9 @@ TEST(Cli, EachCommandRejectsTheFlagsItDoesNotRead) {
       {"run", "--cores", "4"},
       {"run", "--scenario-jobs", "4"},
       {"scenario", "--jobs", "4"},
-      {"scenario", "--no-cache"},
+      {"scenario", "--progress"},
+      {"run", "--cache", "dir"},
+      {"compare", "--no-cache"},
   };
   for (const std::vector<std::string>& args : rejected) {
     std::ostringstream out, err;

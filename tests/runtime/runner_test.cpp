@@ -1,14 +1,11 @@
 // The parallel-determinism witness (DESIGN.md §7): the same seeded sweep
 // run with jobs=1 and jobs=8 must produce byte-identical CSV/JSON exports
-// — results are keyed by run index, never by completion order. Also the
-// cache behavior contract: a second run of an unchanged plan is all hits
-// and still byte-identical.
+// — results are keyed by run index, never by completion order.
 #include "runtime/runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,8 +13,6 @@
 
 namespace tls::runtime {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Small contended sweep mirroring tests/integration/determinism_test.cpp:
 /// colocated PSes and a slow link so runs are long enough to genuinely
@@ -68,7 +63,6 @@ std::string full_export(const RunReport& report) {
 RunOptions with_jobs(int jobs) {
   RunOptions o;
   o.jobs = jobs;
-  o.cache_dir.clear();  // caching off unless a test opts in
   return o;
 }
 
@@ -82,31 +76,6 @@ TEST(Runner, ParallelExportIsByteIdenticalToSerial) {
   ASSERT_EQ(parallel.results.size(), plan.size());
   EXPECT_EQ(full_export(serial), full_export(parallel));
   EXPECT_EQ(serial.labels, parallel.labels);
-}
-
-TEST(Runner, SecondRunIsAllCacheHitsAndIdentical) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_runner_cache";
-  fs::remove_all(dir);
-  RunPlan plan = seeded_sweep();
-
-  RunOptions options = with_jobs(2);
-  options.cache_dir = dir.string();
-  RunReport first = run_plan(plan, options);
-  EXPECT_EQ(first.cache_hits, 0u);
-  EXPECT_EQ(first.cache_stores, plan.size());
-
-  RunReport second = run_plan(plan, options);
-  EXPECT_EQ(second.cache_hits, plan.size());
-  EXPECT_EQ(second.cache_stores, 0u);
-  EXPECT_EQ(full_export(first), full_export(second));
-
-  // A config change (new seed) misses and reruns.
-  RunPlan changed = plan;
-  changed.entries[0].config.seed = 99;
-  RunReport third = run_plan(changed, options);
-  EXPECT_EQ(third.cache_hits, plan.size() - 1);
-  EXPECT_EQ(third.cache_stores, 1u);
-  fs::remove_all(dir);
 }
 
 TEST(Runner, ReplicatedPlanMatchesRunReplicatedContract) {
@@ -200,7 +169,7 @@ TEST(Runner, FanOutRunsEveryCallBeforeRethrowingTheFirstError) {
 TEST(Runner, EmptyPlanIsANoOp) {
   RunReport report = run_plan(RunPlan{}, with_jobs(4));
   EXPECT_TRUE(report.results.empty());
-  EXPECT_EQ(report.cache_hits, 0u);
+  EXPECT_TRUE(report.labels.empty());
 }
 
 }  // namespace

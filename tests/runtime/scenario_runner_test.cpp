@@ -37,18 +37,6 @@ TEST(ScenarioPlan, PolicyComparisonCoversDefaultPoliciesFifoFirst) {
   }
 }
 
-TEST(ScenarioPlan, ReplicatedBumpsOnlyTheSimulatorSeed) {
-  ScenarioPlan plan = ScenarioPlan::replicated(small_config(), 3);
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan.entries[0].config.seed, 2u);
-  EXPECT_EQ(plan.entries[1].config.seed, 3u);
-  EXPECT_EQ(plan.entries[2].config.seed, 4u);
-  EXPECT_EQ(plan.entries[0].label, "seed2");
-  for (const ScenarioPlan::Entry& e : plan.entries) {
-    EXPECT_EQ(e.config.trace.seed, 17u);
-  }
-}
-
 TEST(ScenarioRunner, ParallelPlanMatchesSerialByteForByte) {
   ScenarioPlan plan = ScenarioPlan::policy_comparison(small_config());
   ScenarioReport serial = run_scenario_plan(plan, 1);

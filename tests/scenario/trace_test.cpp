@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace tls::scenario {
 namespace {
@@ -142,18 +143,57 @@ TEST(Trace, ParseRejectsWrongFieldCount) {
 }
 
 TEST(Trace, ParseRejectsBadValues) {
+  // Each value is malformed or lies outside the bounds tlsim scenario puts
+  // on a generated trace.
+  const std::pair<const char*, const char*> cases[] = {
+      {"x,1.0,0.0,alexnet,2,1,10", "bad job_id"},
+      {"-1,1.0,0.0,alexnet,2,1,10", "bad job_id"},
+      {"4294967296,1.0,0.0,alexnet,2,1,10", "bad job_id"},
+      {"2147483648,1.0,0.0,alexnet,2,1,10", "bad job_id"},
+      {"0,-1.0,0.0,alexnet,2,1,10", "bad arrival_s"},
+      {"0,nan,0.0,alexnet,2,1,10", "bad arrival_s"},
+      {"0,inf,0.0,alexnet,2,1,10", "bad arrival_s"},
+      {"0,1e300,0.0,alexnet,2,1,10", "bad arrival_s"},
+      {"0,1.0,nan,alexnet,2,1,10", "bad lifetime_s"},
+      {"0,1.0,-inf,alexnet,2,1,10", "bad lifetime_s"},
+      {"0,1.0,1e10,alexnet,2,1,10", "bad lifetime_s"},
+      {"0,1.0,,alexnet,2,1,10", "bad lifetime_s"},
+      {"0,1.0,0.0,,2,1,10", "empty model"},
+      {"0,1.0,0.0,alexnet,0,1,10", "bad workers"},
+      {"0,1.0,0.0,alexnet,4096,1,10", "bad workers"},
+      {"0,1.0,0.0,alexnet,4294967298,1,10", "bad workers"},
+      {"0,1.0,0.0,alexnet,,1,10", "bad workers"},
+      {"0,1.0,0.0,alexnet,2,0,10", "bad batch"},
+      {"0,1.0,0.0,alexnet,2,65537,10", "bad batch"},
+      {"0,1.0,0.0,alexnet,2,1,0", "bad iterations"},
+      {"0,1.0,0.0,alexnet,2,1,1000001", "bad iterations"},
+      {"0,1.0,0.0,alexnet,2,1,9000000000000000000", "bad iterations"},
+      {"0,1.0,0.0,alexnet,2,1,9e18", "bad iterations"},
+  };
+  for (const auto& [line, expected] : cases) {
+    Trace t;
+    std::string error;
+    EXPECT_FALSE(parse_trace_csv(std::string(line) + "\n", &t, &error))
+        << line;
+    EXPECT_NE(error.find(expected), std::string::npos) << line << ": " << error;
+  }
+
+  // The bounds themselves are accepted.
   Trace t;
   std::string error;
-  EXPECT_FALSE(
-      parse_trace_csv("x,1.0,0.0,alexnet,2,1,10\n", &t, &error));
-  EXPECT_NE(error.find("bad job_id"), std::string::npos) << error;
-  EXPECT_FALSE(
-      parse_trace_csv("0,-1.0,0.0,alexnet,2,1,10\n", &t, &error));
-  EXPECT_NE(error.find("bad arrival_s"), std::string::npos) << error;
-  EXPECT_FALSE(parse_trace_csv("0,1.0,0.0,alexnet,0,1,10\n", &t, &error));
-  EXPECT_NE(error.find("bad workers"), std::string::npos) << error;
-  EXPECT_FALSE(parse_trace_csv("0,1.0,0.0,,2,1,10\n", &t, &error));
-  EXPECT_NE(error.find("empty model"), std::string::npos) << error;
+  ASSERT_TRUE(parse_trace_csv(
+      "2147483647,1e9,-1e9,alexnet,4095,65536,1000000\n"
+      "0,0,1e9,alexnet,1,1,1\n",
+      &t, &error))
+      << error;
+  ASSERT_EQ(t.jobs.size(), 2u);
+  EXPECT_EQ(t.jobs[0].job_id, 0);
+  EXPECT_EQ(t.jobs[1].job_id, 2147483647);
+  EXPECT_EQ(t.jobs[1].arrival, sim::from_seconds(1e9));
+  EXPECT_EQ(t.jobs[1].lifetime, sim::from_seconds(-1e9));
+  EXPECT_EQ(t.jobs[1].num_workers, 4095);
+  EXPECT_EQ(t.jobs[1].local_batch_size, 65536);
+  EXPECT_EQ(t.jobs[1].iterations, 1000000);
 }
 
 TEST(Trace, ParseRejectsDuplicateJobIds) {

@@ -9,8 +9,7 @@
 #   tools/bench.sh 'fig5|attribution'
 #
 # Scale knobs pass through to the harnesses: TLS_BENCH_ITERS (default 60),
-# TLS_BENCH_SEED, TLS_BENCH_JOBS, TLS_CACHE_DIR (set it to make re-runs of
-# unchanged benches near-instant).
+# TLS_BENCH_SEED, TLS_BENCH_JOBS.
 #
 # bench_micro is excluded: it is a google-benchmark harness with its own
 # output format and emits no BENCH json.

@@ -14,6 +14,14 @@ cmake --preset debug-asan
 cmake --build --preset debug-asan -j "$jobs"
 ctest --preset debug-asan -j "$jobs"
 
+echo "==> [1b/4] debug-ubsan: input-reader mutation tests (UBSan incl. float-cast-overflow)"
+# The seeded mutation tests feed hostile trace CSVs to the obs and scenario
+# readers; a NaN or huge number that slips through becomes an integer time
+# only float-cast-overflow reports.
+cmake --preset debug-ubsan
+cmake --build --preset debug-ubsan -j "$jobs" --target test_obs test_scenario
+ctest --preset debug-ubsan -R Mutation -j "$jobs"
+
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
@@ -175,11 +183,11 @@ cmake --build --preset debug-asan -j "$jobs" --target bench_diff
   || echo "bench_diff: regression worse than 15% (non-fatal; see table above)"
 
 echo "==> [3/4] debug-tsan: tls::runtime pool + both plan runners under ThreadSanitizer"
-# Runner* and ScenarioRunner*/ScenarioPlan* drive RunSet and
+# Runner* and ScenarioRunner*/ScenarioPlan* drive run_plan and
 # run_scenario_plan through the one shared fan-out.
 cmake --preset debug-tsan
 cmake --build --preset debug-tsan -j "$jobs" --target test_runtime
-(cd build-tsan && ctest -R '^(ThreadPool|Runner|ScenarioRunner|ScenarioPlan|ResultCache|Fnv1a64|CanonicalConfig)' \
+(cd build-tsan && ctest -R '^(ThreadPool|Runner|ScenarioRunner|ScenarioPlan)' \
   --output-on-failure -j "$jobs")
 
 echo "==> [4/4] ci preset: RelWithDebInfo + TLS_WERROR=ON, tier-1 ctest"
@@ -192,7 +200,7 @@ echo "==> [4b/4] in-process report memory: 60-iteration paper run"
 # with both stays near an untraced run's RSS (~14 MB) instead of holding
 # the whole event log (977 MB when every event was kept). build-ci, not
 # build-asan: ASan inflates RSS.
-mem_run=(./build-ci/tools/tlsim run --policy tls-one --threads 1 --no-cache
+mem_run=(./build-ci/tools/tlsim run --policy tls-one --threads 1
   --trace-csv "$smoke_dir/paper.csv" --report "$smoke_dir/paper.txt"
   --report-json "$smoke_dir/paper.json")
 if command -v python3 >/dev/null 2>&1; then
