@@ -3,7 +3,9 @@
 // reader feeding StreamingAnalyzer one event at a time — reporting
 // events/sec (CSV parse included) and the engine's peak retained records
 // against the total event count. That is the bounded-memory headline: the
-// peak stays a small in-flight window however long the trace is.
+// peak stays a small in-flight window however long the trace is. A row
+// above it times the reader alone over the same trace (a sink that only
+// counts), so the parser and the engine each have a number.
 //
 // A capture-sampling row (qdisc=16, htb=16) shows the filter layer's effect
 // on trace volume while the blame matrix stays integer-exact (analysis
@@ -82,8 +84,23 @@ int main(int argc, char** argv) {
   const std::string trace = capture("", in_process_json_path);
   timing.add_runs(1);
 
-  // Offline: CSV straight into the engine, repeated for a stable number.
+  // The reader alone, then the CSV straight into the engine; each repeated
+  // for a stable number.
   const int reps = 3;
+  auto p0 = std::chrono::steady_clock::now();
+  std::uint64_t parsed = 0;
+  for (int r = 0; r < reps; ++r) {
+    parsed = 0;
+    std::string error;
+    if (!obs::for_each_trace_csv_event(
+            trace, [&parsed](const obs::TraceEvent&) { ++parsed; }, nullptr,
+            &error)) {
+      std::fprintf(stderr, "bench_obs_streaming: %s\n", error.c_str());
+      return 1;
+    }
+  }
+  double parse_s = seconds_since(p0) / reps;
+
   auto t0 = std::chrono::steady_clock::now();
   std::string offline_json;
   std::size_t peak = 0;
@@ -122,6 +139,9 @@ int main(int argc, char** argv) {
   };
   metrics::Table table({"trace", "events", "wall ms", "events/sec",
                         "peak retained", "retained %"});
+  table.add_row({"csv parse only", std::to_string(parsed),
+                 metrics::fmt(parse_s * 1e3, 1),
+                 std::to_string(events_per_sec(parsed, parse_s)), "-", "-"});
   table.add_row({"csv -> streaming", std::to_string(events),
                  metrics::fmt(offline_s * 1e3, 1),
                  std::to_string(events_per_sec(events, offline_s)),

@@ -4,11 +4,19 @@
 // this same walk over it — the engine's byte-identical-to-batch contract
 // (golden-report tests) rests on that sharing. Not part of the public obs
 // API; include obs/analysis.hpp instead.
+//
+// Index::flows and FlowTrace::chunks are hash maps: every event touches
+// them by key, and nothing may let their order reach an output. The walk
+// only looks them up; the engine's one loop over flows takes minima
+// (StreamingAnalyzer::prune_port_records) and its per-job pruning walks its
+// own ordered id lists. Every map whose order a report sees — the deliver
+// chain, the end-time probes, releases, blame — stays ordered.
 #pragma once
 
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,8 +60,10 @@ struct FlowTrace {
   std::int64_t iteration = -1;
   sim::Time start_at{-1};
   sim::Time end_at{-1};
-  std::map<std::int64_t, ChunkTrace> chunks;        ///< by chunk index
-  std::map<sim::Time, std::int64_t> index_by_deliver;  ///< deliver -> index
+  /// By chunk index. Hashed, looked up only by key.
+  std::unordered_map<std::int64_t, ChunkTrace> chunks;
+  /// Deliver time -> chunk index; ordered, the walk takes its last entry.
+  std::map<sim::Time, std::int64_t> index_by_deliver;
   /// Log position of the flow's earliest enqueue event (the dequeue-record
   /// retention watermark).
   std::size_t min_enq_idx = static_cast<std::size_t>(-1);
@@ -76,7 +86,8 @@ struct Release {
 /// Everything the critical-path walk needs. The streaming engine grows it
 /// per event and prunes entries behind the finalization watermark.
 struct Index {
-  std::map<std::int64_t, FlowTrace> flows;  ///< by flow id
+  /// By flow id. Hashed: no loop over it may let its order reach an output.
+  std::unordered_map<std::int64_t, FlowTrace> flows;
   /// (job, kind, dst host, end time) -> flow id, last in log order wins.
   std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t, sim::Time>,
            std::int64_t>

@@ -1,8 +1,10 @@
 #include "obs/reader.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <fstream>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -12,26 +14,44 @@ namespace tls::obs {
 
 namespace {
 
-constexpr const char* kHeader = "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns";
+constexpr std::string_view kHeader =
+    "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns";
+constexpr std::size_t kColumns = 11;
+constexpr std::size_t kNumKinds =
+    static_cast<std::size_t>(EventKind::kPsAggregate) + 1;
 
 using EventSink = std::function<void(const TraceEvent&)>;
 
-bool kind_from_string(const std::string& name, EventKind* out) {
-  for (int k = 0; k <= static_cast<int>(EventKind::kPsAggregate); ++k) {
-    EventKind kind = static_cast<EventKind>(k);
-    if (name == to_string(kind)) {
-      *out = kind;
+// Kind and category names are views built once, so a compare is a length
+// check and a memcmp.
+bool kind_from_string(std::string_view name, EventKind* out) {
+  static const auto kNames = [] {
+    std::array<std::string_view, kNumKinds> names;
+    for (std::size_t k = 0; k < kNumKinds; ++k) {
+      names[k] = to_string(static_cast<EventKind>(k));
+    }
+    return names;
+  }();
+  for (std::size_t k = 0; k < kNumKinds; ++k) {
+    if (kNames[k] == name) {
+      *out = static_cast<EventKind>(k);
       return true;
     }
   }
   return false;
 }
 
-bool cat_from_string(const std::string& name, Cat* out) {
-  for (std::uint32_t bit = 1; bit <= kAllCats; bit <<= 1) {
-    Cat cat = static_cast<Cat>(bit);
-    if (name == to_string(cat)) {
-      *out = cat;
+bool cat_from_string(std::string_view name, Cat* out) {
+  static const auto kNames = [] {
+    std::array<std::string_view, kNumCats> names;
+    for (int i = 0; i < kNumCats; ++i) {
+      names[static_cast<std::size_t>(i)] = to_string(static_cast<Cat>(1u << i));
+    }
+    return names;
+  }();
+  for (int i = 0; i < kNumCats; ++i) {
+    if (kNames[static_cast<std::size_t>(i)] == name) {
+      *out = static_cast<Cat>(1u << i);
       return true;
     }
   }
@@ -42,33 +62,33 @@ bool cat_from_string(const std::string& name, Cat* out) {
 /// of T's range is malformed, never silently narrowed (host 4294967296
 /// must not alias host 0).
 template <typename T>
-bool parse_int(const std::string& tok, T* out) {
+bool parse_int(std::string_view tok, T* out) {
   const char* end = tok.data() + tok.size();
   auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
   return ec == std::errc() && ptr == end;
 }
 
-void split_columns(const std::string& line, std::vector<std::string>* cols) {
-  cols->clear();
-  std::size_t start = 0;
+/// Splits `line` at commas into views of its bytes, storing the first
+/// `max_cols` and returning the full field count (so a long row reports
+/// how many columns it has).
+std::size_t split_columns(std::string_view line, std::string_view* cols,
+                          std::size_t max_cols) {
+  std::size_t n = 0;
   for (;;) {
-    std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      cols->push_back(line.substr(start));
-      break;
-    }
-    cols->push_back(line.substr(start, comma - start));
-    start = comma + 1;
+    std::size_t comma = line.find(',');
+    if (n < max_cols) cols[n] = line.substr(0, comma);
+    ++n;
+    if (comma == std::string_view::npos) return n;
+    line.remove_prefix(comma + 1);
   }
 }
 
 /// `#health,<dropped|sampled>,<total|cat>,<count>` trailer comments carry
 /// the tracer's capture-health counters; any other '#' line is ignored.
-void handle_comment(const std::string& line, TraceHealth* health) {
+void handle_comment(std::string_view line, TraceHealth* health) {
   if (health == nullptr) return;
-  std::vector<std::string> cols;
-  split_columns(line, &cols);
-  if (cols.size() != 4 || cols[0] != "#health") return;
+  std::string_view cols[4];
+  if (split_columns(line, cols, 4) != 4 || cols[0] != "#health") return;
   std::int64_t count = 0;
   if (!parse_int(cols[3], &count) || count < 0) return;
   bool dropped = cols[1] == "dropped";
@@ -85,16 +105,16 @@ void handle_comment(const std::string& line, TraceHealth* health) {
       static_cast<std::uint64_t>(count);
 }
 
-/// Parses one complete line (header, comment, or event row). Keeps the
-/// batch reader's exact error messages.
-bool handle_line(const std::string& line, int lineno, bool* header_seen,
+/// Parses one complete line (header, comment, or event row) where it lies.
+/// Keeps the batch reader's exact error messages.
+bool handle_line(std::string_view line, int lineno, bool* header_seen,
                  const EventSink& sink, TraceHealth* health,
                  std::string* error) {
   if (!*header_seen) {
     if (line != kHeader) {
       if (error != nullptr) {
         *error = "not a trace CSV (expected header '" + std::string(kHeader) +
-                 "', got '" + line + "')";
+                 "', got '" + std::string(line) + "')";
       }
       return false;
     }
@@ -106,57 +126,60 @@ bool handle_line(const std::string& line, int lineno, bool* header_seen,
     handle_comment(line, health);
     return true;
   }
-  std::vector<std::string> cols;
-  split_columns(line, &cols);
-  if (cols.size() != 11) {
+  std::string_view cols[kColumns];
+  std::size_t n = split_columns(line, cols, kColumns);
+  if (n != kColumns) {
     if (error != nullptr) {
       *error = "line " + std::to_string(lineno) + ": expected 11 columns, got " +
-               std::to_string(cols.size());
+               std::to_string(n);
     }
     return false;
   }
   TraceEvent e;
-  std::int64_t v = 0;
-  bool ok = parse_int(cols[0], &v);
-  e.at = sim::from_nanos(v);
-  ok = ok && kind_from_string(cols[1], &e.kind);
-  ok = ok && cat_from_string(cols[2], &e.cat);
-  ok = ok && parse_int(cols[3], &e.host);
-  ok = ok && parse_int(cols[4], &e.job);
-  ok = ok && parse_int(cols[5], &e.band);
-  ok = ok && parse_int(cols[6], &e.flow);
-  ok = ok && parse_int(cols[7], &e.bytes);
-  ok = ok && parse_int(cols[8], &e.a);
-  ok = ok && parse_int(cols[9], &e.b);
-  ok = ok && parse_int(cols[10], &v);
-  e.dur = sim::from_nanos(v);
+  std::int64_t at = 0;
+  std::int64_t dur = 0;
+  bool ok = parse_int(cols[0], &at) && kind_from_string(cols[1], &e.kind) &&
+            cat_from_string(cols[2], &e.cat) && parse_int(cols[3], &e.host) &&
+            parse_int(cols[4], &e.job) && parse_int(cols[5], &e.band) &&
+            parse_int(cols[6], &e.flow) && parse_int(cols[7], &e.bytes) &&
+            parse_int(cols[8], &e.a) && parse_int(cols[9], &e.b) &&
+            parse_int(cols[10], &dur);
   if (!ok) {
     if (error != nullptr) {
-      *error = "line " + std::to_string(lineno) + ": malformed row '" + line + "'";
+      *error = "line " + std::to_string(lineno) + ": malformed row '" +
+               std::string(line) + "'";
     }
     return false;
   }
+  e.at = sim::from_nanos(at);
+  e.dur = sim::from_nanos(dur);
   sink(e);
   return true;
 }
 
-/// Splits a chunk into lines, carrying the trailing partial line over in
-/// `pending` for the next chunk (or a later poll of a growing file).
+/// Parses every complete line of a chunk in place. Only a line that
+/// straddles a chunk boundary is assembled in `pending`: the bytes after
+/// the chunk's last newline are carried over for the next chunk (or a
+/// later poll of a growing file).
 bool feed_chunk(const char* data, std::size_t n, std::string* pending,
                 int* lineno, bool* header_seen, const EventSink& sink,
                 TraceHealth* health, std::string* error) {
+  const std::string_view chunk(data, n);
   std::size_t start = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (data[i] != '\n') continue;
-    pending->append(data + start, i - start);
+  for (std::size_t end = chunk.find('\n'); end != std::string_view::npos;
+       end = chunk.find('\n', start)) {
+    std::string_view line = chunk.substr(start, end - start);
+    if (!pending->empty()) {
+      pending->append(line);
+      line = *pending;
+    }
     ++*lineno;
-    bool ok = handle_line(*pending, *lineno, header_seen, sink, health,
-                          error);
+    bool ok = handle_line(line, *lineno, header_seen, sink, health, error);
     pending->clear();
     if (!ok) return false;
-    start = i + 1;
+    start = end + 1;
   }
-  pending->append(data + start, n - start);
+  pending->append(chunk.substr(start));
   return true;
 }
 
@@ -219,12 +242,11 @@ bool TraceCsvTail::poll(const std::function<void(const TraceEvent&)>& sink,
   std::uint64_t size = static_cast<std::uint64_t>(in.tellg());
   bool restart = size < offset_;
   if (!restart && header_seen_ && size > 0) {
-    const std::string header(kHeader);
     std::string lead(
-        std::min(header.size(), static_cast<std::size_t>(size)), '\0');
+        std::min(kHeader.size(), static_cast<std::size_t>(size)), '\0');
     in.seekg(0);
     in.read(lead.data(), static_cast<std::streamsize>(lead.size()));
-    if (header.compare(0, lead.size(), lead) != 0) restart = true;
+    if (kHeader.compare(0, lead.size(), lead) != 0) restart = true;
   }
   if (restart) {
     offset_ = 0;

@@ -340,7 +340,8 @@ void StreamingAnalyzer::prune_port_records() {
   // (arr_idx, del_idx) are bounded by the minimum arrival index the same
   // way. Each lane prunes under its own floor, keeping the per-host
   // delivery records live exactly until the last window that could
-  // reference them has finalized.
+  // reference them has finalized. The floors are minima, so the hash
+  // order of ix_.flows cannot reach them.
   std::size_t enq_floor = next_idx_;
   std::size_t arr_floor = next_idx_;
   for (const auto& [id, f] : ix_.flows) {

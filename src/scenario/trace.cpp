@@ -229,6 +229,12 @@ bool parse_trace_csv(const std::string& text, Trace* out, std::string* error) {
     }
     trace.jobs.push_back(std::move(job));
   }
+  // An empty replay would read as "generate" (Config::replay), so a
+  // header-only file must not pass for a trace.
+  if (trace.jobs.empty()) {
+    *error = "trace has no jobs";
+    return false;
+  }
   std::sort(trace.jobs.begin(), trace.jobs.end(),
             [](const TraceJob& a, const TraceJob& b) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;

@@ -102,7 +102,8 @@ std::string trace_csv(const Trace& trace);
 /// on a generated trace: job_id in [0, 2^31 - 1], arrival_s finite in
 /// [0, 1e9], |lifetime_s| <= 1e9, workers in [1, 4095], batch in
 /// [1, 65536] and iterations in [1, 10^6]. Jobs are sorted by
-/// (arrival, job_id); duplicate job ids are rejected.
+/// (arrival, job_id); duplicate job ids are rejected, and so is a trace
+/// with no jobs ("trace has no jobs").
 bool parse_trace_csv(const std::string& text, Trace* out, std::string* error);
 
 /// Parses a comma-separated model mix for configuration surfaces; the

@@ -1,9 +1,13 @@
 #include "oracle.hpp"
 
+#include <charconv>
+#include <functional>
 #include <map>
+#include <system_error>
 #include <utility>
 
 #include "obs/analysis_detail.hpp"
+#include "obs/export.hpp"
 #include "obs/reader.hpp"
 
 namespace tls::obs::oracle {
@@ -104,6 +108,122 @@ Index build_index(const std::vector<TraceEvent>& events) {
   return ix;
 }
 
+// ---- Reference trace-CSV reader -----------------------------------------
+
+constexpr const char* kHeader = "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns";
+
+using EventSink = std::function<void(const TraceEvent&)>;
+
+bool kind_from_string(const std::string& name, EventKind* out) {
+  for (int k = 0; k <= static_cast<int>(EventKind::kPsAggregate); ++k) {
+    EventKind kind = static_cast<EventKind>(k);
+    if (name == to_string(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool cat_from_string(const std::string& name, Cat* out) {
+  for (std::uint32_t bit = 1; bit <= kAllCats; bit <<= 1) {
+    Cat cat = static_cast<Cat>(bit);
+    if (name == to_string(cat)) {
+      *out = cat;
+      return true;
+    }
+  }
+  return false;
+}
+
+template <typename T>
+bool parse_int(const std::string& tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+void split_columns(const std::string& line, std::vector<std::string>* cols) {
+  cols->clear();
+  std::size_t start = 0;
+  for (;;) {
+    std::size_t comma = line.find(',', start);
+    if (comma == std::string::npos) {
+      cols->push_back(line.substr(start));
+      break;
+    }
+    cols->push_back(line.substr(start, comma - start));
+    start = comma + 1;
+  }
+}
+
+void handle_comment(const std::string& line, TraceHealth* health) {
+  std::vector<std::string> cols;
+  split_columns(line, &cols);
+  if (cols.size() != 4 || cols[0] != "#health") return;
+  std::int64_t count = 0;
+  if (!parse_int(cols[3], &count) || count < 0) return;
+  bool dropped = cols[1] == "dropped";
+  if (!dropped && cols[1] != "sampled") return;
+  if (cols[2] == "total") {
+    (dropped ? health->dropped_total : health->sampled_out_total) =
+        static_cast<std::uint64_t>(count);
+    return;
+  }
+  Cat cat{};
+  if (!cat_from_string(cols[2], &cat)) return;
+  (dropped ? health->dropped_by_cat
+           : health->sampled_out_by_cat)[cat_index(cat)] =
+      static_cast<std::uint64_t>(count);
+}
+
+bool handle_line(const std::string& line, int lineno, bool* header_seen,
+                 const EventSink& sink, TraceHealth* health,
+                 std::string* error) {
+  if (!*header_seen) {
+    if (line != kHeader) {
+      *error = "not a trace CSV (expected header '" + std::string(kHeader) +
+               "', got '" + line + "')";
+      return false;
+    }
+    *header_seen = true;
+    return true;
+  }
+  if (line.empty()) return true;
+  if (line[0] == '#') {
+    handle_comment(line, health);
+    return true;
+  }
+  std::vector<std::string> cols;
+  split_columns(line, &cols);
+  if (cols.size() != 11) {
+    *error = "line " + std::to_string(lineno) + ": expected 11 columns, got " +
+             std::to_string(cols.size());
+    return false;
+  }
+  TraceEvent e;
+  std::int64_t v = 0;
+  bool ok = parse_int(cols[0], &v);
+  e.at = sim::from_nanos(v);
+  ok = ok && kind_from_string(cols[1], &e.kind);
+  ok = ok && cat_from_string(cols[2], &e.cat);
+  ok = ok && parse_int(cols[3], &e.host);
+  ok = ok && parse_int(cols[4], &e.job);
+  ok = ok && parse_int(cols[5], &e.band);
+  ok = ok && parse_int(cols[6], &e.flow);
+  ok = ok && parse_int(cols[7], &e.bytes);
+  ok = ok && parse_int(cols[8], &e.a);
+  ok = ok && parse_int(cols[9], &e.b);
+  ok = ok && parse_int(cols[10], &v);
+  e.dur = sim::from_nanos(v);
+  if (!ok) {
+    *error = "line " + std::to_string(lineno) + ": malformed row '" + line + "'";
+    return false;
+  }
+  sink(e);
+  return true;
+}
+
 }  // namespace
 
 RunReport analyze(const std::vector<TraceEvent>& events) {
@@ -159,6 +279,29 @@ bool read_trace_csv_file(const std::string& path,
                          std::string* error) {
   return for_each_trace_csv_event(
       path, [out](const TraceEvent& e) { out->push_back(e); }, health, error);
+}
+
+CsvReading reference_read_trace_csv(const std::string& text, bool at_end) {
+  CsvReading r;
+  EventSink sink = [&r](const TraceEvent& e) { r.events.push_back(e); };
+  int lineno = 0;
+  bool header_seen = false;
+  std::size_t start = 0;
+  for (std::size_t nl = text.find('\n'); nl != std::string::npos;
+       nl = text.find('\n', start)) {
+    if (!handle_line(text.substr(start, nl - start), ++lineno, &header_seen,
+                     sink, &r.health, &r.error)) {
+      r.ok = false;
+      return r;
+    }
+    start = nl + 1;
+  }
+  std::string last = text.substr(start);
+  if (at_end && (!header_seen || !last.empty())) {
+    r.ok = handle_line(last, ++lineno, &header_seen, sink, &r.health,
+                       &r.error);
+  }
+  return r;
 }
 
 }  // namespace tls::obs::oracle

@@ -325,6 +325,21 @@ TEST(Cli, ScenarioNanArrivalTraceIsAUsageError) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, ScenarioEmptyTraceIsAUsageError) {
+  // A header-only file parses to no jobs; the run must not fall back to
+  // the generated trace (an empty replay means "generate").
+  std::string path = ::testing::TempDir() + "/tlsim_cli_empty_trace.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "job_id,arrival_s,lifetime_s,model,workers,batch,iterations\n";
+  }
+  CliRun r = cli({SMALL_SCENARIO, "--scenario-trace", path});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  EXPECT_NE(r.err.find("trace has no jobs"), std::string::npos) << r.err;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, ScenarioMissingTraceFileRejected) {
   CliRun r = cli({SMALL_SCENARIO, "--scenario-trace", "/nonexistent/t.csv"});
   EXPECT_EQ(r.code, 2);

@@ -144,7 +144,7 @@ TEST(Trace, ParseRejectsWrongFieldCount) {
 
 TEST(Trace, ParseRejectsBadValues) {
   // Each value is malformed or lies outside the bounds tlsim scenario puts
-  // on a generated trace.
+  // on a generated trace, or the file holds no job.
   const std::pair<const char*, const char*> cases[] = {
       {"x,1.0,0.0,alexnet,2,1,10", "bad job_id"},
       {"-1,1.0,0.0,alexnet,2,1,10", "bad job_id"},
@@ -169,6 +169,10 @@ TEST(Trace, ParseRejectsBadValues) {
       {"0,1.0,0.0,alexnet,2,1,1000001", "bad iterations"},
       {"0,1.0,0.0,alexnet,2,1,9000000000000000000", "bad iterations"},
       {"0,1.0,0.0,alexnet,2,1,9e18", "bad iterations"},
+      // No job at all: an empty replay would run the generated trace.
+      {"job_id,arrival_s,lifetime_s,model,workers,batch,iterations",
+       "trace has no jobs"},
+      {"", "trace has no jobs"},
   };
   for (const auto& [line, expected] : cases) {
     Trace t;

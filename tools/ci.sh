@@ -215,10 +215,14 @@ else
   echo "python3 not installed; skipping the peak-RSS check"
   "${mem_run[@]}" >/dev/null
 fi
-./build-ci/tools/tlsreport "$smoke_dir/paper.csv" --quiet \
-  --json "$smoke_dir/paper-offline.json"
+# Both renderings, as perfbench's pass check compares them: the offline
+# text report (tlsreport's stdout) and the JSON.
+./build-ci/tools/tlsreport "$smoke_dir/paper.csv" \
+  --json "$smoke_dir/paper-offline.json" > "$smoke_dir/paper-offline.txt"
 cmp "$smoke_dir/paper.json" "$smoke_dir/paper-offline.json" \
-  || { echo "offline tlsreport diverges from in-process report"; exit 1; }
+  || { echo "offline tlsreport JSON diverges from in-process report"; exit 1; }
+cmp "$smoke_dir/paper.txt" "$smoke_dir/paper-offline.txt" \
+  || { echo "offline tlsreport text diverges from in-process report"; exit 1; }
 rm -f "$smoke_dir/paper.csv"
 
 echo "==> [4c/4] event-core memory: long sparse churn scenario"
