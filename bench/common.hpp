@@ -23,13 +23,22 @@
 #include "exp/experiment.hpp"
 #include "metrics/report.hpp"
 #include "runtime/runner.hpp"
+#include "simcore/parse.hpp"
 
 namespace tls::bench {
 
+/// An integer knob from the environment: unset or empty yields `fallback`,
+/// and a value that is not a whole decimal ends the bench with exit 2
+/// rather than running at a size nobody asked for.
 inline long env_long(const char* name, long fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::atol(v);
+  long out = 0;
+  if (!sim::parse_int(v, &out)) {
+    std::fprintf(stderr, "bad value for %s: '%s'\n", name, v);
+    std::exit(2);
+  }
+  return out;
 }
 
 inline long bench_iters() { return env_long("TLS_BENCH_ITERS", 60); }

@@ -13,7 +13,8 @@ namespace tls::net {
 namespace {
 bool valid_config(const HtbClassConfig& c) {
   return c.minor != 0 && c.rate > Rate{0.0} && c.ceil >= c.rate &&
-         c.burst > Bytes{0} && c.cburst > Bytes{0} && c.quantum > Bytes{0};
+         c.burst > Bytes{0} && c.cburst > Bytes{0} &&
+         WdrrBand::top_up(c.quantum, WdrrBand::kMinWeight) > Bytes{0};
 }
 }  // namespace
 

@@ -7,7 +7,9 @@
 namespace tls::net {
 
 WdrrBand::WdrrBand(Bytes quantum) : quantum_(quantum) {
-  TLS_CHECK(quantum_ > Bytes{0}, "wdrr quantum must be positive, got ", quantum_);
+  TLS_CHECK(top_up(quantum_, kMinWeight) > Bytes{0},
+            "wdrr quantum must earn a positive top-up at the minimum weight, "
+            "got ", quantum_);
 }
 
 void WdrrBand::enqueue(const Chunk& chunk) {
@@ -47,8 +49,7 @@ std::optional<Chunk> WdrrBand::dequeue() {
     // One-lane peek: the DRR decision needs only the head chunk's size.
     const Bytes head_size = fq.chunks.front_size();
     if (fq.deficit < head_size) {
-      fq.deficit +=
-          Bytes{static_cast<std::int64_t>(to_double(quantum_) * fq.weight)};
+      fq.deficit += top_up(quantum_, fq.weight);
       active_.pop_front();
       active_.push_back(fid);
       continue;

@@ -6,6 +6,7 @@
 // so completions inside a burst spread out the way they do on a real NIC.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -46,6 +47,20 @@ class WdrrBand {
 
   Bytes quantum() const { return quantum_; }
 
+  /// Deficit a flow of `weight` earns per round: quantum * weight, rounded
+  /// down and capped at 2^62 bytes so a huge quantum cannot overflow the
+  /// deficit. A quantum whose top-up at kMinWeight is 0 would leave a
+  /// light flow spinning in dequeue forever, so the constructor rejects it
+  /// and configuration surfaces (htb classes) must too.
+  static Bytes top_up(Bytes quantum, double weight) {
+    return Bytes{static_cast<std::int64_t>(
+        std::min(to_double(quantum) * weight, 0x1p62))};
+  }
+
+  // Minimum effective weight; guards against pathological starvation and
+  // unbounded DRR rounds when a noise draw comes out tiny.
+  static constexpr double kMinWeight = 0.05;
+
  private:
   struct FlowQueue {
     ChunkRing chunks;
@@ -53,10 +68,6 @@ class WdrrBand {
     Bytes deficit{};
     bool in_round = false;  // currently on the active list
   };
-
-  // Minimum effective weight; guards against pathological starvation and
-  // unbounded DRR rounds when a noise draw comes out tiny.
-  static constexpr double kMinWeight = 0.05;
 
   Bytes quantum_;
   std::unordered_map<FlowId, FlowQueue> flows_;

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <fstream>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "obs/export.hpp"
+#include "simcore/parse.hpp"
 
 namespace tls::obs {
 
@@ -22,8 +21,8 @@ constexpr std::size_t kNumKinds =
 
 using EventSink = std::function<void(const TraceEvent&)>;
 
-// Kind and category names are views built once, so a compare is a length
-// check and a memcmp.
+// Kind names are views built once, so a compare is a length check and a
+// memcmp.
 bool kind_from_string(std::string_view name, EventKind* out) {
   static const auto kNames = [] {
     std::array<std::string_view, kNumKinds> names;
@@ -41,56 +40,14 @@ bool kind_from_string(std::string_view name, EventKind* out) {
   return false;
 }
 
-bool cat_from_string(std::string_view name, Cat* out) {
-  static const auto kNames = [] {
-    std::array<std::string_view, kNumCats> names;
-    for (int i = 0; i < kNumCats; ++i) {
-      names[static_cast<std::size_t>(i)] = to_string(static_cast<Cat>(1u << i));
-    }
-    return names;
-  }();
-  for (int i = 0; i < kNumCats; ++i) {
-    if (kNames[static_cast<std::size_t>(i)] == name) {
-      *out = static_cast<Cat>(1u << i);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Parses the whole token as a decimal integer of T's width. A value out
-/// of T's range is malformed, never silently narrowed (host 4294967296
-/// must not alias host 0).
-template <typename T>
-bool parse_int(std::string_view tok, T* out) {
-  const char* end = tok.data() + tok.size();
-  auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Splits `line` at commas into views of its bytes, storing the first
-/// `max_cols` and returning the full field count (so a long row reports
-/// how many columns it has).
-std::size_t split_columns(std::string_view line, std::string_view* cols,
-                          std::size_t max_cols) {
-  std::size_t n = 0;
-  for (;;) {
-    std::size_t comma = line.find(',');
-    if (n < max_cols) cols[n] = line.substr(0, comma);
-    ++n;
-    if (comma == std::string_view::npos) return n;
-    line.remove_prefix(comma + 1);
-  }
-}
-
 /// `#health,<dropped|sampled>,<total|cat>,<count>` trailer comments carry
 /// the tracer's capture-health counters; any other '#' line is ignored.
 void handle_comment(std::string_view line, TraceHealth* health) {
   if (health == nullptr) return;
   std::string_view cols[4];
-  if (split_columns(line, cols, 4) != 4 || cols[0] != "#health") return;
+  if (sim::split(line, ',', cols, 4) != 4 || cols[0] != "#health") return;
   std::int64_t count = 0;
-  if (!parse_int(cols[3], &count) || count < 0) return;
+  if (!sim::parse_int(cols[3], &count, 0)) return;
   bool dropped = cols[1] == "dropped";
   if (!dropped && cols[1] != "sampled") return;
   if (cols[2] == "total") {
@@ -127,7 +84,7 @@ bool handle_line(std::string_view line, int lineno, bool* header_seen,
     return true;
   }
   std::string_view cols[kColumns];
-  std::size_t n = split_columns(line, cols, kColumns);
+  std::size_t n = sim::split(line, ',', cols, kColumns);
   if (n != kColumns) {
     if (error != nullptr) {
       *error = "line " + std::to_string(lineno) + ": expected 11 columns, got " +
@@ -138,6 +95,9 @@ bool handle_line(std::string_view line, int lineno, bool* header_seen,
   TraceEvent e;
   std::int64_t at = 0;
   std::int64_t dur = 0;
+  // Each integer column is read at its field's own width: a value outside
+  // it is malformed, never narrowed (host 4294967296 must not alias host 0).
+  using sim::parse_int;
   bool ok = parse_int(cols[0], &at) && kind_from_string(cols[1], &e.kind) &&
             cat_from_string(cols[2], &e.cat) && parse_int(cols[3], &e.host) &&
             parse_int(cols[4], &e.job) && parse_int(cols[5], &e.band) &&

@@ -1,9 +1,7 @@
 #include "obs/report_cli.hpp"
 
-#include <charconv>
 #include <climits>
 #include <fstream>
-#include <system_error>
 #include <string>
 #include <vector>
 
@@ -11,6 +9,7 @@
 #include "obs/html.hpp"
 #include "obs/reader.hpp"
 #include "obs/streaming.hpp"
+#include "simcore/parse.hpp"
 
 namespace tls::obs {
 
@@ -53,16 +52,6 @@ std::string label_from_path(const std::string& path) {
       slash == std::string::npos ? path : path.substr(slash + 1);
   std::size_t dot = base.find_last_of('.');
   return dot == std::string::npos ? base : base.substr(0, dot);
-}
-
-/// Parses a flag value in [0, INT_MAX] (the poll sleeper takes an int).
-bool parse_int(const std::string& text, int* out) {
-  int v = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < 0) return false;
-  *out = v;
-  return true;
 }
 
 struct CliConfig {
@@ -165,7 +154,8 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
   auto need_int = [&](int& i, const char* flag, int* slot) -> bool {
     const char* v = need_value(i, flag);
     if (v == nullptr) return false;
-    if (!parse_int(v, slot)) {
+    // [0, INT_MAX]: the poll sleeper takes an int.
+    if (!sim::parse_int(v, slot, 0)) {
       err << "tlsreport: " << flag
           << " expects a non-negative integer up to " << INT_MAX << ", got '"
           << v << "'\n"

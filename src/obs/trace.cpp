@@ -1,8 +1,7 @@
 #include "obs/trace.hpp"
 
-#include <cstdlib>
-
 #include "obs/metrics_registry.hpp"
+#include "simcore/parse.hpp"
 
 namespace tls::obs {
 
@@ -10,7 +9,7 @@ namespace {
 
 struct CatName {
   Cat cat;
-  const char* name;
+  std::string_view name;
 };
 
 // Ordered to match the Cat bit layout; also the canonical listing order in
@@ -47,51 +46,45 @@ int cat_index(Cat cat) {
 
 const char* to_string(Cat cat) {
   for (const CatName& cn : kCatNames) {
-    if (cn.cat == cat) return cn.name;
+    if (cn.cat == cat) return cn.name.data();
   }
   return "?";
+}
+
+bool cat_from_string(std::string_view name, Cat* out) {
+  for (const CatName& cn : kCatNames) {
+    if (cn.name == name) {
+      *out = cn.cat;
+      return true;
+    }
+  }
+  return false;
 }
 
 bool parse_categories(const std::string& text, std::uint32_t* mask,
                       std::string* error) {
   std::uint32_t out = 0;
-  std::size_t start = 0;
   bool saw_token = false;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    std::size_t end = comma == std::string::npos ? text.size() : comma;
-    std::string tok = text.substr(start, end - start);
-    // Trim surrounding spaces.
-    while (!tok.empty() && tok.front() == ' ') tok.erase(tok.begin());
-    while (!tok.empty() && tok.back() == ' ') tok.pop_back();
-    if (!tok.empty()) {
-      saw_token = true;
-      if (tok == "all") {
-        out |= kAllCats;
-      } else if (tok == "none") {
-        // Explicitly contributes no bits; lets "--trace-filter none" mean
-        // "trace file requested but empty" for overhead measurement.
-      } else {
-        bool found = false;
-        for (const CatName& cn : kCatNames) {
-          if (tok == cn.name) {
-            out |= static_cast<std::uint32_t>(cn.cat);
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          if (error != nullptr) {
-            *error = "unknown trace category '" + tok +
-                     "' (expected all, none, or a comma list of " +
-                     known_categories() + ")";
-          }
-          return false;
-        }
+  for (std::string_view item : sim::split(text, ',')) {
+    std::string_view tok = sim::trim(item);
+    if (tok.empty()) continue;
+    saw_token = true;
+    Cat cat{};
+    if (tok == "all") {
+      out |= kAllCats;
+    } else if (tok == "none") {
+      // Explicitly contributes no bits; lets "--trace-filter none" mean
+      // "trace file requested but empty" for overhead measurement.
+    } else if (cat_from_string(tok, &cat)) {
+      out |= static_cast<std::uint32_t>(cat);
+    } else {
+      if (error != nullptr) {
+        *error = "unknown trace category '" + std::string(tok) +
+                 "' (expected all, none, or a comma list of " +
+                 known_categories() + ")";
       }
+      return false;
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
   }
   if (!saw_token) {
     if (error != nullptr) *error = "empty trace category filter";
@@ -103,40 +96,25 @@ bool parse_categories(const std::string& text, std::uint32_t* mask,
 
 bool parse_sampling(const std::string& text, std::uint32_t* out,
                     std::string* error) {
-  std::size_t start = 0;
   bool saw_token = false;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    std::size_t end = comma == std::string::npos ? text.size() : comma;
-    std::string tok = text.substr(start, end - start);
-    while (!tok.empty() && tok.front() == ' ') tok.erase(tok.begin());
-    while (!tok.empty() && tok.back() == ' ') tok.pop_back();
-    if (!tok.empty()) {
-      saw_token = true;
-      std::size_t eq = tok.find('=');
-      std::string name = eq == std::string::npos ? tok : tok.substr(0, eq);
-      std::string val = eq == std::string::npos ? "" : tok.substr(eq + 1);
-      const CatName* match = nullptr;
-      for (const CatName& cn : kCatNames) {
-        if (name == cn.name) {
-          match = &cn;
-          break;
-        }
+  for (std::string_view item : sim::split(text, ',')) {
+    std::string_view tok = sim::trim(item);
+    if (tok.empty()) continue;
+    saw_token = true;
+    std::string_view term[2];
+    Cat cat{};
+    std::uint32_t n = 0;
+    if (sim::split(tok, '=', term, 2) != 2 || !cat_from_string(term[0], &cat) ||
+        !sim::parse_int(term[1], &n, 1)) {
+      if (error != nullptr) {
+        *error = "bad sampling term '" + std::string(tok) +
+                 "' (expected a comma list of cat=N with N >= 1 and cat "
+                 "one of " +
+                 known_categories() + ", e.g. qdisc=16,htb=8)";
       }
-      long n = val.empty() ? 0 : std::strtol(val.c_str(), nullptr, 10);
-      if (match == nullptr || n <= 0) {
-        if (error != nullptr) {
-          *error = "bad sampling term '" + tok +
-                   "' (expected a comma list of cat=N with N >= 1 and cat "
-                   "one of " +
-                   known_categories() + ", e.g. qdisc=16,htb=8)";
-        }
-        return false;
-      }
-      out[cat_index(match->cat)] = static_cast<std::uint32_t>(n);
+      return false;
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    out[cat_index(cat)] = n;
   }
   if (!saw_token) {
     if (error != nullptr) *error = "empty sampling spec";

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 // Layer note: obs sits below net in the module DAG, but the emission-site
@@ -71,6 +72,10 @@ int cat_index(Cat cat);
 /// Stable lower-case name of a category ("chunk", "htb", ...).
 const char* to_string(Cat cat);
 
+/// The category named `name` (the inverse of to_string); false when no
+/// category has that name.
+bool cat_from_string(std::string_view name, Cat* out);
+
 /// Parses a category filter: comma-separated names, "all", or "none".
 /// Returns false and sets *error on an unknown name.
 bool parse_categories(const std::string& text, std::uint32_t* mask,
@@ -96,8 +101,9 @@ struct TraceHealth {
 
 /// Parses a sampling spec: comma-separated `cat=N` pairs ("qdisc=16,htb=8"),
 /// keeping one event in every N of that category. Returns false and sets
-/// *error on an unknown category or a non-positive N. `out` must have
-/// kNumCats slots; unmentioned categories are left untouched.
+/// *error on an unknown category or an N that is not a whole decimal in
+/// [1, 2^32 - 1]. `out` must have kNumCats slots; unmentioned categories
+/// are left untouched.
 bool parse_sampling(const std::string& text, std::uint32_t* out,
                     std::string* error);
 

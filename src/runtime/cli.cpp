@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <initializer_list>
@@ -19,6 +18,7 @@
 #include "runtime/runner.hpp"
 #include "runtime/scenario_runner.hpp"
 #include "scenario/export.hpp"
+#include "simcore/parse.hpp"
 
 namespace tls::runtime {
 
@@ -149,33 +149,28 @@ scenario flags (shared flags that apply: --hosts (12 here), --policy,
 )";
 
 /// The flag reader every command shares. An absent flag yields its
-/// fallback. The first value that does not parse whole or falls outside
-/// its range is kept as the error and later reads yield their fallbacks,
-/// so a builder reads every flag and then checks ok() once.
+/// fallback; a present one, even an empty `--flag=`, must parse whole
+/// (simcore/parse.hpp) and lie in its range. The first value that does not
+/// is kept as the error and later reads yield their fallbacks, so
+/// build_config and its kin read every flag and then check ok() once.
 class FlagReader {
  public:
   explicit FlagReader(const CliArgs& args) : args_(args) {}
 
   long integer(const std::string& key, long fallback, long lo, long hi) {
+    if (!args_.has(key)) return fallback;
     std::string v = args_.get(key);
-    if (v.empty()) return fallback;
-    char* end = nullptr;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    if (*end != '\0' || parsed < lo || parsed > hi) {
-      return bad(key, v, fallback);
-    }
+    long parsed = 0;
+    if (!sim::parse_int(v, &parsed, lo, hi)) return bad(key, v, fallback);
     return parsed;
   }
 
   /// Reals are also capped at 1e9, so any time in seconds fits sim::Time.
   double real(const std::string& key, double fallback, double lo) {
+    if (!args_.has(key)) return fallback;
     std::string v = args_.get(key);
-    if (v.empty()) return fallback;
-    char* end = nullptr;
-    double parsed = std::strtod(v.c_str(), &end);
-    if (*end != '\0' || !(parsed >= lo && parsed <= 1e9)) {
-      return bad(key, v, fallback);
-    }
+    double parsed = 0;
+    if (!sim::parse_real(v, &parsed, lo, 1e9)) return bad(key, v, fallback);
     return parsed;
   }
 
@@ -274,18 +269,23 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
   config->obs.report_csv_path = args.get("report-csv");
   config->obs.report_json_path = args.get("report-json");
   config->obs.report_html_path = args.get("report-html");
-  std::string filter = args.get("trace-filter");
-  if (!filter.empty() &&
-      !obs::parse_categories(filter, &config->obs.trace_categories, error)) {
+  // An explicitly empty --trace-filter= or --trace-sample= is malformed,
+  // not absent.
+  if (args.has("trace-filter") &&
+      !obs::parse_categories(args.get("trace-filter"),
+                             &config->obs.trace_categories, error)) {
     return false;
   }
-  std::string sample = args.get("trace-sample");
-  if (!sample.empty()) {
+  if (args.has("trace-sample")) {
     // Validate the spec here so a typo fails at flag parse, not mid-run;
     // the parsed rates are re-derived inside the run's exp::Session.
+    std::string sample = args.get("trace-sample");
     std::uint32_t every[obs::kNumCats];
     for (int i = 0; i < obs::kNumCats; ++i) every[i] = 1;
-    if (!obs::parse_sampling(sample, every, error)) return false;
+    if (!obs::parse_sampling(sample, every, error)) {
+      *error = "bad value for --trace-sample: " + *error;
+      return false;
+    }
     config->obs.trace_sample = sample;
   }
   return true;

@@ -10,6 +10,7 @@
 
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
+#include "simcore/parse.hpp"
 
 namespace tls::runtime {
 
@@ -118,10 +119,8 @@ RunPlan RunPlan::batch_sweep(const exp::ExperimentConfig& base,
 
 int default_jobs() {
   const char* env = std::getenv("TLS_JOBS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    if (v >= 1) return static_cast<int>(v);
-  }
+  int jobs = 0;
+  if (env != nullptr && sim::parse_int(env, &jobs, 1)) return jobs;
   return ThreadPool::hardware_threads();
 }
 

@@ -53,8 +53,8 @@ struct RunPlan {
   static std::vector<core::PolicyKind> default_policies();
 };
 
-/// Worker-thread count when RunOptions::jobs is 0: $TLS_JOBS when set and
-/// positive, else std::thread::hardware_concurrency.
+/// Worker-thread count when RunOptions::jobs is 0: $TLS_JOBS when it is a
+/// whole positive decimal, else std::thread::hardware_concurrency.
 int default_jobs();
 
 /// The one fan-out both plan runners share. Calls run_one(i) for every i

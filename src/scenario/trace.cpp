@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "dl/model.hpp"
+#include "simcore/parse.hpp"
 #include "simcore/rng.hpp"
 
 namespace tls::scenario {
@@ -119,29 +119,9 @@ std::string fmt_seconds(sim::Time t) {
 // so every accepted value fits the engine's integer arithmetic: times stay
 // within 1e9 s of zero, and iterations x workers fits std::int64_t.
 constexpr double kMaxSeconds = 1e9;
-constexpr long kMaxWorkers = 4095;
-constexpr long kMaxBatch = 65536;
-constexpr long kMaxIterations = 1000000;
-
-/// A whole, non-empty field holding an integer in [lo, hi].
-bool parse_integer(const std::string& field, long lo, long hi, long* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  long v = std::strtol(field.c_str(), &end, 10);
-  if (*end != '\0' || v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
-
-/// A whole, non-empty field holding a finite real in [lo, kMaxSeconds].
-bool parse_seconds(const std::string& field, double lo, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(field.c_str(), &end);
-  if (*end != '\0' || !(v >= lo && v <= kMaxSeconds)) return false;
-  *out = v;
-  return true;
-}
+constexpr int kMaxWorkers = 4095;
+constexpr int kMaxBatch = 65536;
+constexpr std::int64_t kMaxIterations = 1000000;
 
 }  // namespace
 
@@ -168,27 +148,18 @@ std::string trace_csv(const Trace& trace) {
 
 bool parse_trace_csv(const std::string& text, Trace* out, std::string* error) {
   Trace trace;
-  std::istringstream in(text);
-  std::string line;
   int line_no = 0;
   std::set<std::int32_t> seen_ids;
-  while (std::getline(in, line)) {
+  for (std::string_view line : sim::split(text, '\n')) {
     ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.ends_with('\r')) line.remove_suffix(1);
     if (line.empty()) continue;
-    if (line_no == 1 && line.rfind("job_id,", 0) == 0) continue;  // header
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    for (;;) {
-      std::size_t comma = line.find(',', start);
-      fields.push_back(line.substr(
-          start, comma == std::string::npos ? comma : comma - start));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (fields.size() != 7) {
+    if (line_no == 1 && line.starts_with("job_id,")) continue;  // header
+    std::string_view fields[7];
+    std::size_t n = sim::split(line, ',', fields, 7);
+    if (n != 7) {
       *error = "trace line " + std::to_string(line_no) + ": expected 7 fields, got " +
-               std::to_string(fields.size());
+               std::to_string(n);
       return false;
     }
     auto fail = [&](const char* what) {
@@ -196,34 +167,28 @@ bool parse_trace_csv(const std::string& text, Trace* out, std::string* error) {
       return false;
     };
     TraceJob job;
-    long id = 0;
-    if (!parse_integer(fields[0], 0, INT32_MAX, &id)) return fail("bad job_id");
-    job.job_id = static_cast<std::int32_t>(id);
+    if (!sim::parse_int(fields[0], &job.job_id, 0)) return fail("bad job_id");
     double arrival_s = 0;
-    if (!parse_seconds(fields[1], 0, &arrival_s)) return fail("bad arrival_s");
+    if (!sim::parse_real(fields[1], &arrival_s, 0, kMaxSeconds)) {
+      return fail("bad arrival_s");
+    }
     job.arrival = sim::from_seconds(arrival_s);
     double lifetime_s = 0;
-    if (!parse_seconds(fields[2], -kMaxSeconds, &lifetime_s)) {
+    if (!sim::parse_real(fields[2], &lifetime_s, -kMaxSeconds, kMaxSeconds)) {
       return fail("bad lifetime_s");
     }
     job.lifetime = sim::from_seconds(lifetime_s);
     if (fields[3].empty()) return fail("empty model name");
     job.model = fields[3];
-    long workers = 0;
-    if (!parse_integer(fields[4], 1, kMaxWorkers, &workers)) {
+    if (!sim::parse_int(fields[4], &job.num_workers, 1, kMaxWorkers)) {
       return fail("bad workers");
     }
-    job.num_workers = static_cast<int>(workers);
-    long batch = 0;
-    if (!parse_integer(fields[5], 1, kMaxBatch, &batch)) {
+    if (!sim::parse_int(fields[5], &job.local_batch_size, 1, kMaxBatch)) {
       return fail("bad batch");
     }
-    job.local_batch_size = static_cast<int>(batch);
-    long iterations = 0;
-    if (!parse_integer(fields[6], 1, kMaxIterations, &iterations)) {
+    if (!sim::parse_int(fields[6], &job.iterations, 1, kMaxIterations)) {
       return fail("bad iterations");
     }
-    job.iterations = iterations;
     if (!seen_ids.insert(job.job_id).second) {
       return fail("duplicate job_id");
     }
@@ -252,9 +217,8 @@ bool parse_model_mix(const std::string& text, std::vector<std::string>* out,
     valid += m.name;
   }
   out->clear();
-  std::stringstream stream(text);
-  std::string name;
-  while (std::getline(stream, name, ',')) {
+  for (std::string_view field : sim::split(text, ',')) {
+    std::string name(field);
     if (name.empty()) continue;
     if (name == "mix") {
       for (const dl::ModelSpec& m : dl::zoo::all()) out->push_back(m.name);

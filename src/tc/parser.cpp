@@ -1,37 +1,24 @@
 #include "tc/parser.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <sstream>
+#include <string_view>
+#include <vector>
+
+#include "simcore/parse.hpp"
 
 namespace tls::tc {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
 namespace {
 
-/// Cursor over the token stream with error accumulation.
+/// Cursor over the words of one command line.
 class Cursor {
  public:
-  explicit Cursor(std::vector<std::string> tokens) : tokens_(std::move(tokens)) {}
+  explicit Cursor(const std::string& line) : tokens_(sim::words(line)) {}
 
   bool done() const { return pos_ >= tokens_.size(); }
-  const std::string& peek() const {
-    static const std::string kEmpty;
-    return done() ? kEmpty : tokens_[pos_];
-  }
-  std::string next() {
-    if (done()) return {};
-    return tokens_[pos_++];
-  }
+  std::string peek() const { return done() ? "" : std::string(tokens_[pos_]); }
+  std::string next() { return done() ? "" : std::string(tokens_[pos_++]); }
   /// Consumes `word` if it is next; returns whether it was.
-  bool accept(const std::string& word) {
+  bool accept(std::string_view word) {
     if (!done() && tokens_[pos_] == word) {
       ++pos_;
       return true;
@@ -40,23 +27,9 @@ class Cursor {
   }
 
  private:
-  std::vector<std::string> tokens_;
+  std::vector<std::string_view> tokens_;  // views into the command line
   std::size_t pos_ = 0;
 };
-
-std::optional<int> parse_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return static_cast<int>(v);
-}
-
-std::optional<std::uint16_t> parse_port(const std::string& s) {
-  auto v = parse_int(s);
-  if (!v || *v < 0 || *v > 65535) return std::nullopt;
-  return static_cast<std::uint16_t>(*v);
-}
 
 ParseResult parse_qdisc(Cursor& c) {
   std::string op = c.next();
@@ -79,7 +52,10 @@ ParseResult parse_qdisc(Cursor& c) {
   if (!c.accept("root")) return ParseResult::failure("expected 'root'");
   if (c.accept("handle")) {
     auto h = Handle::parse(c.next());
-    if (!h || h->minor != 0) return ParseResult::failure("bad qdisc handle");
+    // Major 0 is how TrafficControl marks a device with no root qdisc.
+    if (!h || h->major == 0 || h->minor != 0) {
+      return ParseResult::failure("bad qdisc handle");
+    }
     cmd.spec.handle = *h;
   }
   std::string kind = c.next();
@@ -87,15 +63,15 @@ ParseResult parse_qdisc(Cursor& c) {
     cmd.spec.kind = QdiscKind::kPfifo;
     // pfifo accepts "limit N" in tc; our queues are lossless, so accept and
     // ignore the value for command compatibility.
-    if (c.accept("limit")) {
-      if (!parse_int(c.next())) return ParseResult::failure("bad pfifo limit");
+    int limit = 0;
+    if (c.accept("limit") && !sim::parse_int(c.next(), &limit)) {
+      return ParseResult::failure("bad pfifo limit");
     }
   } else if (kind == "prio") {
     cmd.spec.kind = QdiscKind::kPrio;
-    if (c.accept("bands")) {
-      auto n = parse_int(c.next());
-      if (!n || *n < 1 || *n > 16) return ParseResult::failure("bad band count");
-      cmd.spec.prio_bands = *n;
+    if (c.accept("bands") &&
+        !sim::parse_int(c.next(), &cmd.spec.prio_bands, 1, 16)) {
+      return ParseResult::failure("bad band count");
     }
   } else if (kind == "pfifo_fast") {
     cmd.spec.kind = QdiscKind::kPfifoFast;
@@ -125,7 +101,8 @@ ParseResult parse_qdisc(Cursor& c) {
         cmd.spec.tbf_burst = *s;
       } else if (key == "limit" || key == "latency") {
         // Accepted for command compatibility; our queues are lossless.
-        if (!parse_size(val) && !parse_int(val)) {
+        int ignored = 0;
+        if (!parse_size(val) && !sim::parse_int(val, &ignored)) {
           return ParseResult::failure("bad tbf " + key);
         }
       } else {
@@ -136,7 +113,6 @@ ParseResult parse_qdisc(Cursor& c) {
   } else {
     return ParseResult::failure("unknown qdisc kind '" + kind + "'");
   }
-  if (!c.done()) return ParseResult::failure("trailing tokens after qdisc spec");
   return ParseResult::success(cmd);
 }
 
@@ -193,9 +169,9 @@ ParseResult parse_class(Cursor& c) {
       if (!s) return ParseResult::failure("bad cburst '" + val + "'");
       cmd.spec.cburst = *s;
     } else if (key == "prio") {
-      auto p = parse_int(val);
-      if (!p || *p < 0 || *p > 7) return ParseResult::failure("bad prio '" + val + "'");
-      cmd.spec.prio = *p;
+      if (!sim::parse_int(val, &cmd.spec.prio, 0, 7)) {
+        return ParseResult::failure("bad prio '" + val + "'");
+      }
     } else if (key == "quantum") {
       auto s = parse_size(val);
       if (!s) return ParseResult::failure("bad quantum '" + val + "'");
@@ -216,9 +192,9 @@ ParseResult parse_filter(Cursor& c) {
     cmd.dev = c.next();
     if (cmd.dev.empty()) return ParseResult::failure("expected device name");
     if (!c.accept("pref")) return ParseResult::failure("expected 'pref'");
-    auto p = parse_int(c.next());
-    if (!p) return ParseResult::failure("bad pref");
-    cmd.pref = *p;
+    if (!sim::parse_int(c.next(), &cmd.pref)) {
+      return ParseResult::failure("bad pref");
+    }
     return ParseResult::success(cmd);
   }
   if (op != "add") return ParseResult::failure("unknown filter operation '" + op + "'");
@@ -233,10 +209,8 @@ ParseResult parse_filter(Cursor& c) {
   auto parent = Handle::parse(c.next());
   if (!parent) return ParseResult::failure("bad parent handle");
   cmd.parent = *parent;
-  if (c.accept("pref")) {
-    auto p = parse_int(c.next());
-    if (!p) return ParseResult::failure("bad pref");
-    cmd.spec.pref = *p;
+  if (c.accept("pref") && !sim::parse_int(c.next(), &cmd.spec.pref)) {
+    return ParseResult::failure("bad pref");
   }
   if (!c.accept("u32")) return ParseResult::failure("only u32 filters supported");
   bool saw_flowid = false;
@@ -244,14 +218,16 @@ ParseResult parse_filter(Cursor& c) {
     if (c.accept("match")) {
       if (!c.accept("ip")) return ParseResult::failure("expected 'ip' after match");
       std::string field = c.next();
-      auto port = parse_port(c.next());
-      if (!port) return ParseResult::failure("bad port in match");
+      std::uint16_t port = 0;
+      if (!sim::parse_int(c.next(), &port)) {
+        return ParseResult::failure("bad port in match");
+      }
       std::string mask = c.next();
       if (mask != "0xffff") return ParseResult::failure("port match requires mask 0xffff");
       if (field == "sport") {
-        cmd.spec.sport = *port;
+        cmd.spec.sport = port;
       } else if (field == "dport") {
-        cmd.spec.dport = *port;
+        cmd.spec.dport = port;
       } else {
         return ParseResult::failure("unsupported match field '" + field + "'");
       }
@@ -271,14 +247,20 @@ ParseResult parse_filter(Cursor& c) {
 }  // namespace
 
 ParseResult parse_command(const std::string& line) {
-  Cursor c(tokenize(line));
+  Cursor c(line);
   if (c.done()) return ParseResult::failure("empty command");
   c.accept("tc");  // optional leading binary name
   std::string object = c.next();
-  if (object == "qdisc") return parse_qdisc(c);
-  if (object == "class") return parse_class(c);
-  if (object == "filter") return parse_filter(c);
-  return ParseResult::failure("unknown tc object '" + object + "'");
+  ParseResult parsed =
+      object == "qdisc"    ? parse_qdisc(c)
+      : object == "class"  ? parse_class(c)
+      : object == "filter" ? parse_filter(c)
+                           : ParseResult::failure("unknown tc object '" + object + "'");
+  // "filter del ... pref 10 64" must not delete pref 10.
+  if (parsed.ok && !c.done()) {
+    return ParseResult::failure("trailing tokens after " + object + " spec");
+  }
+  return parsed;
 }
 
 }  // namespace tls::tc

@@ -17,7 +17,6 @@
 
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "tc/spec.hpp"
 
@@ -73,8 +72,5 @@ struct ParseResult {
 
 /// Parses one tc command line. Leading "tc" is optional. Never throws.
 ParseResult parse_command(const std::string& line);
-
-/// Whitespace tokenizer shared with tests.
-std::vector<std::string> tokenize(const std::string& line);
 
 }  // namespace tls::tc

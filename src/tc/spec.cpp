@@ -1,9 +1,13 @@
 #include "tc/spec.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <string_view>
+
+#include "simcore/parse.hpp"
 
 namespace tls::tc {
 
@@ -19,34 +23,15 @@ const char* to_string(QdiscKind kind) {
 }
 
 namespace {
-std::optional<std::uint16_t> parse_hex16(const std::string& s) {
-  if (s.empty() || s.size() > 4) return std::nullopt;
-  std::uint32_t v = 0;
-  for (char c : s) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-    else return std::nullopt;
-    v = v * 16 + static_cast<std::uint32_t>(d);
-  }
-  if (v > 0xFFFF) return std::nullopt;
-  return static_cast<std::uint16_t>(v);
-}
-
-/// Splits "<number><suffix>"; returns (value, suffix) or nullopt.
+/// Splits "<number><suffix>", where the number is the leading run of
+/// digits and dots; returns (value, lower-cased suffix) or nullopt.
 std::optional<std::pair<double, std::string>> split_number(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  std::size_t i = 0;
-  while (i < s.size() &&
-         (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '.')) {
-    ++i;
+  std::size_t i = std::min(s.find_first_not_of("0123456789."), s.size());
+  double v = 0;
+  if (!sim::parse_real(std::string_view(s).substr(0, i), &v, 0,
+                       std::numeric_limits<double>::max())) {
+    return std::nullopt;
   }
-  if (i == 0) return std::nullopt;
-  const std::string digits = s.substr(0, i);  // keeps end's target alive
-  char* end = nullptr;
-  double v = std::strtod(digits.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(v)) return std::nullopt;
   std::string suffix = s.substr(i);
   for (char& c : suffix) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return std::make_pair(v, suffix);
@@ -54,22 +39,15 @@ std::optional<std::pair<double, std::string>> split_number(const std::string& s)
 }  // namespace
 
 std::optional<Handle> Handle::parse(const std::string& text) {
-  auto colon = text.find(':');
-  if (colon == std::string::npos) return std::nullopt;
-  std::string major_s = text.substr(0, colon);
-  std::string minor_s = text.substr(colon + 1);
+  // Two hex halves around one colon; either may be empty (0), not both.
+  std::string_view half[2];
   Handle h;
-  if (!major_s.empty()) {
-    auto m = parse_hex16(major_s);
-    if (!m) return std::nullopt;
-    h.major = *m;
+  if (sim::split(text, ':', half, 2) != 2 ||
+      (half[0].empty() && half[1].empty()) ||
+      (!half[0].empty() && !sim::parse_int(half[0], &h.major, 0, 0xFFFF, 16)) ||
+      (!half[1].empty() && !sim::parse_int(half[1], &h.minor, 0, 0xFFFF, 16))) {
+    return std::nullopt;
   }
-  if (!minor_s.empty()) {
-    auto m = parse_hex16(minor_s);
-    if (!m) return std::nullopt;
-    h.minor = *m;
-  }
-  if (major_s.empty() && minor_s.empty()) return std::nullopt;
   return h;
 }
 
@@ -99,7 +77,8 @@ std::optional<net::Rate> parse_rate(const std::string& text) {
   else if (suffix == "mbps") bits_per_sec = v * 8e6;
   else if (suffix == "gbps") bits_per_sec = v * 8e9;
   else return std::nullopt;
-  if (bits_per_sec <= 0) return std::nullopt;
+  // A huge mantissa times a large unit overflows to inf.
+  if (bits_per_sec <= 0 || !std::isfinite(bits_per_sec)) return std::nullopt;
   return net::Rate{bits_per_sec / 8.0};
 }
 
@@ -113,7 +92,8 @@ std::optional<net::Bytes> parse_size(const std::string& text) {
   else if (suffix == "m" || suffix == "mb") bytes = v * 1024.0 * 1024.0;
   else if (suffix == "g" || suffix == "gb") bytes = v * 1024.0 * 1024.0 * 1024.0;
   else return std::nullopt;
-  if (bytes <= 0) return std::nullopt;
+  // 2^63 bytes and up do not fit net::Bytes.
+  if (bytes <= 0 || bytes >= 0x1p63) return std::nullopt;
   return net::Bytes{static_cast<std::int64_t>(bytes)};
 }
 

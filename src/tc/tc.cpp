@@ -1,13 +1,13 @@
 #include "tc/tc.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <string_view>
 
 #include "net/htb_qdisc.hpp"
 #include "net/pfifo_fast_qdisc.hpp"
 #include "net/pfifo_qdisc.hpp"
 #include "net/prio_qdisc.hpp"
 #include "net/tbf_qdisc.hpp"
+#include "simcore/parse.hpp"
 
 namespace tls::tc {
 
@@ -21,19 +21,17 @@ TrafficControl::TrafficControl(net::Fabric& fabric)
       reconfigs_(static_cast<std::size_t>(fabric.num_hosts()), 0) {}
 
 net::HostId TrafficControl::resolve_device(const std::string& dev) const {
-  std::string digits = dev;
-  if (dev.rfind("host", 0) == 0) {
-    digits = dev.substr(4);
-  } else if (dev.size() > 1 && dev[0] == 'h') {
-    digits = dev.substr(1);
+  std::string_view digits = dev;
+  if (digits.starts_with("host")) {
+    digits.remove_prefix(4);
+  } else if (digits.size() > 1 && digits[0] == 'h') {
+    digits.remove_prefix(1);
   }
-  if (digits.empty()) return net::kNoHost;
-  for (char c : digits) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return net::kNoHost;
+  std::int32_t index = 0;
+  if (!sim::parse_int(digits, &index, 0, fabric_.num_hosts() - 1)) {
+    return net::kNoHost;
   }
-  long v = std::strtol(digits.c_str(), nullptr, 10);
-  if (v < 0 || v >= fabric_.num_hosts()) return net::kNoHost;
-  return net::HostId{static_cast<std::int32_t>(v)};
+  return net::HostId{index};
 }
 
 QdiscKind TrafficControl::root_kind(net::HostId host) const {

@@ -69,6 +69,17 @@ TEST(Wdrr, WeightsBiasService) {
   EXPECT_NEAR(first30[2], 10, 2);
 }
 
+TEST(Wdrr, HugeQuantumServesAHeavyFlow) {
+  // 2^62 * 3 is past int64: the top-up must not overflow into a negative
+  // deficit that never reaches the head chunk's size.
+  WdrrBand band(tls::net::Bytes{std::int64_t{1} << 62});
+  band.enqueue(make_chunk(1, tls::net::Bytes{100}, 3.0));
+  auto c = band.dequeue();
+  ASSERT_TRUE(c);
+  EXPECT_EQ(c->flow, 1u);
+  EXPECT_TRUE(band.empty());
+}
+
 TEST(Wdrr, TinyWeightClampedNotStarved) {
   WdrrBand band(tls::net::Bytes{100});
   for (int i = 0; i < 50; ++i) {

@@ -61,6 +61,14 @@ TEST(ParseSampling, AcceptsTermsAndRejectsBadOnes) {
 
   EXPECT_FALSE(parse_sampling("qdisc=0", every, &err));
   EXPECT_NE(err.find("qdisc=0"), std::string::npos);
+  // A partial number is not 16, and 2^32 does not wrap to "keep every
+  // event".
+  for (const char* bad : {"qdisc=16x", "qdisc=4294967296"}) {
+    err.clear();
+    EXPECT_FALSE(parse_sampling(bad, every, &err)) << bad;
+    EXPECT_NE(err.find(bad), std::string::npos) << err;
+  }
+  EXPECT_EQ(every[cat_index(Cat::kQdisc)], 16u);
   err.clear();
   EXPECT_FALSE(parse_sampling("", every, &err));
   EXPECT_EQ(err, "empty sampling spec");

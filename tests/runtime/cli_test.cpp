@@ -397,17 +397,86 @@ TEST(Cli, EachCommandRejectsTheFlagsItDoesNotRead) {
   }
 }
 
-TEST(Cli, ReplicasIsRangeChecked) {
-  std::string prefix = ::testing::TempDir() + "/tlsim_cli_replicas";
-  std::remove((prefix + ".json").c_str());
-  for (const char* bad : {"abc", "0", "-1", "4294967296"}) {
-    CliRun r = cli({"run", SMALL, "--replicas", bad, "--export-prefix",
-                    prefix});
-    EXPECT_EQ(r.code, 2) << bad;
-    EXPECT_NE(r.err.find("bad value for --replicas: '" + std::string(bad)),
-              std::string::npos)
-        << r.err;
-    EXPECT_FALSE(std::ifstream(prefix + ".json").good()) << bad;
+// Every numeric flag of run and scenario, and --trace-sample's N, takes a
+// whole plain decimal in its range: each malformed or out-of-range value
+// (and an explicitly empty --flag=) exits 2 naming the flag, before any
+// simulation starts.
+TEST(CliMutation, EveryNumericFlagRejectsMalformedValues) {
+  const std::vector<std::string> malformed = {
+      "abc", "", "+5", " 5", "5 ", "0x10", "nan", "inf", "1e400"};
+  const std::string kPastInt = "4294967296";
+  const std::string kPastReal = "1000000001";  // reals stop at 1e9
+  struct Flag {
+    bool scenario;
+    std::string name;
+    std::vector<std::string> past;  // one past each bound
+  };
+  const std::vector<Flag> flags = {
+      {false, "hosts", {"1", "4097", kPastInt}},
+      {false, "seed", {"-1", "4611686018427387904"}},
+      {false, "bands", {"0", "16", kPastInt}},
+      {false, "interval-s", {"0.0009", kPastReal}},
+      {false, "link-gbps", {"0.0009", kPastReal}},
+      {false, "threads", {"-1", "4097", kPastInt}},
+      {false, "jobs", {"0", "4097", kPastInt}},
+      {false, "workers", {"0", "4096", kPastInt}},
+      {false, "ps", {"0", "65", kPastInt}},
+      {false, "batch", {"0", "65537", kPastInt}},
+      {false, "iters", {"0", "1000001", kPastInt}},
+      {false, "placement", {"0", "9", kPastInt}},
+      {false, "replicas", {"0", "-1", "10001", kPastInt}},
+      {true, "hosts", {"1", "4097", kPastInt}},
+      {true, "seed", {"-1", "4611686018427387904"}},
+      {true, "bands", {"0", "16", kPastInt}},
+      {true, "interval-s", {"0.0009", kPastReal}},
+      {true, "link-gbps", {"0.0009", kPastReal}},
+      {true, "threads", {"-1", "4097", kPastInt}},
+      {true, "cores", {"0", "1025", kPastInt}},
+      {true, "scenario-band-limit", {"-2", "4097", kPastInt}},
+      {true, "scenario-time-limit-s", {"0.9", kPastReal}},
+      {true, "scenario-sample-s", {"-0.1", kPastReal}},
+      {true, "scenario-jobs", {"0", "100001", kPastInt}},
+      {true, "scenario-mean-s", {"0.0000009", kPastReal}},
+      {true, "scenario-pareto-alpha", {"0.0000009", kPastReal}},
+      {true, "scenario-pareto-min-s", {"0.0000009", kPastReal}},
+      {true, "scenario-pareto-max-s", {"0.0000009", kPastReal}},
+      {true, "scenario-workers-min", {"0", "4096", kPastInt}},
+      {true, "scenario-workers-max", {"0", "4096", kPastInt}},
+      {true, "scenario-iters-min", {"0", "1000001", kPastInt}},
+      {true, "scenario-iters-max", {"0", "1000001", kPastInt}},
+      {true, "scenario-batch", {"0", "65537", kPastInt}},
+      {true, "scenario-evict-frac", {"-0.1", kPastReal}},
+      {true, "scenario-evict-min-s", {"0.0000009", kPastReal}},
+      {true, "scenario-evict-max-s", {"0.0000009", kPastReal}},
+      {true, "scenario-trace-seed", {"-1", "4611686018427387904"}},
+  };
+  auto expect_rejected = [](std::vector<std::string> args,
+                            const std::string& flag, const std::string& value) {
+    args.push_back("--" + flag + "=" + value);
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, out, err), 2) << "--" << flag << "='" << value
+                                          << "'";
+    EXPECT_TRUE(out.str().empty()) << "--" << flag << "='" << value << "'";
+    EXPECT_NE(err.str().find("bad value for --" + flag), std::string::npos)
+        << err.str();
+  };
+  const std::vector<std::string> run = {"run", SMALL};
+  const std::vector<std::string> scenario = {SMALL_SCENARIO};
+  for (const Flag& f : flags) {
+    std::vector<std::string> values = malformed;
+    values.insert(values.end(), f.past.begin(), f.past.end());
+    for (const std::string& v : values) {
+      expect_rejected(f.scenario ? scenario : run, f.name, v);
+    }
+  }
+  // --trace-sample's N; "5 " is left out because spaces around a list item
+  // are trimmed ("qdisc=16, htb=8").
+  expect_rejected(run, "trace-sample", "");
+  for (const std::string& v : malformed) {
+    if (v != "5 ") expect_rejected(run, "trace-sample", "qdisc=" + v);
+  }
+  for (const char* v : {"0", "16x", "4294967296"}) {
+    expect_rejected(run, "trace-sample", std::string("qdisc=") + v);
   }
 }
 

@@ -169,6 +169,13 @@ TEST(Trace, ParseRejectsBadValues) {
       {"0,1.0,0.0,alexnet,2,1,1000001", "bad iterations"},
       {"0,1.0,0.0,alexnet,2,1,9000000000000000000", "bad iterations"},
       {"0,1.0,0.0,alexnet,2,1,9e18", "bad iterations"},
+      // A number is the whole field, in plain decimal.
+      {"0,1.0,0.0,alexnet,+5,1,10", "bad workers"},
+      {"0,1.0,0.0,alexnet, 5,1,10", "bad workers"},
+      {"0,1.0,0.0,alexnet,0x10,1,10", "bad workers"},
+      {"0,+5,0.0,alexnet,2,1,10", "bad arrival_s"},
+      {"0, 5,0.0,alexnet,2,1,10", "bad arrival_s"},
+      {"0,0x10,0.0,alexnet,2,1,10", "bad arrival_s"},
       // No job at all: an empty replay would run the generated trace.
       {"job_id,arrival_s,lifetime_s,model,workers,batch,iterations",
        "trace has no jobs"},

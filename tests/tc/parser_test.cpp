@@ -74,9 +74,13 @@ TEST(Parser, QdiscErrors) {
   expect_error("tc qdisc add root handle 1: pfifo");             // no dev
   expect_error("tc qdisc add dev host0 handle 1: pfifo");        // no root
   expect_error("tc qdisc add dev host0 root handle 1:5 pfifo");  // minor set
+  expect_error("tc qdisc add dev host0 root handle 0: pfifo");   // no root
   expect_error("tc qdisc add dev host0 root handle 1: prio bands 99");
+  // 2^32 + 2 must not wrap to 2 bands.
+  expect_error("tc qdisc add dev host0 root handle 1: prio bands 4294967298");
   expect_error("tc qdisc add dev host0 root handle 1: pfifo extra");
   expect_error("tc qdisc frobnicate dev host0 root");
+  expect_error("tc qdisc del dev host0 root extra");
   expect_error("");
   expect_error("tc frobnicate");
 }
@@ -116,8 +120,17 @@ TEST(Parser, ClassErrors) {
   expect_error("tc class add dev host0 parent 1: classid 1:1 cbq rate 1mbit");
   expect_error("tc class add dev host0 parent 1: classid 1:1 htb rate fast");
   expect_error("tc class add dev host0 parent 1: classid 1:1 htb rate 1mbit prio 9");
+  // 2^32 must not wrap to prio 0.
+  expect_error(
+      "tc class add dev host0 parent 1: classid 1:1 htb rate 1mbit "
+      "prio 4294967296");
+  // About 1e32 bytes: past net::Bytes, not a float-to-int overflow.
+  expect_error(
+      "tc class add dev host0 parent 1: classid 1:1 htb rate 1mbit "
+      "burst 99999999999999999999999g");
   expect_error("tc class add dev host0 parent 1: classid 1:1 htb rate 1mbit bogus 3");
   expect_error("tc class del dev host0 classid 1:");
+  expect_error("tc class del dev host0 classid 1:2 extra");
 }
 
 TEST(Parser, FilterAddSport) {
@@ -167,14 +180,11 @@ TEST(Parser, FilterErrors) {
   expect_error("tc filter add dev host0 parent 1: fw flowid 1:1");
   expect_error("tc filter add dev host0 protocol ipv6 parent 1: u32 flowid 1:1");
   expect_error("tc filter del dev host0 pref x");
-}
-
-TEST(Parser, TokenizeSplitsOnWhitespace) {
-  auto t = tokenize("  a  b\tc \n d ");
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[0], "a");
-  EXPECT_EQ(t[3], "d");
-  EXPECT_TRUE(tokenize("").empty());
+  // 2^32 + 1 must not wrap to pref 1, on add or on del.
+  expect_error(
+      "tc filter add dev host0 parent 1: pref 4294967297 u32 flowid 1:1");
+  expect_error("tc filter del dev host0 pref 4294967297");
+  expect_error("tc filter del dev host0 pref 10 64");  // not pref 10
 }
 
 }  // namespace

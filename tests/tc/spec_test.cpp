@@ -84,6 +84,8 @@ TEST(ParseRate, RejectsMalformed) {
   EXPECT_FALSE(parse_rate("10parsec"));
   EXPECT_FALSE(parse_rate("0mbit"));
   EXPECT_FALSE(parse_rate("mbit"));
+  // 1e300 gbit overflows to inf: rejected, not an abort in net::Rate.
+  EXPECT_FALSE(parse_rate(std::string(300, '9') + "gbit"));
 }
 
 TEST(ParseSize, BinaryUnits) {
@@ -99,6 +101,9 @@ TEST(ParseSize, RejectsMalformed) {
   EXPECT_FALSE(parse_size("big"));
   EXPECT_FALSE(parse_size("0k"));
   EXPECT_FALSE(parse_size("10q"));
+  // 2^63 bytes and more do not fit net::Bytes.
+  EXPECT_FALSE(parse_size("9223372036854775808"));
+  EXPECT_FALSE(parse_size("8589934592g"));
 }
 
 TEST(FormatRate, PicksUnits) {

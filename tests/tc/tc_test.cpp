@@ -82,6 +82,22 @@ TEST_F(TcTest, HtbClassLifecycle) {
   EXPECT_FALSE(htb.has_class(1));
 }
 
+TEST_F(TcTest, HtbClassQuantumMustEarnATopUpAtTheMinimumWeight) {
+  // WDRR tops a flow's deficit up by quantum * weight, rounded down; with
+  // a 1-byte quantum that is 0 for any flow lighter than 1, and dequeue
+  // spins forever. No flow is started: it would never finish.
+  ASSERT_TRUE(control_.exec("tc qdisc add dev host0 root handle 1: htb").ok);
+  const std::string add =
+      "tc class add dev host0 parent 1: classid 1:1 htb rate 10gbit quantum ";
+  EXPECT_FALSE(control_.exec(add + "1").ok);
+  EXPECT_FALSE(control_.exec(add + "19").ok);  // 19 * 0.05 < 1
+  ASSERT_TRUE(control_.exec(add + "20").ok);
+  EXPECT_FALSE(control_
+                   .exec("tc class change dev host0 parent 1: classid 1:1 "
+                         "htb rate 10gbit quantum 1")
+                   .ok);
+}
+
 TEST_F(TcTest, ClassRequiresHtbRoot) {
   ASSERT_TRUE(control_.exec("tc qdisc add dev host0 root handle 1: prio").ok);
   Status s = control_.exec(

@@ -15,11 +15,13 @@ cmake --build --preset debug-asan -j "$jobs"
 ctest --preset debug-asan -j "$jobs"
 
 echo "==> [1b/4] debug-ubsan: input-reader mutation tests (UBSan incl. float-cast-overflow)"
-# The seeded mutation tests feed hostile trace CSVs to the obs and scenario
-# readers; a NaN or huge number that slips through becomes an integer time
-# only float-cast-overflow reports.
+# The seeded mutation tests feed hostile input to every hand-rolled reader:
+# trace CSVs to the obs and scenario readers, tc command lines to the tc
+# DSL, and argv to tlsim. A NaN or huge number that slips through becomes
+# an integer time, size or rate that only float-cast-overflow reports.
 cmake --preset debug-ubsan
-cmake --build --preset debug-ubsan -j "$jobs" --target test_obs test_scenario
+cmake --build --preset debug-ubsan -j "$jobs" \
+  --target test_obs test_scenario test_tc test_runtime
 ctest --preset debug-ubsan -R Mutation -j "$jobs"
 
 smoke_dir="$(mktemp -d)"
