@@ -3,9 +3,10 @@
 // reader feeding StreamingAnalyzer one event at a time — reporting
 // events/sec (CSV parse included) and the engine's peak retained records
 // against the total event count. That is the bounded-memory headline: the
-// peak stays a small in-flight window however long the trace is. A row
-// above it times the reader alone over the same trace (a sink that only
-// counts), so the parser and the engine each have a number.
+// peak stays a small in-flight window however long the trace is. Rows
+// above it time the reader alone over the same trace (a sink that only
+// counts) and the engine alone (the trace parsed once into memory, then
+// ingested and finished), so the parser and the engine each have a number.
 //
 // A capture-sampling row (qdisc=16, htb=16) shows the filter layer's effect
 // on trace volume while the blame matrix stays integer-exact (analysis
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common.hpp"
 #include "obs/analysis.hpp"
@@ -101,6 +103,25 @@ int main(int argc, char** argv) {
   }
   double parse_s = seconds_since(p0) / reps;
 
+  // The engine alone: the same trace parsed once into memory, then
+  // ingested and finished.
+  std::vector<obs::TraceEvent> in_memory;
+  std::string read_error;
+  if (!obs::for_each_trace_csv_event(
+          trace,
+          [&in_memory](const obs::TraceEvent& e) { in_memory.push_back(e); },
+          nullptr, &read_error)) {
+    std::fprintf(stderr, "bench_obs_streaming: %s\n", read_error.c_str());
+    return 1;
+  }
+  auto e0 = std::chrono::steady_clock::now();
+  for (int r = 0; r < reps; ++r) {
+    obs::StreamingAnalyzer analyzer;
+    for (const obs::TraceEvent& e : in_memory) analyzer.ingest(e);
+    analyzer.finish();
+  }
+  double engine_s = seconds_since(e0) / reps;
+
   auto t0 = std::chrono::steady_clock::now();
   std::string offline_json;
   std::size_t peak = 0;
@@ -142,6 +163,10 @@ int main(int argc, char** argv) {
   table.add_row({"csv parse only", std::to_string(parsed),
                  metrics::fmt(parse_s * 1e3, 1),
                  std::to_string(events_per_sec(parsed, parse_s)), "-", "-"});
+  table.add_row({"engine only", std::to_string(in_memory.size()),
+                 metrics::fmt(engine_s * 1e3, 1),
+                 std::to_string(events_per_sec(in_memory.size(), engine_s)),
+                 "-", "-"});
   table.add_row({"csv -> streaming", std::to_string(events),
                  metrics::fmt(offline_s * 1e3, 1),
                  std::to_string(events_per_sec(events, offline_s)),

@@ -5,17 +5,22 @@
 // (golden-report tests) rests on that sharing. Not part of the public obs
 // API; include obs/analysis.hpp instead.
 //
-// Index::flows and FlowTrace::chunks are hash maps: every event touches
-// them by key, and nothing may let their order reach an output. The walk
-// only looks them up; the engine's one loop over flows takes minima
+// Index::flows is a hash map: every event touches it by key, and nothing
+// may let its order reach an output. The walk only looks it up; the
+// engine's one loop over it takes minima
 // (StreamingAnalyzer::prune_port_records) and its per-job pruning walks its
-// own ordered id lists. Every map whose order a report sees — the deliver
-// chain, the end-time probes, releases, blame — stays ordered.
+// own ordered id lists. A flow's chunks and its deliver chain are flat
+// vectors sorted by key (chunk index, deliver time), written through
+// slot_of and read through find_sorted with exactly the semantics of the
+// maps they replace: a missing key is inserted in sorted place, a known
+// one is found and overwritten. Every map whose order a report sees — the
+// end-time probes, releases, blame — stays ordered.
 #pragma once
 
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,6 +40,7 @@ inline constexpr std::int32_t kGradientUpdateKind = 1;
 /// Missing stages stay -1 (category filtered out or chunk still in flight
 /// at end of trace).
 struct ChunkTrace {
+  std::int64_t index = 0;  ///< chunk index within the flow (sort key)
   sim::Time enq_at{-1};
   sim::Time deq_at{-1};
   sim::Time arr_at{-1};
@@ -52,6 +58,12 @@ struct ChunkTrace {
   std::int64_t bytes = 0;
 };
 
+/// One deliver-chain entry: `chunk` is the last chunk delivered at `at`.
+struct Delivery {
+  sim::Time at{};
+  std::int64_t chunk = 0;
+};
+
 struct FlowTrace {
   std::int32_t src = -1;
   std::int32_t dst = -1;
@@ -60,16 +72,58 @@ struct FlowTrace {
   std::int64_t iteration = -1;
   sim::Time start_at{-1};
   sim::Time end_at{-1};
-  /// By chunk index. Hashed, looked up only by key.
-  std::unordered_map<std::int64_t, ChunkTrace> chunks;
-  /// Deliver time -> chunk index; ordered, the walk takes its last entry.
-  std::map<sim::Time, std::int64_t> index_by_deliver;
+  /// Sorted by ChunkTrace::index, one record per index.
+  std::vector<ChunkTrace> chunks;
+  /// Sorted by deliver time, one entry per instant; the walk takes the
+  /// last entry.
+  std::vector<Delivery> index_by_deliver;
   /// Log position of the flow's earliest enqueue event (the dequeue-record
   /// retention watermark).
   std::size_t min_enq_idx = static_cast<std::size_t>(-1);
   /// Same for the earliest ingress arrival (deliver-record retention).
   std::size_t min_arr_idx = static_cast<std::size_t>(-1);
 };
+
+/// Position of `key` in `v`, sorted by the unique member `key_of`, or
+/// where it belongs when absent. Dense integer keys first seen in order —
+/// a simulator flow's chunks 0..n-1, host ids — sit at their own position
+/// or at the end; both are tried before the binary search.
+template <typename T, typename K>
+std::size_t sorted_slot(const std::vector<T>& v, K T::*key_of, K key) {
+  if constexpr (std::is_integral_v<K>) {
+    if (key >= 0 && static_cast<std::make_unsigned_t<K>>(key) < v.size() &&
+        v[static_cast<std::size_t>(key)].*key_of == key) {
+      return static_cast<std::size_t>(key);
+    }
+  }
+  if (v.empty() || v.back().*key_of < key) return v.size();
+  return static_cast<std::size_t>(
+      std::partition_point(v.begin(), v.end(),
+                           [&](const T& x) { return x.*key_of < key; }) -
+      v.begin());
+}
+
+/// The element keyed `key` in `v` (sorted as above), or null.
+template <typename T, typename K>
+const T* find_sorted(const std::vector<T>& v, K T::*key_of, K key) {
+  std::size_t at = sorted_slot(v, key_of, key);
+  return at < v.size() && v[at].*key_of == key ? &v[at] : nullptr;
+}
+
+/// The element keyed `key` in `v`, inserted in sorted place and otherwise
+/// default-initialized when missing, and whether it was — map::try_emplace
+/// on a sorted vector.
+template <typename T, typename K>
+std::pair<T*, bool> slot_of(std::vector<T>& v, K T::*key_of, K key) {
+  std::size_t at = sorted_slot(v, key_of, key);
+  bool missing = at == v.size() || v[at].*key_of != key;
+  if (missing) {
+    T x{};
+    x.*key_of = key;
+    v.insert(v.begin() + static_cast<std::ptrdiff_t>(at), std::move(x));
+  }
+  return {&v[at], missing};
+}
 
 struct Span {
   sim::Time begin{};
@@ -177,11 +231,11 @@ inline void decompose_flow(const FlowTrace& f, sim::Time lo, SegmentSink& sink,
                            std::int64_t flow_id) {
   sim::Time cursor = f.end_at;
   // Last chunk: the one delivered at flow end.
-  const ChunkTrace* c = nullptr;
-  if (!f.index_by_deliver.empty()) {
-    auto last = std::prev(f.index_by_deliver.end());
-    c = &f.chunks.at(last->second);
-  }
+  const ChunkTrace* c =
+      f.index_by_deliver.empty()
+          ? nullptr
+          : find_sorted(f.chunks, &ChunkTrace::index,
+                        f.index_by_deliver.back().chunk);
   while (c != nullptr && cursor > lo) {
     if (c->arr_at < sim::Time{0} || c->deq_at < sim::Time{0} ||
         c->enq_at < sim::Time{0} || c->del_at < sim::Time{0}) {
@@ -204,9 +258,9 @@ inline void decompose_flow(const FlowTrace& f, sim::Time lo, SegmentSink& sink,
     if (cursor <= f.start_at || cursor <= lo) break;
     // The chunk was admitted by the delivery of an earlier chunk at the
     // same instant; follow it.
-    auto it = f.index_by_deliver.find(cursor);
-    if (it == f.index_by_deliver.end()) break;
-    c = &f.chunks.at(it->second);
+    const Delivery* d = find_sorted(f.index_by_deliver, &Delivery::at, cursor);
+    if (d == nullptr) break;
+    c = find_sorted(f.chunks, &ChunkTrace::index, d->chunk);
   }
   // Gap between flow start and where the chunk chain bottomed out (missing
   // chunk data, truncated trace): unattributable.

@@ -23,6 +23,27 @@ void StreamingAnalyzer::note_retention(std::ptrdiff_t delta) {
   if (retained_ > peak_retained_) peak_retained_ = retained_;
 }
 
+detail::FlowTrace& StreamingAnalyzer::flow_of(const TraceEvent& e) {
+  auto [it, inserted] = ix_.flows.try_emplace(e.flow);
+  if (inserted) {
+    flows_by_job_[e.job].push_back(e.flow);
+    note_retention(1);
+    if (!spare_.empty()) {
+      it->second.chunks = std::move(spare_.back().chunks);
+      it->second.index_by_deliver = std::move(spare_.back().index_by_deliver);
+      spare_.pop_back();
+    }
+  }
+  return it->second;
+}
+
+void StreamingAnalyzer::add_port_record(std::vector<Lane>& lanes,
+                                        const TraceEvent& e, std::size_t idx) {
+  detail::slot_of(lanes, &Lane::host, e.host)
+      .first->recs.push_back(PortRec{idx, e.flow, e.job, e.band, e.bytes});
+  note_retention(1);
+}
+
 void StreamingAnalyzer::ingest(const TraceEvent& e) {
   std::size_t idx = next_idx_++;
   if (e.at < last_at_) {
@@ -36,12 +57,7 @@ void StreamingAnalyzer::ingest(const TraceEvent& e) {
 
   switch (e.kind) {
     case EventKind::kFlowStart: {
-      auto [it, inserted] = ix_.flows.try_emplace(e.flow);
-      FlowTrace& f = it->second;
-      if (inserted) {
-        flows_by_job_[e.job].push_back(e.flow);
-        note_retention(1);
-      }
+      FlowTrace& f = flow_of(e);
       f.src = e.host;
       f.dst = static_cast<std::int32_t>(e.a);
       f.job = e.job;
@@ -51,12 +67,7 @@ void StreamingAnalyzer::ingest(const TraceEvent& e) {
       break;
     }
     case EventKind::kFlowEnd: {
-      auto [it, inserted] = ix_.flows.try_emplace(e.flow);
-      FlowTrace& f = it->second;
-      if (inserted) {
-        flows_by_job_[e.job].push_back(e.flow);
-        note_retention(1);
-      }
+      FlowTrace& f = flow_of(e);
       if (f.start_at < sim::Time{0}) {  // end without start
         f.src = e.host;
         f.dst = static_cast<std::int32_t>(e.a);
@@ -75,75 +86,49 @@ void StreamingAnalyzer::ingest(const TraceEvent& e) {
       break;
     }
     case EventKind::kChunkEnqueue: {
-      auto [it, inserted] = ix_.flows.try_emplace(e.flow);
-      FlowTrace& f = it->second;
-      if (inserted) {
-        flows_by_job_[e.job].push_back(e.flow);
-        note_retention(1);
-      }
-      auto [cit, cinserted] = f.chunks.try_emplace(e.b);
-      if (cinserted) note_retention(1);
-      ChunkTrace& c = cit->second;
-      c.enq_at = e.at;
-      c.enq_idx = idx;
-      c.egress_host = e.host;
-      c.band = e.band;
-      c.bytes = e.bytes;
+      FlowTrace& f = flow_of(e);
+      auto [c, inserted] = detail::slot_of(f.chunks, &ChunkTrace::index, e.b);
+      if (inserted) note_retention(1);
+      c->enq_at = e.at;
+      c->enq_idx = idx;
+      c->egress_host = e.host;
+      c->band = e.band;
+      c->bytes = e.bytes;
       if (idx < f.min_enq_idx) f.min_enq_idx = idx;
       break;
     }
     case EventKind::kChunkDequeue: {
-      auto [it, inserted] = ix_.flows.try_emplace(e.flow);
-      FlowTrace& f = it->second;
-      if (inserted) {
-        flows_by_job_[e.job].push_back(e.flow);
-        note_retention(1);
-      }
-      auto [cit, cinserted] = f.chunks.try_emplace(e.b);
-      if (cinserted) note_retention(1);
-      ChunkTrace& c = cit->second;
-      c.deq_at = e.at;
-      c.deq_idx = idx;
-      c.egress_host = e.host;
-      c.band = e.band;
-      c.bytes = e.bytes;
-      deq_by_host_[e.host].push_back(
-          PortRec{idx, e.flow, e.job, e.band, e.bytes});
-      note_retention(1);
+      FlowTrace& f = flow_of(e);
+      auto [c, inserted] = detail::slot_of(f.chunks, &ChunkTrace::index, e.b);
+      if (inserted) note_retention(1);
+      c->deq_at = e.at;
+      c->deq_idx = idx;
+      c->egress_host = e.host;
+      c->band = e.band;
+      c->bytes = e.bytes;
+      add_port_record(deq_lanes_, e, idx);
       break;
     }
     case EventKind::kIngressArrive: {
-      auto [it, inserted] = ix_.flows.try_emplace(e.flow);
-      FlowTrace& f = it->second;
-      if (inserted) {
-        flows_by_job_[e.job].push_back(e.flow);
-        note_retention(1);
-      }
-      auto [cit, cinserted] = f.chunks.try_emplace(e.b);
-      if (cinserted) note_retention(1);
-      cit->second.arr_at = e.at;
-      cit->second.arr_idx = idx;
+      FlowTrace& f = flow_of(e);
+      auto [c, inserted] = detail::slot_of(f.chunks, &ChunkTrace::index, e.b);
+      if (inserted) note_retention(1);
+      c->arr_at = e.at;
+      c->arr_idx = idx;
       if (idx < f.min_arr_idx) f.min_arr_idx = idx;
       break;
     }
     case EventKind::kIngressDeliver: {
-      auto [it, inserted] = ix_.flows.try_emplace(e.flow);
-      FlowTrace& f = it->second;
-      if (inserted) {
-        flows_by_job_[e.job].push_back(e.flow);
-        note_retention(1);
-      }
-      auto [cit, cinserted] = f.chunks.try_emplace(e.b);
-      if (cinserted) note_retention(1);
-      ChunkTrace& c = cit->second;
-      c.del_at = e.at;
-      c.del_idx = idx;
-      c.del_wait = sim::from_nanos(e.a);
-      c.ingress_host = e.host;
-      f.index_by_deliver[e.at] = e.b;
-      del_by_host_[e.host].push_back(
-          PortRec{idx, e.flow, e.job, e.band, e.bytes});
-      note_retention(1);
+      FlowTrace& f = flow_of(e);
+      auto [c, inserted] = detail::slot_of(f.chunks, &ChunkTrace::index, e.b);
+      if (inserted) note_retention(1);
+      c->del_at = e.at;
+      c->del_idx = idx;
+      c->del_wait = sim::from_nanos(e.a);
+      c->ingress_host = e.host;
+      detail::slot_of(f.index_by_deliver, &detail::Delivery::at, e.at)
+          .first->chunk = e.b;
+      add_port_record(del_lanes_, e, idx);
       break;
     }
     case EventKind::kWorkerCompute: {
@@ -225,16 +210,16 @@ void StreamingAnalyzer::finalize(std::int32_t job, std::int64_t iteration) {
     // An inverted window (out-of-order input) is empty; binary-searching
     // it would put `lo` past `hi` and walk off the end of the lane.
     if (v.begin_idx >= v.end_idx) continue;
-    const auto& lane =
-        v.side == BlameSide::kEgress ? deq_by_host_ : del_by_host_;
-    auto dit = lane.find(v.host);
-    if (dit == lane.end()) continue;
-    const std::deque<PortRec>& dq = dit->second;
+    const Lane* lane = detail::find_sorted(
+        v.side == BlameSide::kEgress ? deq_lanes_ : del_lanes_, &Lane::host,
+        v.host);
+    if (lane == nullptr) continue;
+    auto live = lane->recs.begin() + static_cast<std::ptrdiff_t>(lane->head);
     auto lo = std::upper_bound(
-        dq.begin(), dq.end(), v.begin_idx,
+        live, lane->recs.end(), v.begin_idx,
         [](std::size_t idx, const PortRec& rec) { return idx < rec.idx; });
     auto hi = std::lower_bound(
-        dq.begin(), dq.end(), v.end_idx,
+        lo, lane->recs.end(), v.end_idx,
         [](const PortRec& rec, std::size_t idx) { return rec.idx < idx; });
     for (auto it = lo; it != hi; ++it) {
       if (it->flow == v.victim_flow) continue;  // own pipeline, not blame
@@ -301,6 +286,9 @@ void StreamingAnalyzer::prune_job(std::int32_t job, sim::Time watermark) {
       const FlowTrace& f = it->second;
       if (f.end_at >= sim::Time{0} && f.end_at < watermark) {
         note_retention(-static_cast<std::ptrdiff_t>(1 + f.chunks.size()));
+        it->second.chunks.clear();
+        it->second.index_by_deliver.clear();
+        spare_.push_back(std::move(it->second));
         ix_.flows.erase(it);
       } else {
         ids[kept++] = id;
@@ -349,18 +337,28 @@ void StreamingAnalyzer::prune_port_records() {
     if (f.min_enq_idx < enq_floor) enq_floor = f.min_enq_idx;
     if (f.min_arr_idx < arr_floor) arr_floor = f.min_arr_idx;
   }
-  auto prune_lane = [this](std::map<std::int32_t, std::deque<PortRec>>& lane,
-                           std::size_t floor_idx) {
-    for (auto& [host, dq] : lane) {
-      (void)host;
-      while (!dq.empty() && dq.front().idx < floor_idx) {
-        dq.pop_front();
-        note_retention(-1);
+  auto prune_lanes = [this](std::vector<Lane>& lanes, std::size_t floor_idx) {
+    for (Lane& lane : lanes) {
+      auto live = std::partition_point(
+          lane.recs.begin() + static_cast<std::ptrdiff_t>(lane.head),
+          lane.recs.end(),
+          [floor_idx](const PortRec& rec) { return rec.idx < floor_idx; });
+      auto head = static_cast<std::size_t>(live - lane.recs.begin());
+      note_retention(-static_cast<std::ptrdiff_t>(head - lane.head));
+      if (head == lane.recs.size()) {
+        lane.recs.clear();
+        head = 0;
+      } else if (head * 2 >= lane.recs.size()) {
+        // Each live record moves at most once per halving of its lane:
+        // amortized one move per record, as in EventQueue's buckets.
+        lane.recs.erase(lane.recs.begin(), live);
+        head = 0;
       }
+      lane.head = head;
     }
   };
-  prune_lane(deq_by_host_, enq_floor);
-  prune_lane(del_by_host_, arr_floor);
+  prune_lanes(deq_lanes_, enq_floor);
+  prune_lanes(del_lanes_, arr_floor);
 }
 
 RunReport StreamingAnalyzer::snapshot() const {

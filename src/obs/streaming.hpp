@@ -51,6 +51,14 @@
 //    binary-searches the same windows, yielding the bytes a full-log scan
 //    would on both blame sides.
 //
+//  * Flat, reused storage: per-chunk and per-record state lives in
+//    contiguous vectors, not in map or deque nodes. A flow's chunks and
+//    deliver chain are sorted vectors (detail::slot_of, find_sorted), and
+//    each host's port records are a vector lane consumed through a head
+//    cursor, its retired prefix compacted once it passes half the lane. A
+//    retired flow's emptied vectors go to the next new flow, so
+//    steady-state ingest allocates nothing per chunk.
+//
 // The analysis needs the kAnalysisCats categories (chunk, barrier, flow,
 // ingress, compute); with fewer it degrades gracefully — unattributable
 // time lands in the `other` bucket instead of failing. Input that breaks
@@ -60,7 +68,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -121,6 +128,21 @@ class StreamingAnalyzer final : public TraceSink {
     std::int64_t bytes = 0;
   };
 
+  /// One host's records in log order: [head, recs.size()) are live, the
+  /// prefix before head is retired and compacted away once it passes half
+  /// the lane.
+  struct Lane {
+    std::int32_t host = -1;
+    std::size_t head = 0;
+    std::vector<PortRec> recs;
+  };
+
+  /// The flow `e` belongs to, created (on a retired flow's storage when
+  /// there is one) the first time one of its events arrives.
+  detail::FlowTrace& flow_of(const TraceEvent& e);
+  /// Appends `e`'s port record, at log position `idx`, to its host's lane.
+  void add_port_record(std::vector<Lane>& lanes, const TraceEvent& e,
+                       std::size_t idx);
   void finalize_ripe(sim::Time now);
   void finalize(std::int32_t job, std::int64_t iteration);
   void prune_job(std::int32_t job, sim::Time watermark);
@@ -130,11 +152,14 @@ class StreamingAnalyzer final : public TraceSink {
   detail::Index ix_;
   TraceHealth health_;
 
-  /// Per-host kChunkDequeue records in log order (egress blame windows).
-  std::map<std::int32_t, std::deque<PortRec>> deq_by_host_;
-  /// Per-receiving-host kIngressDeliver records in log order (ingress
+  /// Per-host kChunkDequeue lanes, sorted by host (egress blame windows).
+  std::vector<Lane> deq_lanes_;
+  /// Per-receiving-host kIngressDeliver lanes, sorted by host (ingress
   /// blame windows).
-  std::map<std::int32_t, std::deque<PortRec>> del_by_host_;
+  std::vector<Lane> del_lanes_;
+  /// Emptied chunk and deliver-chain vectors of retired flows, handed to
+  /// the next new flow so steady-state ingest allocates none.
+  std::vector<detail::FlowTrace> spare_;
   /// Flow ids per job, so per-job pruning never scans foreign flows.
   std::map<std::int32_t, std::vector<std::int64_t>> flows_by_job_;
   /// kBarrierEnter count per (job, iteration).

@@ -181,6 +181,9 @@ Status TrafficControl::apply_filter_add(const FilterAddCmd& cmd) {
   if (cmd.parent != dev.handle) {
     return Status::fail("filter parent does not match root qdisc");
   }
+  if (cmd.spec.flowid.major != dev.handle.major) {
+    return Status::fail("filter flowid is not a class of the root qdisc");
+  }
   net::FilterRule rule;
   rule.pref = cmd.spec.pref;
   rule.src_port = cmd.spec.sport;

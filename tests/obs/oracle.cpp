@@ -15,19 +15,29 @@ namespace tls::obs::oracle {
 namespace {
 
 using detail::ChunkTrace;
+using detail::Delivery;
 using detail::FlowTrace;
 using detail::Index;
 using detail::QueueVisit;
 using detail::Release;
 using detail::Span;
 
+/// One flow as the oracle indexes it: its chunks and its deliver chain in
+/// std::maps, independent of the engine's sorted-vector insert path.
+struct MapFlow {
+  FlowTrace trace;  ///< every field but chunks and index_by_deliver
+  std::map<std::int64_t, ChunkTrace> chunks;
+  std::map<sim::Time, std::int64_t> index_by_deliver;
+};
+
 Index build_index(const std::vector<TraceEvent>& events) {
   Index ix;
+  std::map<std::int64_t, MapFlow> flows;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
     switch (e.kind) {
       case EventKind::kFlowStart: {
-        FlowTrace& f = ix.flows[e.flow];
+        FlowTrace& f = flows[e.flow].trace;
         f.src = e.host;
         f.dst = static_cast<std::int32_t>(e.a);
         f.job = e.job;
@@ -37,7 +47,7 @@ Index build_index(const std::vector<TraceEvent>& events) {
         break;
       }
       case EventKind::kFlowEnd: {
-        FlowTrace& f = ix.flows[e.flow];
+        FlowTrace& f = flows[e.flow].trace;
         if (f.start_at < sim::Time{0}) {  // end without start (filtered/truncated)
           f.src = e.host;
           f.dst = static_cast<std::int32_t>(e.a);
@@ -52,7 +62,7 @@ Index build_index(const std::vector<TraceEvent>& events) {
         break;
       }
       case EventKind::kChunkEnqueue: {
-        ChunkTrace& c = ix.flows[e.flow].chunks[e.b];
+        ChunkTrace& c = flows[e.flow].chunks[e.b];
         c.enq_at = e.at;
         c.enq_idx = i;
         c.egress_host = e.host;
@@ -61,7 +71,7 @@ Index build_index(const std::vector<TraceEvent>& events) {
         break;
       }
       case EventKind::kChunkDequeue: {
-        ChunkTrace& c = ix.flows[e.flow].chunks[e.b];
+        ChunkTrace& c = flows[e.flow].chunks[e.b];
         c.deq_at = e.at;
         c.deq_idx = i;
         c.egress_host = e.host;
@@ -70,13 +80,13 @@ Index build_index(const std::vector<TraceEvent>& events) {
         break;
       }
       case EventKind::kIngressArrive: {
-        ChunkTrace& c = ix.flows[e.flow].chunks[e.b];
+        ChunkTrace& c = flows[e.flow].chunks[e.b];
         c.arr_at = e.at;
         c.arr_idx = i;
         break;
       }
       case EventKind::kIngressDeliver: {
-        FlowTrace& f = ix.flows[e.flow];
+        MapFlow& f = flows[e.flow];
         ChunkTrace& c = f.chunks[e.b];
         c.del_at = e.at;
         c.del_idx = i;
@@ -103,6 +113,18 @@ Index build_index(const std::vector<TraceEvent>& events) {
       }
       default:
         break;
+    }
+  }
+  // The whole log is indexed: lay each flow out as the shared walk reads
+  // it, in map (key) order.
+  for (auto& [id, mf] : flows) {
+    FlowTrace& f = ix.flows[id] = std::move(mf.trace);
+    for (auto& [index, c] : mf.chunks) {
+      c.index = index;
+      f.chunks.push_back(c);
+    }
+    for (const auto& [at, index] : mf.index_by_deliver) {
+      f.index_by_deliver.push_back(Delivery{at, index});
     }
   }
   return ix;

@@ -7,7 +7,10 @@
 // finalization trigger, no watermark retirement, no per-host record lanes.
 // Only the critical-path walk itself (obs/analysis_detail.hpp) is shared
 // with the engine, so a bug in the engine's incremental bookkeeping shows
-// up as a byte difference against this oracle.
+// up as a byte difference against this oracle. That includes the engine's
+// sorted-vector inserts: the oracle indexes chunks and deliveries in its
+// own std::maps and lays them out as the walk reads them only once the
+// whole log is indexed.
 //
 // It also keeps the reference trace-CSV reader: the line-at-a-time parser
 // that copies every line and every field into a std::string, which the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/htb_qdisc.hpp"
 #include "net/prio_qdisc.hpp"
 
@@ -156,6 +158,25 @@ TEST_F(TcTest, FilterParentMustMatch) {
                    .exec("tc filter add dev host0 parent 2: pref 10 u32 "
                          "flowid 2:1")
                    .ok);
+}
+
+TEST_F(TcTest, FilterFlowidMustBeAClassOfTheRoot) {
+  // Under root 1:, flowid 19:3 names a class of another qdisc; it must not
+  // steer the port into band 3 (htb) or band 2 (prio).
+  for (const char* root : {"prio bands 6", "htb"}) {
+    ASSERT_TRUE(control_
+                    .exec(std::string("tc qdisc replace dev host0 root "
+                                      "handle 1: ") +
+                          root)
+                    .ok);
+    Status s = control_.exec(
+        "tc filter add dev host0 parent 1: pref 10 u32 match ip sport 5000 "
+        "0xffff flowid 19:3");
+    EXPECT_FALSE(s.ok) << root;
+    EXPECT_NE(s.error.find("flowid"), std::string::npos) << s.error;
+    EXPECT_EQ(fabric_.egress(tls::net::HostId{0}).classifier().size(), 0u)
+        << root;
+  }
 }
 
 TEST_F(TcTest, FilterDelRemovesRule) {

@@ -16,17 +16,23 @@
 // repo against itself, pinning the parser and the zero-delta path.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "simcore/parse.hpp"
 
 namespace {
 
-/// Extracts the number following `"key":` at any depth; false when absent.
+constexpr double kAnyReal = std::numeric_limits<double>::max();
+
+/// Extracts the number following `"key":` at any depth: the whole value up
+/// to the next ',', '}' or newline, trimmed. False when absent or when the
+/// value is not a plain number ("1.5x" is not 1.5).
 bool extract_number(const std::string& text, const std::string& key,
                     double* out) {
   std::string needle = "\"" + key + "\"";
@@ -34,12 +40,10 @@ bool extract_number(const std::string& text, const std::string& key,
   if (at == std::string::npos) return false;
   at = text.find(':', at + needle.size());
   if (at == std::string::npos) return false;
-  const char* start = text.c_str() + at + 1;
-  char* end = nullptr;
-  double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
-  return true;
+  std::string_view value = std::string_view(text).substr(at + 1);
+  value = value.substr(0, value.find_first_of(",}\n"));
+  return tls::sim::parse_real(tls::sim::trim(value), out, -kAnyReal,
+                              kAnyReal);
 }
 
 struct BenchFile {
@@ -96,7 +100,9 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--max-regress-pct") {
       if (i + 1 >= argc) return usage();
-      max_regress_pct = std::atof(argv[++i]);
+      if (!tls::sim::parse_real(argv[++i], &max_regress_pct, 0, kAnyReal)) {
+        return usage();
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {

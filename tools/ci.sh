@@ -19,6 +19,8 @@ echo "==> [1b/4] debug-ubsan: input-reader mutation tests (UBSan incl. float-cas
 # trace CSVs to the obs and scenario readers, tc command lines to the tc
 # DSL, and argv to tlsim. A NaN or huge number that slips through becomes
 # an integer time, size or rate that only float-cast-overflow reports.
+# FlatIndexMutation (test_obs) feeds seeded and extreme chunk indexes and
+# delivery instants to the attribution engine's sorted-vector index.
 cmake --preset debug-ubsan
 cmake --build --preset debug-ubsan -j "$jobs" \
   --target test_obs test_scenario test_tc test_runtime
