@@ -9,7 +9,9 @@
 //
 // The acceptance bar is the "disabled" column: attaching an inert tracer
 // must stay within ~2% of a build that never sees one. Results land in
-// BENCH_obs_overhead.json alongside the usual bench timing files.
+// BENCH_obs_overhead.json alongside the usual bench timing files, with
+// the same "wall_s" (all three sweeps) and "runs" keys they carry, so
+// bench_diff compares it like the others.
 #include <chrono>  // host wall timing only — bench/ is outside the src/ lint
 #include <filesystem>
 
@@ -95,6 +97,8 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"obs_overhead\",\n"
+                 "  \"wall_s\": %.6f,\n"
+                 "  \"runs\": 24,\n"
                  "  \"wall_s_off\": %.6f,\n"
                  "  \"wall_s_disabled\": %.6f,\n"
                  "  \"wall_s_enabled\": %.6f,\n"
@@ -105,7 +109,8 @@ int main(int argc, char** argv) {
                  "  \"iters\": %lld,\n"
                  "  \"seed\": %llu\n"
                  "}\n",
-                 off_s, disabled_s, enabled_s, disabled_frac, enabled_frac,
+                 off_s + disabled_s + enabled_s, off_s, disabled_s, enabled_s,
+                 disabled_frac, enabled_frac,
                  static_cast<long long>(bench::resolved_jobs()),
                  static_cast<long long>(bench::bench_iters()),
                  static_cast<unsigned long long>(bench::bench_seed()));

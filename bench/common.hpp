@@ -45,7 +45,7 @@ inline long bench_iters() { return env_long("TLS_BENCH_ITERS", 60); }
 inline std::uint64_t bench_seed() {
   return static_cast<std::uint64_t>(env_long("TLS_BENCH_SEED", 1));
 }
-/// Requested worker-thread count; 0 = auto (TLS_JOBS / hardware).
+/// Requested worker-thread count; 0 = auto (hardware concurrency).
 inline long bench_jobs() { return env_long("TLS_BENCH_JOBS", 0); }
 /// The thread count a bench will actually use.
 inline long resolved_jobs() {
@@ -133,8 +133,8 @@ class Timing {
   long runs_ = 0;
 };
 
-/// Fans `configs` across the tls::runtime pool (TLS_BENCH_JOBS threads)
-/// and returns results in submission order — the parallel output is
+/// Fans `configs` across TLS_BENCH_JOBS tls::runtime threads and returns
+/// results in submission order — the parallel output is
 /// byte-identical to a serial loop.
 inline std::vector<exp::ExperimentResult> run_all(
     const std::vector<exp::ExperimentConfig>& configs,

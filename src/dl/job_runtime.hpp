@@ -61,7 +61,6 @@ class JobRuntime {
   /// True when the job ended via request_stop() rather than reaching its
   /// global-step target.
   bool evicted() const { return evicted_; }
-  sim::Time start_time() const { return start_time_; }
   sim::Time finish_time() const { return finish_time_; }
   /// Job completion time; only valid when finished().
   sim::Time jct() const { return finish_time_ - start_time_; }

@@ -166,8 +166,8 @@ double avg_normalized_jct(const ExperimentResult& policy,
 ExperimentConfig with_policy(ExperimentConfig base, core::PolicyKind policy);
 
 // Replicated and comparative runs are runtime::RunPlan::replicated and
-// ::policy_comparison (runtime/runner.hpp): they fan out across the
-// tls::runtime thread pool, and exp must stay below runtime in the
+// ::policy_comparison (runtime/runner.hpp): they fan out across
+// tls::runtime threads, and exp must stay below runtime in the
 // include-layer DAG.
 
 /// Summary of avg-JCT across replicated runs (mean/stddev/min/max).

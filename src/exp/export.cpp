@@ -1,7 +1,6 @@
 #include "exp/export.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace tls::exp {
@@ -77,22 +76,6 @@ std::string to_json(const ExperimentResult& result) {
   os << "  \"sim_horizon_s\": " << num(result.sim_horizon_s) << "\n";
   os << "}\n";
   return os.str();
-}
-
-bool write_file(const std::string& path, const std::string& content,
-                std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  out << content;
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace tls::exp

@@ -20,8 +20,4 @@ std::string barriers_csv(const ExperimentResult& result);
 /// barrier-wait summaries, utilization, tc activity).
 std::string to_json(const ExperimentResult& result);
 
-/// Writes `content` to `path`; false + message on I/O failure.
-bool write_file(const std::string& path, const std::string& content,
-                std::string* error);
-
 }  // namespace tls::exp

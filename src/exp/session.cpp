@@ -210,7 +210,7 @@ void Session::write_artifacts(const std::string& label) {
   if (gauge_sampler_) gauge_sampler_->stop();
   auto write = [](const std::string& path, const char* what, auto render) {
     std::string err;
-    if (!path.empty() && !write_file(path, render(), &err)) {
+    if (!path.empty() && !obs::write_file(path, render(), &err)) {
       throw std::runtime_error(std::string(what) + " export failed: " + err);
     }
   };

@@ -44,7 +44,6 @@ class Classifier {
 
   /// Band for unmatched traffic (default 0).
   void set_default_band(BandId band) { default_band_ = band; }
-  BandId default_band() const { return default_band_; }
 
   /// Returns the band for `spec` per first-match-wins evaluation.
   BandId classify(const FlowSpec& spec) const;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -328,6 +329,22 @@ std::string trace_csv(const Tracer& tracer) {
   for (const TraceEvent& e : tracer.events()) writer.on_event(e);
   writer.finish(tracer.health());
   return os.str();
+}
+
+bool write_file(const std::string& path, const std::string& content,
+                std::string* error) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
+    return false;
+  }
+  out << content;
+  out.flush();
+  if (!out) {
+    if (error != nullptr) *error = "write to '" + path + "' failed";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace tls::obs

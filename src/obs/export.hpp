@@ -16,7 +16,8 @@
 //    TraceSink, so a live run streams rows to the file as events are
 //    emitted; trace_csv() renders a Tracer's log through the same writer.
 //
-// The caller (exp::run_experiment, tests) decides where bytes land.
+// The caller decides where bytes land. Every rendered document goes to
+// its file through write_file(), which checks that all the bytes arrived.
 #pragma once
 
 #include <iosfwd>
@@ -53,5 +54,11 @@ class TraceCsvWriter final : public TraceSink {
 
 /// Renders a Tracer's log as CSV through TraceCsvWriter, trailer included.
 std::string trace_csv(const Tracer& tracer);
+
+/// Writes `content` to `path`, replacing the file. False with a message
+/// when the file cannot be opened or the bytes do not all reach it (a
+/// full disk fails at the flush, not at the open).
+bool write_file(const std::string& path, const std::string& content,
+                std::string* error);
 
 }  // namespace tls::obs

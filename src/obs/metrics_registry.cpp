@@ -47,15 +47,6 @@ void Histogram::record(std::int64_t sample) {
   sum_ += sample;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 std::int64_t Histogram::quantile_upper_bound(double q) const {
   if (count_ == 0) return 0;
   if (q < 0.0) q = 0.0;

@@ -58,17 +58,12 @@ class Gauge {
 
 /// Power-of-two bucketed histogram for non-negative integer samples
 /// (durations in ns, sizes in bytes). Bucket i counts samples in
-/// [2^(i-1), 2^i); bucket 0 counts zeros and ones. Fixed bucket count so
-/// two histograms merge bucket-by-bucket without rebinning.
+/// [2^(i-1), 2^i); bucket 0 counts zeros and ones.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
 
   void record(std::int64_t sample);
-
-  /// Adds every bucket, count, sum, and min/max of `other` into *this.
-  /// Used when aggregating per-run registries into a sweep-level view.
-  void merge(const Histogram& other);
 
   std::int64_t count() const { return count_; }
   std::int64_t sum() const { return sum_; }

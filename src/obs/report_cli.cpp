@@ -1,11 +1,11 @@
 #include "obs/report_cli.hpp"
 
 #include <climits>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "obs/analysis.hpp"
+#include "obs/export.hpp"
 #include "obs/html.hpp"
 #include "obs/reader.hpp"
 #include "obs/streaming.hpp"
@@ -34,15 +34,13 @@ constexpr const char* kUsage =
     "iterations finalize (stops after --max-polls polls or --idle-polls\n"
     "polls without growth; 0 = no limit).\n";
 
-bool write_file(const std::string& path, const std::string& content,
-                std::ostream& err) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    err << "tlsreport: cannot write " << path << "\n";
-    return false;
-  }
-  out << content;
-  return true;
+/// obs::write_file, its failure reported as a tlsreport error.
+bool write_output(const std::string& path, const std::string& content,
+                  std::ostream& err) {
+  std::string error;
+  if (write_file(path, content, &error)) return true;
+  err << "tlsreport: " << error << "\n";
+  return false;
 }
 
 /// Derives a short run label from a path: basename without extension.
@@ -66,8 +64,23 @@ struct CliConfig {
   int poll_ms = 500;
   int max_polls = 0;   // 0 = unlimited
   int idle_polls = 0;  // 0 = never stop on idle
+  std::vector<std::string> flags;  // every --flag given, in order
   std::vector<std::string> inputs;
 };
+
+/// Why the chosen mode would ignore `flag`, or "" when it reads it.
+std::string unread_flag(const CliConfig& cfg, const std::string& flag) {
+  if ((flag == "--label-a" || flag == "--label-b") && !cfg.diff_mode) {
+    return flag + " is only read with --diff";
+  }
+  if ((flag == "--poll-ms" || flag == "--max-polls" ||
+       flag == "--idle-polls") &&
+      !cfg.follow) {
+    return flag + " is only read with --follow";
+  }
+  if (flag == "--csv" && cfg.follow) return "--csv is not read with --follow";
+  return "";
+}
 
 /// Tails `path` with a StreamingAnalyzer, re-rendering the dashboard
 /// whenever a poll delivered new events. Returns the exit code.
@@ -103,9 +116,8 @@ int run_follow(const CliConfig& cfg, const ReportCliHooks& hooks,
       idle = 0;
       analyzer.set_health(tail.health());
       RunReport snap = analyzer.snapshot();
-      if (!write_file(cfg.html_path, report_html(report_json(snap), "",
-                                                 html_opts),
-                      err)) {
+      if (!write_output(cfg.html_path,
+                        report_html(report_json(snap), "", html_opts), err)) {
         return 2;
       }
     } else {
@@ -120,14 +132,14 @@ int run_follow(const CliConfig& cfg, const ReportCliHooks& hooks,
   RunReport final_report = analyzer.finish();
   HtmlOptions final_opts = html_opts;
   final_opts.refresh_seconds = 0;  // the run is over; stop reloading
-  if (!write_file(cfg.html_path,
-                  report_html(report_json(final_report), "", final_opts),
-                  err)) {
+  if (!write_output(cfg.html_path,
+                    report_html(report_json(final_report), "", final_opts),
+                    err)) {
     return 2;
   }
   if (!cfg.quiet) out << report_text(final_report);
   if (!cfg.json_path.empty() &&
-      !write_file(cfg.json_path, report_json(final_report), err)) {
+      !write_output(cfg.json_path, report_json(final_report), err)) {
     return 2;
   }
   return 0;
@@ -167,6 +179,7 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    if (arg.starts_with("--")) cfg.flags.push_back(arg);
     if (arg == "--diff") {
       cfg.diff_mode = true;
     } else if (arg == "--follow") {
@@ -216,6 +229,14 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
     return 2;
   }
 
+  for (const std::string& flag : cfg.flags) {
+    std::string why = unread_flag(cfg, flag);
+    if (!why.empty()) {
+      err << "tlsreport: " << why << "\n" << kUsage;
+      return 2;
+    }
+  }
+
   std::size_t expected = cfg.diff_mode ? 2u : 1u;
   if (cfg.inputs.size() != expected) {
     err << "tlsreport: expected " << expected << " trace CSV path"
@@ -258,11 +279,11 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
         diff_reports(reports[0], reports[1], cfg.label_a, cfg.label_b);
     if (!cfg.quiet) out << diff_text(d);
     if (!cfg.csv_path.empty() &&
-        !write_file(cfg.csv_path, diff_csv(d), err)) {
+        !write_output(cfg.csv_path, diff_csv(d), err)) {
       return 2;
     }
     if (!cfg.json_path.empty() &&
-        !write_file(cfg.json_path, diff_json(d), err)) {
+        !write_output(cfg.json_path, diff_json(d), err)) {
       return 2;
     }
     if (!cfg.html_path.empty()) {
@@ -270,10 +291,10 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
       opts.title = "tlsreport diff: " + cfg.label_a + " vs " + cfg.label_b;
       opts.label_a = cfg.label_a;
       opts.label_b = cfg.label_b;
-      if (!write_file(cfg.html_path,
-                      report_html(report_json(reports[0]),
-                                  report_json(reports[1]), opts),
-                      err)) {
+      if (!write_output(cfg.html_path,
+                        report_html(report_json(reports[0]),
+                                    report_json(reports[1]), opts),
+                        err)) {
         return 2;
       }
     }
@@ -282,19 +303,20 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
 
   const RunReport& r = reports[0];
   if (!cfg.quiet) out << report_text(r);
-  if (!cfg.csv_path.empty() && !write_file(cfg.csv_path, report_csv(r), err)) {
+  if (!cfg.csv_path.empty() &&
+      !write_output(cfg.csv_path, report_csv(r), err)) {
     return 2;
   }
   if (!cfg.json_path.empty() &&
-      !write_file(cfg.json_path, report_json(r), err)) {
+      !write_output(cfg.json_path, report_json(r), err)) {
     return 2;
   }
   if (!cfg.html_path.empty()) {
     HtmlOptions opts;
     opts.title = "tlsreport: " + label_from_path(cfg.inputs[0]);
     opts.label_a = label_from_path(cfg.inputs[0]);
-    if (!write_file(cfg.html_path, report_html(report_json(r), "", opts),
-                    err)) {
+    if (!write_output(cfg.html_path, report_html(report_json(r), "", opts),
+                      err)) {
       return 2;
     }
   }

@@ -103,15 +103,10 @@ class StreamingAnalyzer final : public TraceSink {
   /// state — the live dashboard renders these mid-stream.
   RunReport snapshot() const;
 
-  /// Records currently retained across all index structures (flows,
-  /// chunks, span keys, dequeue records, pending releases).
-  std::size_t retained_records() const { return retained_; }
-  /// High-water mark of retained_records() over the whole stream.
+  /// High-water mark, over the whole stream, of the records retained
+  /// across all index structures (flows, chunks, span keys, dequeue
+  /// records, pending releases).
   std::size_t peak_retained_records() const { return peak_retained_; }
-  /// Iterations finalized so far.
-  std::int64_t finalized_iterations() const {
-    return static_cast<std::int64_t>(finalized_.size());
-  }
   /// Events ingested so far.
   std::uint64_t ingested_events() const { return next_idx_; }
   /// True when an event arrived with a timestamp before its predecessor.

@@ -123,10 +123,10 @@ bool parse_sampling(const std::string& text, std::uint32_t* out,
   return true;
 }
 
-void Tracer::set_sample_every(Cat cat, std::uint32_t n, bool force) {
+void Tracer::set_sample_every(Cat cat, std::uint32_t n) {
   if (n == 0) n = 1;
   std::uint32_t bit = static_cast<std::uint32_t>(cat);
-  if (!force && (bit & kAnalysisCats) != 0) n = 1;  // keep the critical chain
+  if ((bit & kAnalysisCats) != 0) n = 1;  // keep the critical chain
   sample_every_[cat_index(cat)] = n;
 }
 

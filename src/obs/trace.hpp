@@ -5,8 +5,7 @@
 // TLs-RR rotations, barrier enter/release, straggler-lag samples) plus an
 // optional metrics Registry the same emission sites feed. Components reach
 // it through Simulator::tracer() — a single pointer load — so a run with no
-// tracer attached pays one null check per emission site, and building with
-// -DTLS_OBS=OFF compiles the sites out entirely (TLS_OBS_DISABLED).
+// tracer attached pays one null check per emission site.
 //
 // Every event the tracer accepts goes, as it is emitted, to each attached
 // TraceSink (the streaming trace-CSV writer, the attribution engine). The
@@ -179,9 +178,6 @@ class Tracer {
   /// True when any emission site has work to do (events or metrics).
   bool active() const { return mask_ != 0 || registry_ != nullptr; }
 
-  std::uint32_t categories() const { return mask_; }
-  void set_categories(std::uint32_t mask) { mask_ = mask; }
-
   /// Attaches a metrics registry; emission sites then update counters and
   /// histograms even for categories filtered out of the event log.
   void set_registry(Registry* registry) { registry_ = registry; }
@@ -196,11 +192,8 @@ class Tracer {
   /// Per-category sampling: keep one event in every `n` of category `cat`
   /// (n <= 1 disables). The kAnalysisCats categories are always kept —
   /// the critical-chain events must stay integer-exact for attribution —
-  /// so requests for them are clamped to 1 unless `force` is set.
-  void set_sample_every(Cat cat, std::uint32_t n, bool force = false);
-  std::uint32_t sample_every(Cat cat) const {
-    return sample_every_[cat_index(cat)];
-  }
+  /// so requests for them are clamped to 1.
+  void set_sample_every(Cat cat, std::uint32_t n);
 
   /// Capture-health snapshot: cap drops and sampling exclusions, per cat.
   const TraceHealth& health() const { return health_; }
@@ -301,10 +294,5 @@ std::string per_run_path(const std::string& base, const std::string& label);
 
 }  // namespace tls::obs
 
-// Emission-site guard: evaluates to false (and lets the compiler drop the
-// branch) when observability is compiled out with -DTLS_OBS=OFF.
-#if defined(TLS_OBS_DISABLED)
-#define TLS_OBS_ACTIVE(tracer) false
-#else
+// Emission-site guard: true when a tracer is attached and has work to do.
 #define TLS_OBS_ACTIVE(tracer) ((tracer) != nullptr && (tracer)->active())
-#endif

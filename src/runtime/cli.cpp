@@ -14,6 +14,7 @@
 #include "exp/experiment.hpp"
 #include "exp/export.hpp"
 #include "metrics/report.hpp"
+#include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/scenario_runner.hpp"
@@ -99,7 +100,7 @@ flags (defaults = the paper's testbed):
 
 execution flags (host-side; results are byte-identical at any thread count):
   --threads N      worker threads for independent runs
-                   (0 = $TLS_JOBS or hardware concurrency; 1 = serial)
+                   (0 = hardware concurrency; 1 = serial)
   --progress       per-run progress/ETA lines on stderr
 
 observability flags (artifacts never change results; multi-run commands
@@ -342,10 +343,11 @@ int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
   // PATH.json for the first replica.
   std::string prefix = args.get("export-prefix");
   if (!prefix.empty()) {
-    if (!exp::write_file(prefix + ".jobs.csv", exp::jobs_csv(runs.front()), &error) ||
-        !exp::write_file(prefix + ".barriers.csv", exp::barriers_csv(runs.front()),
-                    &error) ||
-        !exp::write_file(prefix + ".json", exp::to_json(runs.front()), &error)) {
+    const exp::ExperimentResult& first = runs.front();
+    if (!obs::write_file(prefix + ".jobs.csv", exp::jobs_csv(first), &error) ||
+        !obs::write_file(prefix + ".barriers.csv", exp::barriers_csv(first),
+                         &error) ||
+        !obs::write_file(prefix + ".json", exp::to_json(first), &error)) {
       err << "tlsim: export failed: " << error << "\n";
       return 1;
     }
@@ -522,7 +524,7 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
     scenario::Trace trace = config.replay.jobs.empty()
                                 ? scenario::generate_trace(config.trace)
                                 : config.replay;
-    if (!exp::write_file(trace_out, scenario::trace_csv(trace), &error)) {
+    if (!obs::write_file(trace_out, scenario::trace_csv(trace), &error)) {
       err << "tlsim: trace export failed: " << error << "\n";
       return 1;
     }
@@ -552,7 +554,7 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
     if (!json_path.empty()) {
       std::string path =
           multi ? obs::per_run_path(json_path, report.labels[i]) : json_path;
-      if (!exp::write_file(path, scenario::scenario_json(r), &error)) {
+      if (!obs::write_file(path, scenario::scenario_json(r), &error)) {
         err << "tlsim: scenario export failed: " << error << "\n";
         return 1;
       }
@@ -560,7 +562,7 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
     if (!csv_path.empty()) {
       std::string path =
           multi ? obs::per_run_path(csv_path, report.labels[i]) : csv_path;
-      if (!exp::write_file(path, scenario::scenario_csv(r), &error)) {
+      if (!obs::write_file(path, scenario::scenario_csv(r), &error)) {
         err << "tlsim: scenario export failed: " << error << "\n";
         return 1;
       }

@@ -21,7 +21,7 @@
 //
 // Host-execution flags (results are byte-identical at any
 // thread count):
-//   --threads N (0 = $TLS_JOBS or hardware concurrency)
+//   --threads N (0 = hardware concurrency)
 //   --progress
 #pragma once
 

@@ -1,16 +1,15 @@
 #include "runtime/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>  // host wall clock for progress/ETA only; see allowlist
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <mutex>
+#include <thread>
 
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
-#include "simcore/parse.hpp"
 
 namespace tls::runtime {
 
@@ -118,41 +117,40 @@ RunPlan RunPlan::batch_sweep(const exp::ExperimentConfig& base,
 }
 
 int default_jobs() {
-  const char* env = std::getenv("TLS_JOBS");
-  int jobs = 0;
-  if (env != nullptr && sim::parse_int(env, &jobs, 1)) return jobs;
-  return ThreadPool::hardware_threads();
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
-int fan_out(std::size_t n, int jobs,
-            const std::function<void(std::size_t)>& run_one) {
+void fan_out(std::size_t n, int jobs,
+             const std::function<void(std::size_t)>& run_one) {
   if (jobs <= 0) jobs = default_jobs();
   if (static_cast<std::size_t>(jobs) > n) jobs = static_cast<int>(n);
   jobs = std::max(jobs, 1);
 
+  std::atomic<std::size_t> next{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
-  // Each call writes only its own result slot; the error slot is the sole
-  // state shared here.
-  auto guarded = [&](std::size_t i) {
-    try {
-      run_one(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error == nullptr) first_error = std::current_exception();
+  // Each call writes only its own result slot; the claim counter and the
+  // error slot are the sole state shared here.
+  auto drain = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        run_one(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error == nullptr) first_error = std::current_exception();
+      }
     }
   };
   if (jobs == 1) {
-    for (std::size_t i = 0; i < n; ++i) guarded(i);
+    drain();
   } else {
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&guarded, i] { guarded(i); });
-    }
-    pool.wait_idle();
+    // jthreads join as the vector dies, also when a later one fails to
+    // start: the running ones then claim every index that is left.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(jobs));
+    for (int t = 0; t < jobs; ++t) threads.emplace_back(drain);
   }
   if (first_error != nullptr) std::rethrow_exception(first_error);
-  return jobs;
 }
 
 RunReport run_plan(const RunPlan& plan, const RunOptions& options) {
@@ -185,7 +183,7 @@ RunReport run_plan(const RunPlan& plan, const RunOptions& options) {
   Progress progress(n, options.progress, options.progress_stream);
   // Each call writes only results[i]; the progress lines synchronize
   // themselves.
-  report.jobs_used = fan_out(n, options.jobs, [&](std::size_t i) {
+  fan_out(n, options.jobs, [&](std::size_t i) {
     report.results[i] = exp::run_experiment(configs[i]);
     progress.tick(plan.entries[i].label);
   });

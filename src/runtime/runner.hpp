@@ -2,11 +2,12 @@
 //
 // A RunPlan is an ordered list of labelled, fully independent
 // ExperimentConfigs (seed replicas, placement sweeps, policy comparisons,
-// batch sweeps). run_plan fans the plan's entries across a work-stealing
-// thread pool and returns results **keyed by run index, never by
-// completion order**, so the output of a parallel run is byte-identical
-// to a serial one — the repo-wide determinism contract survives
-// parallelism untouched (witnessed by tests/runtime/runner_test.cpp).
+// batch sweeps). run_plan fans the plan's entries across worker threads
+// that claim run indices one at a time, and returns results **keyed by run
+// index, never by completion order**, so the output of a parallel run is
+// byte-identical to a serial one — the repo-wide determinism contract
+// survives parallelism untouched (witnessed by
+// tests/runtime/runner_test.cpp).
 #pragma once
 
 #include <functional>
@@ -53,21 +54,22 @@ struct RunPlan {
   static std::vector<core::PolicyKind> default_policies();
 };
 
-/// Worker-thread count when RunOptions::jobs is 0: $TLS_JOBS when it is a
-/// whole positive decimal, else std::thread::hardware_concurrency.
+/// Worker-thread count when RunOptions::jobs is 0:
+/// std::thread::hardware_concurrency, at least 1.
 int default_jobs();
 
 /// The one fan-out both plan runners share. Calls run_one(i) for every i
 /// in [0, n) on `jobs` threads (0 = default_jobs(); clamped to [1, n]):
-/// inline on the caller's thread at one, a ThreadPool otherwise. Every
-/// call runs even after one throws; the first exception is rethrown once
-/// all have returned. Returns the thread count used.
-int fan_out(std::size_t n, int jobs,
-            const std::function<void(std::size_t)>& run_one);
+/// inline on the caller's thread at one; otherwise each started thread
+/// takes the next unclaimed index until none is left. Every call runs
+/// even after one throws; the first exception is rethrown once all
+/// threads have joined.
+void fan_out(std::size_t n, int jobs,
+             const std::function<void(std::size_t)>& run_one);
 
 struct RunOptions {
   /// Worker threads; 0 = default_jobs(). 1 runs inline on the caller's
-  /// thread with no pool at all.
+  /// thread and starts none.
   int jobs = 0;
   /// Emit one progress/ETA line per completed run.
   bool progress = false;
@@ -80,11 +82,10 @@ struct RunReport {
   /// order.
   std::vector<exp::ExperimentResult> results;
   std::vector<std::string> labels;
-  int jobs_used = 1;
 };
 
 /// Executes every entry through fan_out, rethrowing the first worker
-/// exception after all in-flight runs drain. A multi-entry plan derives
+/// exception once every thread has joined. A multi-entry plan derives
 /// per-run artifact paths (trace.json -> trace.<label>.json) so parallel
 /// runs never share an output file; a single entry keeps its exact paths.
 RunReport run_plan(const RunPlan& plan, const RunOptions& options = {});

@@ -42,7 +42,7 @@ ScenarioReport run_scenario_plan(const ScenarioPlan& plan, int jobs) {
     configs.push_back(std::move(c));
   }
 
-  report.jobs_used = fan_out(n, jobs, [&](std::size_t i) {
+  fan_out(n, jobs, [&](std::size_t i) {
     report.results[i] = scenario::run_scenario(configs[i]);
   });
   return report;

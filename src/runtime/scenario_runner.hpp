@@ -1,8 +1,8 @@
 // Parallel execution of scenario plans (the dynamic-cluster analog of
 // RunPlan/run_plan). Entries are fully independent scenario::Configs; the
-// plan fans across the work-stealing thread pool and results come back
-// keyed by entry index, never by completion order, so a parallel plan's
-// output is byte-identical to a serial one.
+// plan fans across worker threads through runtime::fan_out and results
+// come back keyed by entry index, never by completion order, so a
+// parallel plan's output is byte-identical to a serial one.
 #pragma once
 
 #include <string>
@@ -34,12 +34,11 @@ struct ScenarioReport {
   /// order.
   std::vector<scenario::Result> results;
   std::vector<std::string> labels;
-  int jobs_used = 1;
 };
 
 /// Executes every entry through runtime::fan_out on `jobs` threads
 /// (0 = default_jobs(); 1 = inline on the caller's thread), rethrowing the
-/// first worker exception after in-flight runs drain.
+/// first worker exception once every thread has joined.
 ScenarioReport run_scenario_plan(const ScenarioPlan& plan, int jobs = 0);
 
 }  // namespace tls::runtime

@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "dl/model.hpp"
-#include "exp/export.hpp"
 #include "exp/session.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics_registry.hpp"
 
 namespace tls::scenario {
@@ -243,7 +243,7 @@ class Engine {
         .set(result.cluster_cpu_util);
     if (!config_.metrics_path.empty()) {
       std::string error;
-      if (!exp::write_file(config_.metrics_path,
+      if (!obs::write_file(config_.metrics_path,
                            registry_.timeseries_csv(sim_.now()), &error)) {
         throw std::runtime_error("scenario metrics export failed: " + error);
       }

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 namespace tls::exp {
 namespace {
 
@@ -64,23 +61,6 @@ TEST(Export, JsonEscapesStrings) {
   r.policy_name = "we\"ird\\name";
   std::string json = to_json(r);
   EXPECT_NE(json.find("we\\\"ird\\\\name"), std::string::npos);
-}
-
-TEST(Export, WriteFileRoundTrips) {
-  std::string path = ::testing::TempDir() + "/tls_export_test.csv";
-  std::string error;
-  ASSERT_TRUE(write_file(path, "a,b\n1,2\n", &error)) << error;
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), "a,b\n1,2\n");
-  std::remove(path.c_str());
-}
-
-TEST(Export, WriteFileFailureReported) {
-  std::string error;
-  EXPECT_FALSE(write_file("/nonexistent-dir-xyz/file.csv", "x", &error));
-  EXPECT_FALSE(error.empty());
 }
 
 }  // namespace

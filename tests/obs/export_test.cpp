@@ -1,11 +1,14 @@
 // Exporter unit tests: exact Chrome trace-event JSON and trace CSV for a
-// hand-built event sequence. These pin the byte-level format — the
-// integration golden test then pins a whole simulated scenario.
+// hand-built event sequence, and the checked file writer. These pin the
+// byte-level format — the integration golden test then pins a whole
+// simulated scenario.
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -172,6 +175,28 @@ TEST(TraceCsvWriter, StreamedBytesEqualTraceCsvIncludingHealthTrailer) {
   ASSERT_NE(want.find("#health,sampled,qdisc,2\n"), std::string::npos)
       << want;
   EXPECT_EQ(os.str(), want);
+}
+
+TEST(Export, WriteFileRoundTrips) {
+  std::string path = ::testing::TempDir() + "/tls_export_test.csv";
+  std::string error;
+  ASSERT_TRUE(write_file(path, "a,b\n1,2\n", &error)) << error;
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), "a,b\n1,2\n");
+  std::remove(path.c_str());
+}
+
+TEST(Export, WriteFileFailureReported) {
+  std::string error;
+  EXPECT_FALSE(write_file("/nonexistent-dir-xyz/file.csv", "x", &error));
+  EXPECT_FALSE(error.empty());
+  // /dev/full opens fine and fails the write itself, at the flush.
+  if (std::ifstream("/dev/full")) {
+    EXPECT_FALSE(write_file("/dev/full", "x", &error));
+    EXPECT_EQ(error, "write to '/dev/full' failed");
+  }
 }
 
 }  // namespace

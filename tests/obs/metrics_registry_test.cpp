@@ -52,45 +52,6 @@ TEST(Histogram, NegativeSamplesClampToZero) {
   EXPECT_EQ(h.sum(), 0);
 }
 
-TEST(Histogram, MergeMatchesCombinedRecording) {
-  Histogram a;
-  Histogram b;
-  Histogram combined;
-  for (std::int64_t v : {1, 10, 100, 1000}) {
-    a.record(v);
-    combined.record(v);
-  }
-  for (std::int64_t v : {5, 50, 500, 5000}) {
-    b.record(v);
-    combined.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.sum(), combined.sum());
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.max(), combined.max());
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    EXPECT_EQ(a.bucket(i), combined.bucket(i)) << "bucket " << i;
-  }
-  EXPECT_EQ(a.quantile_upper_bound(0.5), combined.quantile_upper_bound(0.5));
-  EXPECT_EQ(a.quantile_upper_bound(0.99), combined.quantile_upper_bound(0.99));
-}
-
-TEST(Histogram, MergeWithEmptyIsIdentityBothWays) {
-  Histogram a;
-  Histogram empty;
-  a.record(7);
-  a.merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 1);
-  EXPECT_EQ(a.min(), 7);
-  Histogram fresh;
-  fresh.merge(a);  // empty side must adopt min, not keep its zero
-  EXPECT_EQ(fresh.count(), 1);
-  EXPECT_EQ(fresh.min(), 7);
-  EXPECT_EQ(fresh.max(), 7);
-  EXPECT_EQ(fresh.sum(), 7);
-}
-
 TEST(Histogram, QuantileIsBucketUpperEdgeCappedAtMax) {
   Histogram h;
   for (int i = 0; i < 100; ++i) h.record(10);  // all in [8, 16)

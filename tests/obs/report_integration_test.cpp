@@ -23,6 +23,7 @@
 
 #include "exp/experiment.hpp"
 #include "obs/analysis.hpp"
+#include "obs/export.hpp"
 #include "obs/report_cli.hpp"
 #include "obs/trace.hpp"
 #include "oracle.hpp"
@@ -468,6 +469,17 @@ const std::string& shared_trace_csv(core::PolicyKind policy,
   return cache.emplace(name, c.obs.trace_csv_path).first->second;
 }
 
+/// A per-process scratch directory holding a trace CSV with no events:
+/// enough for every tlsreport mode to reach its output files.
+fs::path empty_trace_dir() {
+  fs::path dir = fs::path(testing::TempDir()) /
+                 ("tls_report_cli_empty-" + std::to_string(getpid()));
+  fs::create_directories(dir);
+  std::ofstream(dir / "empty.csv", std::ios::binary)
+      << obs::trace_csv(obs::Tracer{});
+  return dir;
+}
+
 TEST(ReportCli, SingleTraceReportMatchesInProcessAnalysis) {
   const std::string& trace = shared_trace_csv(core::PolicyKind::kFifo, "fifo");
   fs::path dir = fs::path(testing::TempDir()) / "tls_report_cli_out";
@@ -568,6 +580,51 @@ TEST(ReportCli, HelpAndErrors) {
               std::string::npos)
         << big.err;
   }
+}
+
+TEST(ReportCli, FailedWriteExitsTwo) {
+  // /dev/full opens fine and fails the write itself.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string trace = (empty_trace_dir() / "empty.csv").string();
+  for (const char* flag : {"--json", "--csv", "--html"}) {
+    CliRun r = report_cli({trace, "--quiet", flag, "/dev/full"});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find("tlsreport: write to '/dev/full' failed"),
+              std::string::npos)
+        << flag << ": " << r.err;
+  }
+}
+
+TEST(ReportCli, RejectsFlagsItsModeDoesNotRead) {
+  const fs::path dir = empty_trace_dir();
+  const std::string trace = (dir / "empty.csv").string();
+  const std::string html = (dir / "f.html").string();
+  const std::string csv = (dir / "f.csv").string();
+  struct Row {
+    std::vector<std::string> args;
+    const char* why;
+  };
+  const std::vector<Row> rows = {
+      {{"--follow", trace, "--html", html, "--csv", csv, "--max-polls", "1"},
+       "--csv is not read with --follow"},
+      {{trace, "--label-a", "A"}, "--label-a is only read with --diff"},
+      {{"--follow", trace, "--html", html, "--max-polls", "1", "--label-b",
+        "B"},
+       "--label-b is only read with --diff"},
+      {{trace, "--poll-ms", "5"}, "--poll-ms is only read with --follow"},
+      {{"--diff", trace, trace, "--max-polls", "1"},
+       "--max-polls is only read with --follow"},
+      {{trace, "--idle-polls", "1"}, "--idle-polls is only read with --follow"},
+  };
+  for (const Row& row : rows) {
+    CliRun r = report_cli(row.args);
+    EXPECT_EQ(r.code, 2) << row.why;
+    EXPECT_NE(r.err.find(std::string("tlsreport: ") + row.why),
+              std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("usage: tlsreport"), std::string::npos) << row.why;
+  }
+  EXPECT_FALSE(fs::exists(csv));
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "exp/export.hpp"
 
@@ -16,7 +18,7 @@ namespace {
 
 /// Small contended sweep mirroring tests/integration/determinism_test.cpp:
 /// colocated PSes and a slow link so runs are long enough to genuinely
-/// overlap and finish out of submission order under the pool.
+/// overlap and finish out of submission order across threads.
 exp::ExperimentConfig small_contended(core::PolicyKind policy) {
   exp::ExperimentConfig c;
   c.num_hosts = 6;
@@ -70,8 +72,6 @@ TEST(Runner, ParallelExportIsByteIdenticalToSerial) {
   RunPlan plan = seeded_sweep();
   RunReport serial = run_plan(plan, with_jobs(1));
   RunReport parallel = run_plan(plan, with_jobs(8));
-  EXPECT_EQ(serial.jobs_used, 1);
-  EXPECT_EQ(parallel.jobs_used, 6);  // clamped to the 6 plan entries
   ASSERT_EQ(serial.results.size(), plan.size());
   ASSERT_EQ(parallel.results.size(), plan.size());
   EXPECT_EQ(full_export(serial), full_export(parallel));
@@ -135,15 +135,35 @@ TEST(Runner, ProgressLinesGoToTheGivenStream) {
 }
 
 TEST(Runner, FanOutCallsEveryIndexOnceAndReportsItsThreads) {
-  for (int jobs : {1, 3, 8}) {
+  for (int jobs : {0, 1, 3, 8}) {
     std::vector<int> calls(5, 0);
-    int used = fan_out(calls.size(), jobs,
-                       [&calls](std::size_t i) { ++calls[i]; });
-    EXPECT_EQ(used, std::min(jobs, 5));
+    fan_out(calls.size(), jobs, [&calls](std::size_t i) { ++calls[i]; });
     EXPECT_EQ(calls, std::vector<int>(5, 1)) << "jobs=" << jobs;
   }
-  EXPECT_EQ(fan_out(0, 4, [](std::size_t) {}), 1);
+  bool called = false;
+  fan_out(0, 4, [&called](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
 }
+
+TEST(Runner, FanOutRunsCallsConcurrently) {
+  // Each call waits until all four have started, so four threads must run
+  // them at once. A serial fan-out sees 1, 2, 3, 4 and fails once the one
+  // shared deadline passes instead of hanging.
+  std::atomic<int> started{0};
+  std::vector<int> seen(4, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  fan_out(seen.size(), 4, [&](std::size_t i) {
+    ++started;
+    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    seen[i] = started.load();
+  });
+  EXPECT_EQ(seen, std::vector<int>(4, 4));
+}
+
+TEST(Runner, DefaultJobsIsPositive) { EXPECT_GE(default_jobs(), 1); }
 
 TEST(Runner, FanOutRunsEveryCallBeforeRethrowingTheFirstError) {
   for (int jobs : {1, 4}) {

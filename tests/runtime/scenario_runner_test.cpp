@@ -41,8 +41,6 @@ TEST(ScenarioRunner, ParallelPlanMatchesSerialByteForByte) {
   ScenarioPlan plan = ScenarioPlan::policy_comparison(small_config());
   ScenarioReport serial = run_scenario_plan(plan, 1);
   ScenarioReport parallel = run_scenario_plan(plan, 8);
-  EXPECT_EQ(serial.jobs_used, 1);
-  EXPECT_EQ(parallel.jobs_used, 3);  // clamped to the entry count
   ASSERT_EQ(serial.results.size(), 3u);
   ASSERT_EQ(parallel.results.size(), 3u);
   for (std::size_t i = 0; i < serial.results.size(); ++i) {

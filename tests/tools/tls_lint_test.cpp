@@ -204,11 +204,14 @@ TEST(TlsLint, CatchesThreadingOutsideRuntime) {
 
 TEST(TlsLint, RuntimeDirIsExemptFromThreadingRule) {
   std::string src =
+      "#include <atomic>\n"
       "#include <mutex>\n"
       "#include <thread>\n"
       "std::mutex mu_;\n"
-      "std::vector<std::thread> workers_;\n";
-  auto findings = lint_source("runtime/thread_pool.hpp", src);
+      "std::vector<std::thread> workers_;\n"
+      "std::atomic<std::size_t> next{0};\n"
+      "std::vector<std::jthread> threads;\n";
+  auto findings = lint_source("runtime/runner.cpp", src);
   EXPECT_FALSE(has_rule(findings, "threading-outside-runtime"))
       << format_findings(findings);
 }

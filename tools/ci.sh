@@ -186,12 +186,12 @@ cmake --build --preset debug-asan -j "$jobs" --target bench_diff
 ./build-asan/tools/bench_diff . "$smoke_dir" --max-regress-pct 15 \
   || echo "bench_diff: regression worse than 15% (non-fatal; see table above)"
 
-echo "==> [3/4] debug-tsan: tls::runtime pool + both plan runners under ThreadSanitizer"
-# Runner* and ScenarioRunner*/ScenarioPlan* drive run_plan and
-# run_scenario_plan through the one shared fan-out.
+echo "==> [3/4] debug-tsan: tls::runtime fan-out + both plan runners under ThreadSanitizer"
+# Runner* calls fan_out directly and through run_plan; ScenarioRunner*/
+# ScenarioPlan* drive run_scenario_plan through the same fan-out.
 cmake --preset debug-tsan
 cmake --build --preset debug-tsan -j "$jobs" --target test_runtime
-(cd build-tsan && ctest -R '^(ThreadPool|Runner|ScenarioRunner|ScenarioPlan)' \
+(cd build-tsan && ctest -R '^(Runner|ScenarioRunner|ScenarioPlan)' \
   --output-on-failure -j "$jobs")
 
 echo "==> [4/4] ci preset: RelWithDebInfo + TLS_WERROR=ON, tier-1 ctest"
