@@ -1,10 +1,12 @@
-// Simulator-core microbenchmark: the calendar-queue EventQueue against the
-// seed binary-heap implementation it replaced, plus a 1000-host synthetic
-// fabric drain exercising the SoA chunk rings and the fast-forward lane.
+// Simulator-core microbenchmark: the product EventQueue (a binary heap of
+// 24-byte keys over a slot table of inline callbacks) against the seed
+// binary-heap implementation, plus a 1000-host synthetic fabric drain
+// exercising the SoA chunk rings and the fast-forward lane.
 //
 // The legacy queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its
-// O(n) cancel scan, which is the quadratic path this revision removes.
+// O(n) cancel scan and its std::function per entry, which the slot table
+// replaces with a generation check and an inline callback.
 //
 // Knobs:
 //   TLS_BENCH_SIMCORE_OPS   reference op count per queue mix (default 20000;
@@ -180,8 +182,8 @@ MixResult run_cancel_heavy(std::size_t n) {
   return r;
 }
 
-/// Random mix over spread-out horizons: exercises the overflow tier and
-/// window re-anchoring on the calendar side.
+/// Random mix over spread-out horizons: schedules far ahead of the pops,
+/// with cancels whose tombstones wait in the queue until they surface.
 template <class Q>
 MixResult run_mixed_horizon(std::size_t n) {
   Q q;
@@ -214,8 +216,6 @@ struct DrainResult {
   double wall_s = 0.0;
   double events_per_sec = 0.0;
   double ff_hit_rate = 0.0;
-  std::uint64_t window_jumps = 0;
-  std::uint64_t overflow_pulls = 0;
 };
 
 /// 1000 hosts on the star fabric, one bulk flow per host to a distant peer,
@@ -257,8 +257,6 @@ DrainResult run_drain(int hosts, tls::net::Bytes bytes_per_flow) {
     r.ff_hit_rate = static_cast<double>(promotions) /
                     static_cast<double>(promotions + polls);
   }
-  r.window_jumps = simulator.queue_stats().window_jumps;
-  r.overflow_pulls = simulator.queue_stats().overflow_pulls;
   return r;
 }
 
@@ -283,15 +281,14 @@ void write_json(std::size_t ops, const MixResult& fifo_new,
       "  \"wall_s\": %.6f,\n"
       "  \"iters\": %lld,\n"
       "  \"ref_ops\": %llu,\n"
-      "  \"fifo_mix\": {\"calendar_eps\": %.0f, \"heap_eps\": %.0f, "
+      "  \"fifo_mix\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
       "\"speedup\": %.2f},\n"
-      "  \"cancel_heavy\": {\"calendar_eps\": %.0f, \"heap_eps\": %.0f, "
+      "  \"cancel_heavy\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
       "\"speedup\": %.2f},\n"
-      "  \"mixed_horizon\": {\"calendar_eps\": %.0f, \"heap_eps\": %.0f, "
+      "  \"mixed_horizon\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
       "\"speedup\": %.2f},\n"
       "  \"drain\": {\"hosts\": %d, \"flows\": %llu, \"sim_events\": %llu,\n"
-      "            \"events_per_sec\": %.0f, \"ff_hit_rate\": %.4f,\n"
-      "            \"window_jumps\": %llu, \"overflow_pulls\": %llu}\n"
+      "            \"events_per_sec\": %.0f, \"ff_hit_rate\": %.4f}\n"
       "}\n",
       total_wall_s, static_cast<long long>(tls::bench::bench_iters()),
       static_cast<unsigned long long>(ops), fifo_new.events_per_sec(),
@@ -301,18 +298,17 @@ void write_json(std::size_t ops, const MixResult& fifo_new,
       mixed_old.events_per_sec(), ratio(mixed_new, mixed_old), drain.hosts,
       static_cast<unsigned long long>(drain.flows),
       static_cast<unsigned long long>(drain.sim_events), drain.events_per_sec,
-      drain.ff_hit_rate, static_cast<unsigned long long>(drain.window_jumps),
-      static_cast<unsigned long long>(drain.overflow_pulls));
+      drain.ff_hit_rate);
   std::fclose(f);
 }
 
-void print_mix(const char* name, const MixResult& calendar,
+void print_mix(const char* name, const MixResult& queue,
                const MixResult& heap) {
   double speedup = heap.events_per_sec() > 0
-                       ? calendar.events_per_sec() / heap.events_per_sec()
+                       ? queue.events_per_sec() / heap.events_per_sec()
                        : 0.0;
-  std::printf("%-14s  calendar %12.0f ev/s   heap %12.0f ev/s   %7.1fx\n",
-              name, calendar.events_per_sec(), heap.events_per_sec(), speedup);
+  std::printf("%-14s  queue %12.0f ev/s   heap %12.0f ev/s   %7.1fx\n", name,
+              queue.events_per_sec(), heap.events_per_sec(), speedup);
 }
 
 }  // namespace

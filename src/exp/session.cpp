@@ -187,8 +187,6 @@ void Session::write_artifacts(const std::string& label) {
     add("eventq_cancelled", qs.cancelled);
     add("eventq_popped", qs.popped);
     add("eventq_tombstones_skipped", qs.tombstones_skipped);
-    add("eventq_overflow_pulls", qs.overflow_pulls);
-    add("eventq_window_jumps", qs.window_jumps);
     std::uint64_t promotions = 0;
     std::uint64_t polls = 0;
     for (net::HostId h{0}; h < net::HostId{fabric_.num_hosts()}; ++h) {

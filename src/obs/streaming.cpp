@@ -350,7 +350,7 @@ void StreamingAnalyzer::prune_port_records() {
         head = 0;
       } else if (head * 2 >= lane.recs.size()) {
         // Each live record moves at most once per halving of its lane:
-        // amortized one move per record, as in EventQueue's buckets.
+        // amortized one move per record.
         lane.recs.erase(lane.recs.begin(), live);
         head = 0;
       }

@@ -57,9 +57,8 @@ class Simulator {
   /// Total events dispatched since construction.
   std::uint64_t dispatched() const { return dispatched_; }
 
-  /// Event-queue activity counters (schedules, cancels, tombstone skips,
-  /// calendar tier migrations); bench_simcore and the end-of-run obs
-  /// export read these.
+  /// Event-queue activity counters (schedules, cancels, pops, tombstone
+  /// skips); bench_simcore and the end-of-run obs export read these.
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
 
   /// Root random generator. Components should fork() child streams with

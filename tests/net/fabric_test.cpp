@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace tls::net {
 namespace {
@@ -17,19 +18,53 @@ FabricConfig ideal(int hosts) {
 }
 
 TEST(Fabric, SingleFlowTakesSerializationTime) {
-  sim::Simulator s(1);
-  Fabric fab(s, ideal(2));
-  sim::Time done = tls::sim::Time{-1};
-  FlowSpec f;
-  f.src = tls::net::HostId{0};
-  f.dst = tls::net::HostId{1};
-  f.bytes = tls::net::Bytes{1250000};  // 1 ms at 10 Gbps... actually 1.25 MB = 1 ms
-  fab.start_flow(f, [&](const FlowRecord& r) { done = r.end; });
-  s.run();
-  ASSERT_GE(done, tls::sim::Time{0});
-  // Egress + ingress are pipelined; total ≈ serialization + one chunk.
-  double expect_s = seconds_for(1250000.0, gbps(10));
-  EXPECT_NEAR(sim::to_seconds(done), expect_s, expect_s * 0.2);
+  // A flow alone on an ideal fabric has a closed-form completion time,
+  // exact in integer ns. Its chunks c_1..c_n are 128 KiB, the last one
+  // partial, and t(c) = transmit_time(c, 10 Gb/s): 104,858 ns for a full
+  // chunk. Egress serializes each chunk, the switch adds latency L, and
+  // ingress serializes it again at the same rate.
+  //  - Window 4 (the default): egress never waits for a delivery, and
+  //    ingress runs one largest chunk behind it, so the flow ends at
+  //    sum t(c_i) + max t(c_i) + L.
+  //  - Window 1: each chunk is sent only once the one before it has been
+  //    delivered, so the flow ends at 2 * sum t(c_i) + n * L.
+  struct Case {
+    std::int64_t bytes;
+    int window;
+    sim::Time latency;
+    sim::Time end;
+  };
+  const sim::Time l = 5 * sim::kMicrosecond;
+  const Case cases[] = {
+      // 9 full chunks and a 70,352 B one (56,282 ns): sum 1,000,004 ns.
+      {1'250'000, 4, sim::Time{0}, sim::Time{1'104'862}},
+      {1'250'000, 4, l, sim::Time{1'109'862}},
+      {1'250'000, 1, sim::Time{0}, sim::Time{2'000'008}},
+      {1'250'000, 1, l, sim::Time{2'050'008}},
+      // One chunk of 1,000 B (800 ns): both forms give 2 t + L.
+      {1'000, 4, l, sim::Time{6'600}},
+      {1'000, 1, l, sim::Time{6'600}},
+      // Two full chunks, no partial one: sum 209,716 ns.
+      {262'144, 4, l, sim::Time{319'574}},
+      {262'144, 1, l, sim::Time{429'432}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.bytes << " B, window " << c.window
+                                    << ", latency " << c.latency);
+    sim::Simulator s(1);
+    FabricConfig config = ideal(2);
+    config.flow_window = c.window;
+    config.switch_latency = c.latency;
+    Fabric fab(s, config);
+    sim::Time done = tls::sim::Time{-1};
+    FlowSpec f;
+    f.src = tls::net::HostId{0};
+    f.dst = tls::net::HostId{1};
+    f.bytes = tls::net::Bytes{c.bytes};
+    fab.start_flow(f, [&](const FlowRecord& r) { done = r.end; });
+    s.run();
+    EXPECT_EQ(done, c.end);
+  }
 }
 
 TEST(Fabric, ZeroByteFlowCompletesAsync) {

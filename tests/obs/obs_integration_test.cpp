@@ -111,9 +111,9 @@ TEST(ObsGolden, TwoHostTwoJobCsvMatchesGolden) {
 /// Fig. 2-shaped FIFO scenario, shrunk: multiple jobs contending through
 /// the default pfifo qdisc (the kFifo policy installs nothing), so the
 /// trace exercises the exact hot path the simulator core optimizes —
-/// FIFO chunk interleaving at a shared egress NIC. Golden generated by the
-/// pre-calendar-queue binary-heap build; byte-equality here certifies the
-/// calendar queue replays the identical event order.
+/// FIFO chunk interleaving at a shared egress NIC. Byte-equality with the
+/// golden certifies that the event queue replays the identical (time,
+/// seq) event order, whatever structure holds the pending set.
 exp::ExperimentConfig fig2_small_scenario() {
   exp::ExperimentConfig c;
   c.num_hosts = 5;

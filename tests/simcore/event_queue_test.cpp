@@ -173,14 +173,16 @@ TEST(EventQueue, StatsCountActivity) {
   EXPECT_EQ(q.stats().scheduled, 3u);
   EXPECT_EQ(q.stats().cancelled, 1u);
   EXPECT_EQ(q.stats().popped, 2u);
+  EXPECT_EQ(q.stats().tombstones_skipped, 1u);
 }
 
-TEST(EventQueue, EqualTimesFireInSchedulingOrderAcrossBucketBoundaries) {
-  // Property: simultaneous events fire in scheduling order no matter where
-  // their time lands in the calendar geometry. The times here are aligned
-  // to multiples of 4096 (the default bucket width) out to ~2^26, so they
-  // sit exactly on bucket edges, far beyond the initial window (forcing
-  // overflow-tier migration and window re-anchoring), and collide freely.
+TEST(EventQueue, EqualTimesFireInSchedulingOrderAcrossBoundaries) {
+  // Property: simultaneous events fire in scheduling order however they
+  // are interleaved with events at other times. Each of 500 draws of a
+  // random multiple of 4096 out to ~2^26 schedules two events there, in
+  // no time order, so a repeated draw piles more events onto a time that
+  // is already pending; within each time the pop order must still be the
+  // global scheduling order.
   EventQueue q;
   Lcg rng{12345};
   std::vector<std::pair<Time, int>> fired;
@@ -262,12 +264,10 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomMix) {
 }
 
 TEST(EventQueue, DenseBurstsAcrossSparseGapsMatchReference) {
-  // Regression for the rebucket width cap: a burst of >64 near-coincident
-  // events inside one bucket forces the calendar to narrow its geometry
-  // mid-window; inserts arriving after the narrowing must still interleave
-  // correctly with entries bucketed under the old width. Alternates dense
-  // bursts, far-future singletons, and pops, checking every pop against an
-  // ordered-set reference.
+  // Property: events pop in exact (time, scheduling) order when bursts of
+  // 100 near-coincident events, scheduled out of time order, arrive
+  // between far-future singletons and interleave with pops. Every pop is
+  // checked against an ordered-set reference.
   EventQueue q;
   Lcg rng{4242};
   std::set<std::pair<Time, std::size_t>> pending;
@@ -366,12 +366,13 @@ TEST(EventQueue, MillionScheduleCancelSubQuadratic) {
 }
 
 TEST(EventQueue, StorageFollowsPendingEventsNotDeliveredOnes) {
-  // Lull, then load: 20 events 1 s apart make the calendar re-anchor with
-  // a bucket several seconds wide, so a 200k-event chain spaced 1 us apart
-  // then appends every event to the bucket under the cursor while 18 far
-  // events stay pending. Without compaction that bucket keeps all 200k
-  // delivered entries; a seq-indexed liveness table pinned by the oldest
-  // far event would span all 200k seqs.
+  // Property: the queue's storage is bounded by the events pending at its
+  // peak, not by the events it has delivered. After a lull (20 events 1 s
+  // apart, two of them fired), a 200k-event chain spaced 1 us apart runs
+  // while 18 far events stay pending, so at most 20 events are ever
+  // pending at once. Storage that kept delivered entries, or a liveness
+  // table indexed by seq and pinned by the oldest far event, would span
+  // all 200k events.
   EventQueue q;
   for (std::int64_t i = 0; i < 20; ++i) q.schedule(i * kSecond, [] {});
   q.pop().second();
@@ -386,7 +387,7 @@ TEST(EventQueue, StorageFollowsPendingEventsNotDeliveredOnes) {
   }
   EXPECT_EQ(q.size(), 18u);
   EventQueue::Footprint fp = q.footprint();
-  EXPECT_LE(fp.max_bucket_capacity, 128u);
+  EXPECT_LE(fp.heap_capacity, 128u);
   EXPECT_LE(fp.slots, 20u);
   // The far events still fire, in order.
   for (std::int64_t i = 2; i < 20; ++i) EXPECT_EQ(q.pop().first, i * kSecond);
@@ -455,8 +456,8 @@ TEST(EventQueueCallback, CaptureDestroyedOnceWhetherFiredCancelledOrCleared) {
   EXPECT_EQ(cleared, 1);
 
   // The same with many events, so slots are reused and the slot table
-  // grows (moving every stored callback) while the calendar compacts,
-  // sorts, migrates from overflow and rebuckets.
+  // grows (moving every stored callback) while heap entries move and
+  // tombstones are discarded.
   int destroyed = 0;
   constexpr int kEvents = 3000;
   {

@@ -231,9 +231,9 @@ rm -f "$smoke_dir/paper.csv"
 
 echo "==> [4c/4] event-core memory: long sparse churn scenario"
 # 120 Poisson arrivals 36 s apart on average, all scheduled up front, with
-# microsecond-scale chunk events in between. Calendar buckets and the
-# liveness table must follow the pending events, not the delivered ones:
-# when the cursor bucket kept its consumed prefix this run peaked at
+# microsecond-scale chunk events in between. The event heap and its slot
+# table must follow the pending events, not the delivered ones: when an
+# earlier calendar queue kept consumed bucket entries this run peaked at
 # 458 MB. build-ci, not build-asan: ASan inflates RSS.
 churn_run=(./build-ci/tools/tlsim scenario --hosts 12 --cores 6
   --scenario-admission share --link-gbps 2.5 --policy tls-rr --interval-s 20

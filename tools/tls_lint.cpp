@@ -130,12 +130,15 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
+    // Checked after the close: a full disk fails only when the buffer is
+    // flushed, and a failed open leaves the stream failed too.
     std::ofstream out(json_path, std::ios::binary);
+    out << tls::lint::findings_to_json(findings);
+    out.close();
     if (!out) {
       std::cerr << "tls_lint: cannot write '" << json_path << "'\n";
       return 2;
     }
-    out << tls::lint::findings_to_json(findings);
   }
 
   int rc = 0;
