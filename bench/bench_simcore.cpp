@@ -1,7 +1,7 @@
 // Simulator-core microbenchmark: the product EventQueue (a binary heap of
 // 24-byte keys over a slot table of inline callbacks) against the seed
 // binary-heap implementation, plus a 1000-host synthetic fabric drain
-// exercising the SoA chunk rings and the fast-forward lane.
+// exercising the SoA chunk rings.
 //
 // The legacy queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its
@@ -215,12 +215,10 @@ struct DrainResult {
   std::uint64_t sim_events = 0;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
-  double ff_hit_rate = 0.0;
 };
 
 /// 1000 hosts on the star fabric, one bulk flow per host to a distant peer,
-/// run to completion. Deep per-port backlogs (large flow window) keep the
-/// fast-forward staging lane hot.
+/// run to completion, with deep per-port backlogs (large flow window).
 DrainResult run_drain(int hosts, tls::net::Bytes bytes_per_flow) {
   tls::sim::Simulator simulator(1);
   tls::net::FabricConfig config;
@@ -247,16 +245,6 @@ DrainResult run_drain(int hosts, tls::net::Bytes bytes_per_flow) {
   r.sim_events = simulator.dispatched();
   r.events_per_sec =
       r.wall_s > 0 ? static_cast<double>(r.sim_events) / r.wall_s : 0.0;
-  std::uint64_t promotions = 0;
-  std::uint64_t polls = 0;
-  for (int h = 0; h < hosts; ++h) {
-    promotions += fabric.egress(tls::net::HostId{h}).ff_promotions();
-    polls += fabric.egress(tls::net::HostId{h}).ff_polls();
-  }
-  if (promotions + polls > 0) {
-    r.ff_hit_rate = static_cast<double>(promotions) /
-                    static_cast<double>(promotions + polls);
-  }
   return r;
 }
 
@@ -288,7 +276,7 @@ void write_json(std::size_t ops, const MixResult& fifo_new,
       "  \"mixed_horizon\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
       "\"speedup\": %.2f},\n"
       "  \"drain\": {\"hosts\": %d, \"flows\": %llu, \"sim_events\": %llu,\n"
-      "            \"events_per_sec\": %.0f, \"ff_hit_rate\": %.4f}\n"
+      "            \"events_per_sec\": %.0f}\n"
       "}\n",
       total_wall_s, static_cast<long long>(tls::bench::bench_iters()),
       static_cast<unsigned long long>(ops), fifo_new.events_per_sec(),
@@ -297,8 +285,7 @@ void write_json(std::size_t ops, const MixResult& fifo_new,
       ratio(cancel_new, cancel_old), mixed_new.events_per_sec(),
       mixed_old.events_per_sec(), ratio(mixed_new, mixed_old), drain.hosts,
       static_cast<unsigned long long>(drain.flows),
-      static_cast<unsigned long long>(drain.sim_events), drain.events_per_sec,
-      drain.ff_hit_rate);
+      static_cast<unsigned long long>(drain.sim_events), drain.events_per_sec);
   std::fclose(f);
 }
 
@@ -343,11 +330,10 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(tls::bench::bench_iters());
   DrainResult drain = run_drain(hosts, bytes_per_flow);
   std::printf(
-      "\n%d-host drain: %llu flows, %llu sim events in %.2fs "
-      "(%.0f ev/s), ff hit rate %.1f%%\n",
+      "\n%d-host drain: %llu flows, %llu sim events in %.2fs (%.0f ev/s)\n",
       drain.hosts, static_cast<unsigned long long>(drain.flows),
       static_cast<unsigned long long>(drain.sim_events), drain.wall_s,
-      drain.events_per_sec, 100.0 * drain.ff_hit_rate);
+      drain.events_per_sec);
 
   write_json(ops, fifo_new, fifo_old, cancel_new, cancel_old, mixed_new,
              mixed_old, drain, now_s() - t0);

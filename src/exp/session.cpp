@@ -174,10 +174,10 @@ void Session::run(sim::Time time_limit, const std::function<bool()>& done) {
 
 void Session::write_artifacts(const std::string& label) {
   if (!obs_) return;
-  // Simulator-core health counters: event-queue activity and the egress
-  // fast-forward hit rate land in the metrics export so a perf regression
-  // in the scheduling substrate is visible from any traced run. They are
-  // read before the gauge sampler stops, so its cancel is not counted.
+  // Simulator-core health counters: event-queue activity lands in the
+  // metrics export so a perf regression in the scheduling substrate is
+  // visible from any traced run. They are read before the gauge sampler
+  // stops, so its cancel is not counted.
   if (obs::Registry* registry = obs_->registry.get()) {
     const sim::EventQueue::Stats& qs = sim_.queue_stats();
     auto add = [&](const char* name, std::uint64_t v) {
@@ -187,19 +187,6 @@ void Session::write_artifacts(const std::string& label) {
     add("eventq_cancelled", qs.cancelled);
     add("eventq_popped", qs.popped);
     add("eventq_tombstones_skipped", qs.tombstones_skipped);
-    std::uint64_t promotions = 0;
-    std::uint64_t polls = 0;
-    for (net::HostId h{0}; h < net::HostId{fabric_.num_hosts()}; ++h) {
-      promotions += fabric_.egress(h).ff_promotions();
-      polls += fabric_.egress(h).ff_polls();
-    }
-    add("egress_ff_promotions", promotions);
-    add("egress_ff_polls", polls);
-    if (promotions + polls > 0) {
-      registry->gauge("egress_ff_hit_rate", -1, -1, -1)
-          .set(static_cast<double>(promotions) /
-               static_cast<double>(promotions + polls));
-    }
   }
 
   // The trace CSV has been streaming since the start, but it is removed

@@ -52,10 +52,10 @@ class Session {
   /// tracer is attached.
   void run(sim::Time time_limit, const std::function<bool()>& done = {});
 
-  /// Publishes the event-queue and fast-forward counters into the
-  /// registry, stops the gauge sampler and writes every requested
-  /// artifact; `label` titles the HTML report. Unless this succeeds, the
-  /// streamed trace CSV is removed when the Session is destroyed.
+  /// Publishes the event-queue counters into the registry, stops the
+  /// gauge sampler and writes every requested artifact; `label` titles
+  /// the HTML report. Unless this succeeds, the streamed trace CSV is
+  /// removed when the Session is destroyed.
   void write_artifacts(const std::string& label);
 
  private:

@@ -41,28 +41,6 @@ DequeueResult PfifoQdisc::dequeue(sim::Time now) {
   return DequeueResult::of(c);
 }
 
-std::size_t PfifoQdisc::dequeue_batch(sim::Time now, std::size_t max_chunks,
-                                      ChunkRing& out) {
-  std::size_t n = 0;
-  while (n < max_chunks && !queue_.empty()) {
-    Chunk c = queue_.take_front();
-    if (TLS_OBS_ACTIVE(obs_)) obs_->band_service(now, obs_host_, BandId{0}, c.size);
-    backlog_bytes_ -= c.size;
-    stats_.bytes_sent += c.size;
-    ++stats_.chunks_sent;
-    ledger_.dequeued += c.size;
-    out.push_back(c);
-    ++n;
-  }
-  TLS_CHECK(backlog_bytes_ >= Bytes{0}, "pfifo backlog went negative: ",
-            backlog_bytes_);
-  TLS_DCHECK(ledger_.balanced(backlog_bytes_),
-             "pfifo ledger imbalance after batch dequeue: in=",
-             ledger_.enqueued, " out=", ledger_.dequeued, " drained=",
-             ledger_.drained, " backlog=", backlog_bytes_);
-  return n;
-}
-
 std::string PfifoQdisc::stats_text() const {
   std::ostringstream os;
   os << "qdisc pfifo: sent " << stats_.bytes_sent << " bytes "

@@ -24,12 +24,6 @@ class PfifoQdisc final : public Qdisc {
   const QdiscStats& stats() const override { return stats_; }
   std::string stats_text() const override;
 
-  /// Strict FIFO: nothing enqueued later can displace the current head, so
-  /// the port may batch-stage the backlog.
-  bool fifo_stable() const override { return true; }
-  std::size_t dequeue_batch(sim::Time now, std::size_t max_chunks,
-                            ChunkRing& out) override;
-
  private:
   ChunkRing queue_;
   Bytes backlog_bytes_{};

@@ -31,13 +31,13 @@ void EgressPort::submit(Chunk chunk, const FlowSpec& spec) {
                                  chunk.index, chunk.size);
   }
   qdisc_->enqueue(chunk);
-  counters_.peak_backlog_bytes = std::max(
-      counters_.peak_backlog_bytes, staged_bytes_ + qdisc_->backlog_bytes());
+  counters_.peak_backlog_bytes =
+      std::max(counters_.peak_backlog_bytes, qdisc_->backlog_bytes());
   TLS_DCHECK(submitted_bytes_ == counters_.bytes + in_flight_bytes_ +
-                                     staged_bytes_ + qdisc_->backlog_bytes(),
+                                     qdisc_->backlog_bytes(),
              "egress byte conservation broken after submit: submitted=",
              submitted_bytes_, " transmitted=", counters_.bytes,
-             " in_flight=", in_flight_bytes_, " staged=", staged_bytes_,
+             " in_flight=", in_flight_bytes_,
              " backlog=", qdisc_->backlog_bytes());
   kick();
 }
@@ -45,13 +45,7 @@ void EgressPort::submit(Chunk chunk, const FlowSpec& spec) {
 void EgressPort::set_qdisc(std::unique_ptr<Qdisc> qdisc) {
   TLS_CHECK(qdisc, "set_qdisc(nullptr)");
   std::vector<Chunk> backlog;
-  Bytes before = staged_bytes_ + qdisc_->backlog_bytes();
-  // Abort fast-forward staging: staged chunks were dequeued from the old
-  // discipline ahead of the wire, so they re-enter ahead of the drained
-  // backlog to preserve service order.
-  staged_.append_to(backlog);
-  staged_.clear();
-  staged_bytes_ = Bytes{0};
+  Bytes before = qdisc_->backlog_bytes();
   qdisc_->drain(backlog);
   qdisc_ = std::move(qdisc);
   qdisc_->set_obs(sim_.tracer(), host_);
@@ -62,56 +56,28 @@ void EgressPort::set_qdisc(std::unique_ptr<Qdisc> qdisc) {
   kick();
 }
 
-void EgressPort::maybe_stage() {
-  // Flow-level fast-forward: while the discipline's drain order is provably
-  // stable under future enqueues and no tracer needs per-chunk dequeue
-  // events at their poll instants, pull a batch out of the qdisc in one
-  // shot and serve the staging lane without further polls.
-  if (sim_.tracer() != nullptr) return;
-  if (!qdisc_->fifo_stable() || qdisc_->backlog_chunks() < 2) return;
-  Bytes before = staged_bytes_ + qdisc_->backlog_bytes();
-  qdisc_->dequeue_batch(sim_.now(), kStageBatch, staged_);
-  staged_bytes_ = before - qdisc_->backlog_bytes();
-  TLS_DCHECK(staged_bytes_ >= Bytes{0}, "staging lane bytes went negative: ",
-             staged_bytes_);
-}
-
-void EgressPort::start_transmit(const Chunk& chunk) {
-  if (retry_armed_) {
-    sim_.cancel(retry_event_);
-    retry_armed_ = false;
-  }
-  busy_ = true;
-  if (TLS_OBS_ACTIVE(sim_.tracer())) {
-    sim_.tracer()->chunk_dequeue(sim_.now(), host_, chunk.job, chunk.band,
-                                 static_cast<std::int64_t>(chunk.flow),
-                                 chunk.index, chunk.size,
-                                 sim_.now() - chunk.enqueued_at);
-  }
-  in_flight_bytes_ += chunk.size;
-  sim_.schedule_after(transmit_time(chunk.size, rate_),
-                      [this, chunk] { finish_transmit(chunk); });
-}
-
 void EgressPort::kick() {
   if (busy_) return;
-  if (staged_.empty()) maybe_stage();
-  if (!staged_.empty()) {
-    // Promotion happens exactly where the poll path would have scheduled
-    // the transmission, so the schedule() call sequence — and therefore
-    // event ordering — is identical to poll-per-chunk.
-    ++ff_promotions_;
-    Chunk chunk = staged_.take_front();
-    staged_bytes_ -= chunk.size;
-    start_transmit(chunk);
-    return;
-  }
-  ++ff_polls_;
   DequeueResult r = qdisc_->dequeue(sim_.now());
   switch (r.kind) {
-    case DequeueResult::Kind::kChunk:
-      start_transmit(r.chunk);
+    case DequeueResult::Kind::kChunk: {
+      if (retry_armed_) {
+        sim_.cancel(retry_event_);
+        retry_armed_ = false;
+      }
+      busy_ = true;
+      const Chunk& chunk = r.chunk;
+      if (TLS_OBS_ACTIVE(sim_.tracer())) {
+        sim_.tracer()->chunk_dequeue(sim_.now(), host_, chunk.job, chunk.band,
+                                     static_cast<std::int64_t>(chunk.flow),
+                                     chunk.index, chunk.size,
+                                     sim_.now() - chunk.enqueued_at);
+      }
+      in_flight_bytes_ += chunk.size;
+      sim_.schedule_after(transmit_time(chunk.size, rate_),
+                          [this, chunk] { finish_transmit(chunk); });
       break;
+    }
     case DequeueResult::Kind::kWaitUntil: {
       // Re-arm the poll; a newer enqueue may land earlier, in which case
       // kick() runs again and the earlier of the two polls wins.
@@ -142,10 +108,10 @@ void EgressPort::finish_transmit(const Chunk& chunk) {
   TLS_CHECK(in_flight_bytes_ >= Bytes{0}, "egress in-flight bytes went negative: ",
             in_flight_bytes_);
   TLS_DCHECK(submitted_bytes_ == counters_.bytes + in_flight_bytes_ +
-                                     staged_bytes_ + qdisc_->backlog_bytes(),
+                                     qdisc_->backlog_bytes(),
              "egress byte conservation broken after transmit: submitted=",
              submitted_bytes_, " transmitted=", counters_.bytes,
-             " in_flight=", in_flight_bytes_, " staged=", staged_bytes_,
+             " in_flight=", in_flight_bytes_,
              " backlog=", qdisc_->backlog_bytes());
   on_transmit_(chunk);
   kick();

@@ -52,7 +52,9 @@ class EgressPort {
   bool busy() const { return busy_; }
   const PortCounters& counters() const { return counters_; }
 
-  /// Re-polls the qdisc if the link is idle; safe to call any time (the tc
+  /// If the link is idle, polls the qdisc once and puts the chunk it
+  /// returns on the wire, or re-arms the poll when a shaped qdisc must
+  /// wait. The port's only data path; safe to call any time (the tc
   /// applier calls this after reconfiguration).
   void kick();
 
@@ -62,29 +64,13 @@ class EgressPort {
   void set_host(HostId host);
   HostId host() const { return host_; }
 
-  /// Fast-forward telemetry: chunks served from the staging lane without a
-  /// qdisc poll, vs direct dequeue polls (including idle ones). The hit
-  /// rate promotions/(promotions+polls) measures how much of the drain the
-  /// port fast-forwarded.
-  std::uint64_t ff_promotions() const { return ff_promotions_; }
-  std::uint64_t ff_polls() const { return ff_polls_; }
-  /// Bytes parked in the staging lane (already dequeued from the qdisc,
-  /// not yet on the wire).
-  Bytes staged_bytes() const { return staged_bytes_; }
+  /// Always 0: the port has one data path, a qdisc poll per chunk. Kept
+  /// only because perfbench/traced_main.cpp still reads them.
+  std::uint64_t ff_promotions() const { return 0; }
+  std::uint64_t ff_polls() const { return 0; }
 
  private:
-  // Chunks batch-staged per qdisc pull; bounds how far ahead of the wire
-  // the port dequeues, so a qdisc swap never migrates a long staged tail.
-  static constexpr std::size_t kStageBatch = 64;
-
   void finish_transmit(const Chunk& chunk);
-  /// Puts `chunk` on the wire now. Single point through which both the
-  /// staged fast path and the poll path start a transmission.
-  void start_transmit(const Chunk& chunk);
-  /// Refills the staging lane from the qdisc when fast-forwarding is safe:
-  /// the discipline is fifo-stable and no tracer needs per-chunk dequeue
-  /// events at their poll instants.
-  void maybe_stage();
 
   sim::Simulator& sim_;
   HostId host_ = kNoHost;
@@ -96,17 +82,9 @@ class EgressPort {
   bool retry_armed_ = false;
   sim::EventId retry_event_{};
   PortCounters counters_;
-  // Fast-forward staging lane: chunks already dequeued from a fifo-stable
-  // qdisc in one batch, served in order without further polls. Promotion
-  // happens inside kick() exactly where the poll path would schedule, so
-  // the event schedule order is identical to poll-per-chunk.
-  ChunkRing staged_;
-  Bytes staged_bytes_{};
-  std::uint64_t ff_promotions_ = 0;
-  std::uint64_t ff_polls_ = 0;
   // Byte-conservation bookkeeping: everything submitted is either already
-  // transmitted (counters_.bytes), in flight on the wire, staged, or still
-  // queued in the qdisc.
+  // transmitted (counters_.bytes), in flight on the wire, or still queued
+  // in the qdisc.
   Bytes submitted_bytes_{};
   Bytes in_flight_bytes_{};
 };

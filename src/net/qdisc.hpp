@@ -20,8 +20,6 @@ class Tracer;
 
 namespace tls::net {
 
-class ChunkRing;
-
 /// Cumulative service counters of a qdisc (or one of its classes/bands),
 /// the `tc -s` statistics analog.
 struct QdiscStats {
@@ -104,23 +102,6 @@ class Qdisc {
 
   /// Discipline name for introspection ("pfifo", "prio", "htb").
   virtual std::string kind() const = 0;
-
-  /// True when the discipline's service order is provably stable under
-  /// future enqueues: the chunks it would dequeue next cannot be reordered
-  /// or delayed by anything enqueued later (strict FIFO, no rate limiting).
-  /// Only such disciplines are eligible for the EgressPort's fast-forward
-  /// staging lane; classful or shaped disciplines must stay poll-per-chunk.
-  virtual bool fifo_stable() const { return false; }
-
-  /// Dequeues up to `max_chunks` chunks in service order into `out`,
-  /// updating stats and the ledger exactly as the equivalent sequence of
-  /// dequeue() calls would. Returns the number of chunks moved. Only
-  /// meaningful when fifo_stable(); the default does nothing.
-  virtual std::size_t dequeue_batch(sim::Time /*now*/,
-                                    std::size_t /*max_chunks*/,
-                                    ChunkRing& /*out*/) {
-    return 0;
-  }
 
   bool empty() const { return backlog_chunks() == 0; }
 

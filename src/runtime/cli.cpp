@@ -40,6 +40,15 @@ bool CliArgs::has(const std::string& key) const {
   return false;
 }
 
+namespace {
+
+/// Flags that are on when present and take no value: "--csv=no" or
+/// "--background 0" would otherwise read as on.
+constexpr std::string_view kSwitches[] = {"csv", "background", "progress",
+                                          "scenario-compare"};
+
+}  // namespace
+
 bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
                 std::string* error) {
   for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -53,19 +62,25 @@ bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
       *error = "empty flag name";
       return false;
     }
+    std::string value;
     auto eq = key.find('=');
     if (eq != std::string::npos) {
-      out->flags.emplace_back(key.substr(0, eq), key.substr(eq + 1));
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    } else if (i + 1 < raw.size() && raw[i + 1].rfind("--", 0) != 0) {
+      // "--key value" when the next token is not itself a flag.
+      value = raw[++i];
+    } else {
+      out->flags.emplace_back(key, "true");  // a bare switch
       continue;
     }
-    // "--key value" when the next token is not itself a flag; otherwise a
-    // boolean switch.
-    if (i + 1 < raw.size() && raw[i + 1].rfind("--", 0) != 0) {
-      out->flags.emplace_back(key, raw[i + 1]);
-      ++i;
-    } else {
-      out->flags.emplace_back(key, "true");
+    if (std::find(std::begin(kSwitches), std::end(kSwitches), key) !=
+        std::end(kSwitches)) {
+      *error = "--" + key + " is a switch and takes no value, got '" + value +
+               "'";
+      return false;
     }
+    out->flags.emplace_back(std::move(key), std::move(value));
   }
   return true;
 }

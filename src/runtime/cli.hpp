@@ -43,7 +43,8 @@ struct CliArgs {
 };
 
 /// Splits raw arguments (excluding argv[0]) into CliArgs. Returns false
-/// and writes a message when a flag is malformed.
+/// and writes a message when a flag is malformed, including a switch
+/// (--csv, --background, --progress, --scenario-compare) given a value.
 bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
                 std::string* error);
 

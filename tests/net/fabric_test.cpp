@@ -109,20 +109,38 @@ TEST(Fabric, RejectsBadConfig) {
 }
 
 TEST(Fabric, FairSharingBetweenEqualFlows) {
-  sim::Simulator s(1);
-  Fabric fab(s, ideal(3));
-  std::vector<sim::Time> ends(2, tls::sim::Time{0});
-  for (int i = 0; i < 2; ++i) {
-    FlowSpec f;
-    f.src = tls::net::HostId{0};
-    f.dst = tls::net::HostId{1 + i};
-    f.bytes = tls::net::Bytes{12'500'000};  // 10 ms each alone
-    fab.start_flow(f, [&ends, i](const FlowRecord& r) { ends[static_cast<size_t>(i)] = r.end; });
+  // N equal 12.5 MB flows from host 0 to N distinct hosts at window 4
+  // share one pfifo egress with a closed form, exact in integer ns. Each
+  // flow is 95 chunks of 128 KiB (t = 104,858 ns) and one of 48,160 B
+  // (38,528 ns): sum t = 10,000,038 ns. The egress never idles and serves
+  // 4-chunk blocks in flow order, so the last flow ends as a lone flow of
+  // N times the bytes would, at N * sum t + t(128 KiB), and each earlier
+  // flow one last-block time (3 * 104,858 + 38,528 = 353,102 ns) before
+  // the next: 19,751,832 and 20,104,934 ns for N = 2.
+  const sim::Time sum{10'000'038};
+  const sim::Time full{104'858};
+  const sim::Time last_block{353'102};
+  for (int n : {2, 3}) {
+    SCOPED_TRACE(testing::Message() << n << " flows");
+    sim::Simulator s(1);
+    Fabric fab(s, ideal(n + 1));
+    std::vector<sim::Time> ends(static_cast<std::size_t>(n), sim::Time{0});
+    for (int i = 0; i < n; ++i) {
+      FlowSpec f;
+      f.src = tls::net::HostId{0};
+      f.dst = tls::net::HostId{1 + i};
+      f.bytes = tls::net::Bytes{12'500'000};
+      fab.start_flow(f, [&ends, i](const FlowRecord& r) {
+        ends[static_cast<std::size_t>(i)] = r.end;
+      });
+    }
+    s.run();
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(ends[static_cast<std::size_t>(i)],
+                sum * n + full - last_block * (n - 1 - i))
+          << "flow " << i;
+    }
   }
-  s.run();
-  // Sharing one egress: both finish around 20 ms, together.
-  EXPECT_NEAR(sim::to_seconds(ends[0]), 0.020, 0.004);
-  EXPECT_NEAR(sim::to_seconds(ends[1]), 0.020, 0.004);
 }
 
 TEST(Fabric, IngressFanInContention) {

@@ -1,17 +1,17 @@
-// Fast-forward staging lane tests: batched dequeue through a fifo-stable
-// qdisc must be byte-identical to poll-per-chunk service — same per-chunk
-// completion times, same conservation, same ordering across a mid-flight
-// qdisc swap — and must stay off entirely when a tracer needs per-chunk
-// dequeue events.
+// Deep-backlog drain tests: an egress port draining a long pfifo backlog
+// must complete every chunk at its exact serialization instant, and a
+// qdisc swap mid-drain must hand the waiting chunks to the new discipline
+// in FIFO order. Any shortcut that fast-forwards the drain has to keep
+// both properties.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "net/pfifo_qdisc.hpp"
 #include "net/port.hpp"
 #include "net/prio_qdisc.hpp"
-#include "obs/trace.hpp"
 
 namespace tls::net {
 namespace {
@@ -41,18 +41,15 @@ TEST(FastForward, StagedDrainPreservesPerChunkCompletionTimes) {
     EXPECT_EQ(done[i].first, i);
     EXPECT_EQ(done[i].second, sim::from_seconds(0.1) * (i + 1));
   }
-  // The backlog was deep and untraced, so the staging lane must have
-  // carried most of the drain.
-  EXPECT_GT(port.ff_promotions(), 0u);
   EXPECT_EQ(port.counters().chunks, 100u);
   EXPECT_EQ(port.counters().bytes, tls::net::Bytes{100 * 100});
-  EXPECT_EQ(port.staged_bytes(), tls::net::Bytes{0});
+  EXPECT_TRUE(port.qdisc().empty());
+  EXPECT_FALSE(port.busy());
 }
 
 TEST(FastForward, QdiscSwapRequeuesStagedChunksAheadOfBacklog) {
-  // Let the port stage part of a pfifo backlog, then replace the qdisc
-  // mid-flight: staged chunks re-enter ahead of the drained backlog, so
-  // arrival order stays strictly FIFO.
+  // Replace the qdisc mid-drain: the chunks still waiting move into the
+  // new discipline in service order, so arrival order stays strictly FIFO.
   sim::Simulator simulator(1);
   std::vector<std::uint32_t> order;
   EgressPort port(simulator, Rate{1000.0},
@@ -60,62 +57,15 @@ TEST(FastForward, QdiscSwapRequeuesStagedChunksAheadOfBacklog) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     port.submit(make_chunk(1, tls::net::Bytes{100}, i), FlowSpec{});
   }
-  // Serve two chunks so a staging batch has been pulled, then swap.
+  // At 0.25 s two chunks are done and a third is on the wire.
   simulator.run(sim::from_seconds(0.25));
-  EXPECT_GT(port.ff_promotions(), 0u);
+  EXPECT_EQ(order.size(), 2u);
   port.set_qdisc(std::make_unique<PrioQdisc>(3));
-  EXPECT_EQ(port.staged_bytes(), tls::net::Bytes{0});
+  EXPECT_EQ(port.qdisc().backlog_chunks(), 5u);
+  EXPECT_EQ(port.qdisc().backlog_bytes(), tls::net::Bytes{500});
   simulator.run();
   ASSERT_EQ(order.size(), 8u);
   for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(FastForward, DisabledWhenTracerAttached) {
-  // A tracer needs chunk_dequeue events at their true poll instants, so
-  // the port must never stage while one is installed.
-  sim::Simulator simulator(1);
-  obs::Tracer tracer;
-  simulator.set_tracer(&tracer);
-  int done = 0;
-  EgressPort port(simulator, Rate{1000.0}, [&](const Chunk&) { ++done; });
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    port.submit(make_chunk(1, tls::net::Bytes{100}, i), FlowSpec{});
-  }
-  simulator.run();
-  EXPECT_EQ(done, 20);
-  EXPECT_EQ(port.ff_promotions(), 0u);
-  EXPECT_EQ(port.ff_polls(), 21u);  // 20 chunks + 1 idle poll
-}
-
-TEST(FastForward, DisabledForNonFifoStableQdiscs) {
-  sim::Simulator simulator(1);
-  int done = 0;
-  EgressPort port(simulator, Rate{1000.0}, [&](const Chunk&) { ++done; });
-  port.set_qdisc(std::make_unique<PrioQdisc>(3));
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    port.submit(make_chunk(1, tls::net::Bytes{100}, i), FlowSpec{});
-  }
-  simulator.run();
-  EXPECT_EQ(done, 20);
-  EXPECT_EQ(port.ff_promotions(), 0u);
-}
-
-TEST(FastForward, PollsAndPromotionsAccountForEveryChunk) {
-  sim::Simulator simulator(1);
-  int done = 0;
-  EgressPort port(simulator, Rate{1000.0}, [&](const Chunk&) { ++done; });
-  for (std::uint32_t i = 0; i < 50; ++i) {
-    port.submit(make_chunk(1, tls::net::Bytes{100}, i), FlowSpec{});
-  }
-  simulator.run();
-  EXPECT_EQ(done, 50);
-  // Every transmitted chunk came from either a promotion or a poll that
-  // returned a chunk; polls additionally include the final idle probe.
-  EXPECT_GE(port.ff_promotions() + port.ff_polls(), 50u);
-  double hit = static_cast<double>(port.ff_promotions()) /
-               static_cast<double>(port.ff_promotions() + port.ff_polls());
-  EXPECT_GT(hit, 0.5) << "deep FIFO backlog should fast-forward mostly "
-                         "through the staging lane";
 }
 
 }  // namespace

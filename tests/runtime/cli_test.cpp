@@ -222,6 +222,29 @@ TEST(Cli, ScenarioCompareRunsAllPolicies) {
   }
 }
 
+TEST(Cli, SwitchGivenAValueIsAUsageError) {
+  // A switch is on when present, so a value given to it could only be
+  // dropped: "--background=false" would turn background traffic on, and
+  // "--csv extra" would swallow the next token. Each is a usage error.
+  const std::vector<std::vector<std::string>> given = {
+      {"run", SMALL, "--background=false"},
+      {"run", SMALL, "--background", "0"},
+      {"run", SMALL, "--csv=no"},
+      {"run", SMALL, "--progress=0"},
+      {"run", SMALL, "--csv", "extra"},
+      {"compare", SMALL, "--csv=true"},
+      {SMALL_SCENARIO, "--scenario-compare=no"},
+  };
+  for (const std::vector<std::string>& args : given) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, out, err), 2) << args.back();
+    EXPECT_TRUE(out.str().empty()) << args.back();
+    EXPECT_NE(err.str().find("is a switch and takes no value"),
+              std::string::npos)
+        << err.str();
+  }
+}
+
 TEST(Cli, ScenarioUnknownFlagRejectedWithValidList) {
   CliRun r = cli({SMALL_SCENARIO, "--scenario-bogus", "1"});
   EXPECT_EQ(r.code, 2);

@@ -199,26 +199,29 @@ cmake --preset ci
 cmake --build --preset ci -j "$jobs"
 ctest --preset ci -j "$jobs"
 
+# tools/peak_rss runs a command and prints its peak RSS in KiB on stderr,
+# read by wait4 from a small C++ parent: a Python wrapper's
+# RUSAGE_CHILDREN would include the interpreter's own RSS (~14 MB).
+# check_peak_rss LABEL COMMAND... fails unless COMMAND succeeds with a peak
+# under 100 MB; COMMAND's stdout goes to /dev/null.
+check_peak_rss() {
+  local label="$1" peak_kb
+  shift
+  peak_kb="$(./build-ci/tools/peak_rss "$@" 2>&1 >/dev/null)" \
+    || { echo "$label failed: $peak_kb"; exit 1; }
+  [ "$peak_kb" -lt 102400 ] \
+    || { echo "$label peak RSS $peak_kb KiB >= 100 MB"; exit 1; }
+  echo "$label OK: peak RSS $peak_kb KiB (ceiling 100 MB)"
+}
+
 echo "==> [4b/4] in-process report memory: 60-iteration paper run"
 # The trace CSV and the report stream from tracer sinks, so a paper run
-# with both stays near an untraced run's RSS (~14 MB) instead of holding
-# the whole event log (977 MB when every event was kept). build-ci, not
+# with both peaks near 21 MB (about 5 MB untraced) instead of holding the
+# whole event log (977 MB when every event was kept). build-ci, not
 # build-asan: ASan inflates RSS.
-mem_run=(./build-ci/tools/tlsim run --policy tls-one --threads 1
-  --trace-csv "$smoke_dir/paper.csv" --report "$smoke_dir/paper.txt"
-  --report-json "$smoke_dir/paper.json")
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "${mem_run[@]}" <<'PYEOF'
-import resource, subprocess, sys
-subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
-peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-assert peak_mb < 100, f"in-process report peak RSS {peak_mb:.1f} MB >= 100 MB"
-print(f"in-process report OK: peak RSS {peak_mb:.1f} MB (ceiling 100 MB)")
-PYEOF
-else
-  echo "python3 not installed; skipping the peak-RSS check"
-  "${mem_run[@]}" >/dev/null
-fi
+check_peak_rss "in-process report" ./build-ci/tools/tlsim run --policy tls-one \
+  --threads 1 --trace-csv "$smoke_dir/paper.csv" \
+  --report "$smoke_dir/paper.txt" --report-json "$smoke_dir/paper.json"
 # Both renderings, as perfbench's pass check compares them: the offline
 # text report (tlsreport's stdout) and the JSON.
 ./build-ci/tools/tlsreport "$smoke_dir/paper.csv" \
@@ -235,24 +238,12 @@ echo "==> [4c/4] event-core memory: long sparse churn scenario"
 # table must follow the pending events, not the delivered ones: when an
 # earlier calendar queue kept consumed bucket entries this run peaked at
 # 458 MB. build-ci, not build-asan: ASan inflates RSS.
-churn_run=(./build-ci/tools/tlsim scenario --hosts 12 --cores 6
-  --scenario-admission share --link-gbps 2.5 --policy tls-rr --interval-s 20
-  --seed 7 --scenario-arrivals poisson --scenario-jobs 120
-  --scenario-mean-s 36 --scenario-workers-min 4 --scenario-workers-max 8
-  --scenario-iters-min 40 --scenario-iters-max 160 --scenario-batch 1
-  --scenario-evict-frac 0.1 --scenario-evict-min-s 30
-  --scenario-evict-max-s 120 --threads 1)
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "${churn_run[@]}" <<'PYEOF'
-import resource, subprocess, sys
-subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
-peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-assert peak_mb < 100, f"sparse churn peak RSS {peak_mb:.1f} MB >= 100 MB"
-print(f"sparse churn OK: peak RSS {peak_mb:.1f} MB (ceiling 100 MB)")
-PYEOF
-else
-  echo "python3 not installed; skipping the peak-RSS check"
-  "${churn_run[@]}" >/dev/null
-fi
+check_peak_rss "sparse churn" ./build-ci/tools/tlsim scenario --hosts 12 \
+  --cores 6 --scenario-admission share --link-gbps 2.5 --policy tls-rr \
+  --interval-s 20 --seed 7 --scenario-arrivals poisson --scenario-jobs 120 \
+  --scenario-mean-s 36 --scenario-workers-min 4 --scenario-workers-max 8 \
+  --scenario-iters-min 40 --scenario-iters-max 160 --scenario-batch 1 \
+  --scenario-evict-frac 0.1 --scenario-evict-min-s 30 \
+  --scenario-evict-max-s 120 --threads 1
 
 echo "==> ci.sh: all green"
