@@ -4,16 +4,17 @@
 // events/sec (CSV parse included) and the engine's peak retained records
 // against the total event count. That is the bounded-memory headline: the
 // peak stays a small in-flight window however long the trace is. Rows
-// above it time the reader alone over the same trace (a sink that only
-// counts) and the engine alone (the trace parsed once into memory, then
-// ingested and finished), so the parser and the engine each have a number.
+// above it time the writer alone (TraceCsvWriter re-rendering the parsed
+// trace into memory), the reader alone over the same trace (a sink that
+// only counts) and the engine alone (the trace parsed once into memory,
+// then ingested and finished), so each layer has a number.
 //
 // A capture-sampling row (qdisc=16, htb=16) shows the filter layer's effect
 // on trace volume while the blame matrix stays integer-exact (analysis
 // categories are never sampled).
 //
-// Exits 1 unless the offline report is byte-identical to the same run's
-// in-process --report-json.
+// Exits 1 unless the rewritten CSV is byte-identical to the run's own and
+// the offline report to the same run's in-process --report-json.
 #include <chrono>  // host wall timing only — bench/ is outside the src/ lint
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 
 #include "common.hpp"
 #include "obs/analysis.hpp"
+#include "obs/export.hpp"
 #include "obs/reader.hpp"
 #include "obs/streaming.hpp"
 #include "obs/trace.hpp"
@@ -114,6 +116,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_obs_streaming: %s\n", read_error.c_str());
     return 1;
   }
+  // The writer alone: the parsed trace rendered again, into memory.
+  std::string rewritten;
+  auto w0 = std::chrono::steady_clock::now();
+  for (int r = 0; r < reps; ++r) {
+    std::ostringstream out;
+    obs::TraceCsvWriter writer(out);
+    for (const obs::TraceEvent& e : in_memory) writer.on_event(e);
+    writer.finish(obs::TraceHealth{});
+    rewritten = out.str();
+  }
+  double write_s = seconds_since(w0) / reps;
+
   auto e0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
     obs::StreamingAnalyzer analyzer;
@@ -160,6 +174,10 @@ int main(int argc, char** argv) {
   };
   metrics::Table table({"trace", "events", "wall ms", "events/sec",
                         "peak retained", "retained %"});
+  table.add_row({"csv write only", std::to_string(in_memory.size()),
+                 metrics::fmt(write_s * 1e3, 1),
+                 std::to_string(events_per_sec(in_memory.size(), write_s)),
+                 "-", "-"});
   table.add_row({"csv parse only", std::to_string(parsed),
                  metrics::fmt(parse_s * 1e3, 1),
                  std::to_string(events_per_sec(parsed, parse_s)), "-", "-"});
@@ -175,6 +193,9 @@ int main(int argc, char** argv) {
                  "-", pct_of_events(sampled)});
   std::printf("%s\n", table.str().c_str());
 
+  const bool same_csv = rewritten == read_file(trace);
+  std::printf("rewritten CSV == run's CSV: %s\n",
+              same_csv ? "yes (byte-for-byte)" : "NO - BUG");
   const bool identical = !offline_json.empty() && offline_json == in_process_json;
   std::printf("offline == in-process report: %s\n",
               identical ? "yes (byte-for-byte)" : "NO - BUG");
@@ -182,5 +203,5 @@ int main(int argc, char** argv) {
       "\"peak retained\" is the engine's high-water record count; the last\n"
       "row shows capture-sampling shrinking the trace itself while\n"
       "analysis categories stay exact.\n");
-  return identical ? 0 : 1;
+  return same_csv && identical ? 0 : 1;
 }

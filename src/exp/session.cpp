@@ -1,7 +1,7 @@
 #include "exp/session.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -19,7 +19,9 @@ namespace {
 
 /// The --trace-csv file, streamed: opened before the simulation so rows
 /// land as events are emitted. Unless commit() succeeds, the destructor
-/// removes the partial file, so a run that throws leaves none behind.
+/// removes the partial file, so a run that throws leaves none behind. Only
+/// a regular file is removed: a symlink, device or FIFO at the path is the
+/// user's, and stays.
 class StreamedTraceCsv {
  public:
   explicit StreamedTraceCsv(std::string path)
@@ -34,7 +36,11 @@ class StreamedTraceCsv {
   ~StreamedTraceCsv() {
     if (committed_) return;
     out_.close();
-    std::remove(path_.c_str());
+    std::error_code ec;  // a failed removal leaves the partial file
+    if (std::filesystem::symlink_status(path_, ec).type() ==
+        std::filesystem::file_type::regular) {
+      std::filesystem::remove(path_, ec);
+    }
   }
   StreamedTraceCsv(const StreamedTraceCsv&) = delete;
   StreamedTraceCsv& operator=(const StreamedTraceCsv&) = delete;

@@ -1,12 +1,16 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
+
+#include "obs/reader.hpp"
+#include "simcore/check.hpp"
 
 namespace tls::obs {
 
@@ -264,34 +268,141 @@ namespace {
 constexpr char kTraceCsvHeader[] =
     "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n";
 
-// Longest row: eleven fields of at most 20 chars each (an int64 with its
-// sign; names are shorter), ten commas and the newline.
+// Room a row may take in the block: eleven fields of at most 20 chars each
+// (an int64 with its sign), ten commas and the newline. A name is shorter,
+// and the fixed-size copy of a name field (NameField) ends inside it.
 constexpr std::size_t kMaxCsvRow = 11 * 20 + 11;
 
+/// A kind or category name followed by its comma. put_name copies the
+/// whole `text` as one fixed-size block and keeps `size` bytes of it.
+struct NameField {
+  char text[32];
+  std::size_t size;
+};
+
+/// Every kind and every category as a name field, built once from
+/// to_string. The last entry of each is the "?" to_string gives a value
+/// outside the enum.
+struct NameFields {
+  NameField kinds[kNumEventKinds + 1];
+  NameField cats[kNumCats + 1];
+};
+
+NameField name_field(const char* name) {
+  NameField f{};
+  f.size = std::strlen(name) + 1;
+  TLS_CHECK(f.size <= sizeof(f.text), "trace CSV name too long: ", name);
+  std::memcpy(f.text, name, f.size - 1);
+  f.text[f.size - 1] = ',';
+  return f;
+}
+
+const NameFields& name_fields() {
+  static const NameFields fields = [] {
+    NameFields f{};
+    for (std::size_t k = 0; k <= kNumEventKinds; ++k) {
+      f.kinds[k] = name_field(to_string(static_cast<EventKind>(k)));
+    }
+    for (int c = 0; c < kNumCats; ++c) {
+      f.cats[c] = name_field(to_string(static_cast<Cat>(1u << c)));
+    }
+    f.cats[kNumCats] = name_field("?");
+    return f;
+  }();
+  return fields;
+}
+
+const NameField& kind_field(const NameFields& names, EventKind kind) {
+  return names.kinds[std::min(static_cast<std::size_t>(kind), kNumEventKinds)];
+}
+
+const NameField& cat_field(const NameFields& names, Cat cat) {
+  const auto bits = static_cast<std::uint32_t>(cat);
+  return names.cats[std::has_single_bit(bits) && bits <= kAllCats
+                        ? std::countr_zero(bits)
+                        : kNumCats];
+}
+
+char* put_name(char* p, const NameField& f) {
+  std::memcpy(p, f.text, sizeof(f.text));
+  return p + f.size;
+}
+
+/// 10^k for every k whose power a uint64 holds (0..19).
+constexpr auto kPow10 = [] {
+  std::array<std::uint64_t, 20> pow{};
+  std::uint64_t v = 1;
+  for (std::uint64_t& p : pow) {
+    p = v;
+    v *= 10;
+  }
+  return pow;
+}();
+
+/// "00" through "99", so each step writes two digits.
+constexpr auto kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+/// Decimal digits of `v` without a loop: bit_width(v) * 1233 >> 12 is
+/// floor(log10(2^width)), which is floor(log10(v)) or one more; one
+/// compare against the power of ten settles which.
+int decimal_digits(std::uint64_t v) {
+  v |= 1;  // 0 has one digit, as 1 does
+  const int t = (std::bit_width(v) * 1233) >> 12;
+  return t + (v >= kPow10[t] ? 1 : 0);
+}
+
+/// Writes `v` in decimal, as std::to_chars does, and returns its end.
+char* put_uint(char* p, std::uint64_t v) {
+  char* const end = p + decimal_digits(v);
+  char* q = end;
+  while (v >= 100) {
+    q -= 2;
+    std::memcpy(q, &kDigitPairs[2 * (v % 100)], 2);
+    v /= 100;
+  }
+  if (v >= 10) {
+    std::memcpy(q - 2, &kDigitPairs[2 * v], 2);
+  } else {
+    q[-1] = static_cast<char>('0' + v);
+  }
+  return end;
+}
+
 char* put_field(char* p, std::int64_t v) {
-  p = std::to_chars(p, p + 20, v).ptr;
+  auto u = static_cast<std::uint64_t>(v);
+  if (v < 0) {
+    *p++ = '-';
+    u = 0 - u;  // INT64_MIN's magnitude too
+  }
+  p = put_uint(p, u);
   *p = ',';
   return p + 1;
 }
 
-char* put_field(char* p, const char* name) {
-  std::size_t n = std::strlen(name);
-  std::memcpy(p, name, n);
-  p[n] = ',';
-  return p + n + 1;
-}
-
 }  // namespace
 
-TraceCsvWriter::TraceCsvWriter(std::ostream& out) : out_(out) {
-  out_.write(kTraceCsvHeader, sizeof(kTraceCsvHeader) - 1);
+TraceCsvWriter::TraceCsvWriter(std::ostream& out)
+    : out_(out),
+      block_(std::make_unique_for_overwrite<char[]>(kReadChunkBytes)),
+      pos_(block_.get()),
+      block_end_(block_.get() + kReadChunkBytes - kMaxCsvRow) {
+  std::memcpy(pos_, kTraceCsvHeader, sizeof(kTraceCsvHeader) - 1);
+  pos_ += sizeof(kTraceCsvHeader) - 1;
 }
 
 void TraceCsvWriter::on_event(const TraceEvent& e) {
-  char row[kMaxCsvRow];
-  char* p = put_field(row, sim::to_nanos(e.at));
-  p = put_field(p, to_string(e.kind));
-  p = put_field(p, to_string(e.cat));
+  if (pos_ > block_end_) flush_block();
+  const NameFields& names = name_fields();
+  char* p = put_field(pos_, sim::to_nanos(e.at));
+  p = put_name(p, kind_field(names, e.kind));
+  p = put_name(p, cat_field(names, e.cat));
   p = put_field(p, e.host);
   p = put_field(p, e.job);
   p = put_field(p, e.band);
@@ -301,10 +412,16 @@ void TraceCsvWriter::on_event(const TraceEvent& e) {
   p = put_field(p, e.b);
   p = put_field(p, sim::to_nanos(e.dur));
   p[-1] = '\n';
-  out_.write(row, p - row);
+  pos_ = p;
+}
+
+void TraceCsvWriter::flush_block() {
+  out_.write(block_.get(), pos_ - block_.get());
+  pos_ = block_.get();
 }
 
 void TraceCsvWriter::finish(const TraceHealth& h) {
+  flush_block();
   // Capture-health trailer: omitted entirely for complete traces, so the
   // file format (and every golden) is unchanged unless events went missing.
   if (h.complete()) return;

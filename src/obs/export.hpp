@@ -14,13 +14,15 @@
 //  * TraceCsvWriter: the same events in compact long form, one row per
 //    event, for ad-hoc grep/pandas work without a JSON parser. It is a
 //    TraceSink, so a live run streams rows to the file as events are
-//    emitted; trace_csv() renders a Tracer's log through the same writer.
+//    emitted, a 64 KiB block at a time; trace_csv() renders a Tracer's log
+//    through the same writer.
 //
 // The caller decides where bytes land. Every rendered document goes to
 // its file through write_file(), which checks that all the bytes arrived.
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -34,9 +36,11 @@ const char* to_string(EventKind kind);
 std::string chrome_trace_json(const Tracer& tracer);
 
 /// Streams events as CSV: at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns.
-/// Writes the header on construction and one row per on_event(); finish()
-/// appends the capture-health trailer. Write errors stay in the stream's
-/// state for the owner to check after finish().
+/// Formats the header and one row per on_event() into its own block and
+/// gives `out` one write per full block (the reader's kReadChunkBytes);
+/// finish() writes the last block and appends the capture-health trailer.
+/// Rows not yet written by finish() never reach `out`. Write errors stay
+/// in the stream's state for the owner to check after finish().
 class TraceCsvWriter final : public TraceSink {
  public:
   /// `out` is not owned and must outlive the writer.
@@ -44,12 +48,18 @@ class TraceCsvWriter final : public TraceSink {
 
   void on_event(const TraceEvent& e) override;
 
-  /// Appends the `#health` trailer — nothing for a complete trace, so
-  /// complete files are exactly header plus rows.
+  /// Writes the buffered rows, then the `#health` trailer — nothing for a
+  /// complete trace, so complete files are exactly header plus rows.
   void finish(const TraceHealth& health);
 
  private:
+  /// Hands the block's bytes to the stream and empties it.
+  void flush_block();
+
   std::ostream& out_;
+  std::unique_ptr<char[]> block_;
+  char* pos_;        ///< end of the formatted bytes in block_
+  char* block_end_;  ///< the last row starts before block_end_
 };
 
 /// Renders a Tracer's log as CSV through TraceCsvWriter, trailer included.

@@ -16,8 +16,6 @@ namespace {
 constexpr std::string_view kHeader =
     "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns";
 constexpr std::size_t kColumns = 11;
-constexpr std::size_t kNumKinds =
-    static_cast<std::size_t>(EventKind::kPsAggregate) + 1;
 
 using EventSink = std::function<void(const TraceEvent&)>;
 
@@ -25,13 +23,13 @@ using EventSink = std::function<void(const TraceEvent&)>;
 // memcmp.
 bool kind_from_string(std::string_view name, EventKind* out) {
   static const auto kNames = [] {
-    std::array<std::string_view, kNumKinds> names;
-    for (std::size_t k = 0; k < kNumKinds; ++k) {
+    std::array<std::string_view, kNumEventKinds> names;
+    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
       names[k] = to_string(static_cast<EventKind>(k));
     }
     return names;
   }();
-  for (std::size_t k = 0; k < kNumKinds; ++k) {
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
     if (kNames[k] == name) {
       *out = static_cast<EventKind>(k);
       return true;
@@ -62,6 +60,29 @@ void handle_comment(std::string_view line, TraceHealth* health) {
       static_cast<std::uint64_t>(count);
 }
 
+/// Reads the integer field at `p` at the width of *out. It must end at its
+/// comma, or a row's `last` field at the row's `end`. Returns where the
+/// next field starts, or null when `p` is null or the field is malformed.
+template <typename T>
+const char* int_field(const char* p, const char* end, T* out,
+                      bool last = false) {
+  if (p == nullptr) return nullptr;
+  const char* q = sim::parse_int_prefix(p, end, out);
+  if (q == nullptr) return nullptr;
+  if (last) return q == end ? q : nullptr;
+  return q != end && *q == ',' ? q + 1 : nullptr;
+}
+
+/// Matches the name field at `p`, up to its comma, with `match`; returns
+/// where the next field starts, or null.
+template <typename Match>
+const char* name_field(const char* p, const char* end, Match match) {
+  if (p == nullptr) return nullptr;
+  const char* comma = std::find(p, end, ',');
+  if (comma == end || !match(std::string_view(p, comma - p))) return nullptr;
+  return comma + 1;
+}
+
 /// Parses one complete line (header, comment, or event row) where it lies.
 /// Keeps the batch reader's exact error messages.
 bool handle_line(std::string_view line, int lineno, bool* header_seen,
@@ -83,31 +104,38 @@ bool handle_line(std::string_view line, int lineno, bool* header_seen,
     handle_comment(line, health);
     return true;
   }
-  std::string_view cols[kColumns];
-  std::size_t n = sim::split(line, ',', cols, kColumns);
-  if (n != kColumns) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(lineno) + ": expected 11 columns, got " +
-               std::to_string(n);
-    }
-    return false;
-  }
+  // One pass over the row: each field is read where it lies and must end
+  // at its comma, the last one at the end of the row. Each integer is read
+  // at its field's own width: a value outside it is malformed, never
+  // narrowed (host 4294967296 must not alias host 0).
+  const char* const end = line.data() + line.size();
   TraceEvent e;
   std::int64_t at = 0;
   std::int64_t dur = 0;
-  // Each integer column is read at its field's own width: a value outside
-  // it is malformed, never narrowed (host 4294967296 must not alias host 0).
-  using sim::parse_int;
-  bool ok = parse_int(cols[0], &at) && kind_from_string(cols[1], &e.kind) &&
-            cat_from_string(cols[2], &e.cat) && parse_int(cols[3], &e.host) &&
-            parse_int(cols[4], &e.job) && parse_int(cols[5], &e.band) &&
-            parse_int(cols[6], &e.flow) && parse_int(cols[7], &e.bytes) &&
-            parse_int(cols[8], &e.a) && parse_int(cols[9], &e.b) &&
-            parse_int(cols[10], &dur);
-  if (!ok) {
+  const char* p = int_field(line.data(), end, &at);
+  p = name_field(p, end, [&e](std::string_view name) {
+    return kind_from_string(name, &e.kind);
+  });
+  p = name_field(p, end, [&e](std::string_view name) {
+    return cat_from_string(name, &e.cat);
+  });
+  p = int_field(p, end, &e.host);
+  p = int_field(p, end, &e.job);
+  p = int_field(p, end, &e.band);
+  p = int_field(p, end, &e.flow);
+  p = int_field(p, end, &e.bytes);
+  p = int_field(p, end, &e.a);
+  p = int_field(p, end, &e.b);
+  p = int_field(p, end, &dur, /*last=*/true);
+  if (p == nullptr) {
     if (error != nullptr) {
-      *error = "line " + std::to_string(lineno) + ": malformed row '" +
-               std::string(line) + "'";
+      // Only a rejected row counts its columns, to say which rule it broke.
+      const std::size_t n = 1 + static_cast<std::size_t>(
+                                    std::count(line.begin(), line.end(), ','));
+      *error = "line " + std::to_string(lineno) +
+               (n != kColumns ? ": expected 11 columns, got " +
+                                    std::to_string(n)
+                              : ": malformed row '" + std::string(line) + "'");
     }
     return false;
   }

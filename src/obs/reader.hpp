@@ -6,9 +6,9 @@
 // input in fixed-size chunks (kReadChunkBytes) — the file is never
 // slurped whole, so memory stays bounded even for multi-gigabyte traces,
 // and the same parser tails a growing file (TraceCsvTail) for
-// `tlsreport --follow`. A complete line is parsed where it lies in the
-// read buffer, its fields split into views with no copies; only a line
-// that straddles a chunk boundary is assembled in a carry-over buffer.
+// `tlsreport --follow`. A complete line is parsed in one pass where it
+// lies in the read buffer, with no copies; only a line that straddles a
+// chunk boundary is assembled in a carry-over buffer.
 // Lines starting with '#' are metadata trailers (`#health,...` carries the
 // tracer's drop/sampling counters — see obs::TraceHealth); unknown comment
 // lines are skipped.

@@ -19,6 +19,7 @@
 // seeded runs and across serial vs parallel (tls::runtime) execution.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -129,6 +130,10 @@ enum class EventKind : std::uint8_t {
   kWorkerCompute = 16,  ///< local step span (a = worker, b = iteration)
   kPsAggregate = 17,    ///< PS aggregation span (a = shard, b = iteration)
 };
+
+/// Number of defined event kinds (the last ordinal plus one).
+inline constexpr std::size_t kNumEventKinds =
+    static_cast<std::size_t>(EventKind::kPsAggregate) + 1;
 
 /// One fixed-size trace record. Field meaning depends on `kind`; `a` and
 /// `b` are kind-specific payloads documented on EventKind. The record is

@@ -47,6 +47,76 @@ namespace {
 constexpr std::string_view kSwitches[] = {"csv", "background", "progress",
                                           "scenario-compare"};
 
+// ---------------------------------------------------------------------
+// Flag tables: a command accepts exactly the flags it reads, so a typo
+// (--iter) or another command's flag (--trace on scenario) fails with the
+// valid list instead of silently running the defaults.
+
+/// Cluster, controller and output flags every command reads.
+constexpr std::string_view kClusterFlags[] = {
+    "hosts",     "seed",     "bands", "interval-s", "link-gbps",
+    "strategy",  "threads",  "csv",   "metrics",
+};
+/// The static testbed's workload, execution and observability flags.
+constexpr std::string_view kTestbedFlags[] = {
+    "jobs",         "workers",      "ps",          "iters",
+    "background",   "progress",     "trace",       "trace-csv",
+    "trace-filter", "trace-sample", "report",      "report-csv",
+    "report-json",  "report-html",
+};
+/// The dynamic cluster's flags.
+constexpr std::string_view kScenarioFlags[] = {
+    "policy",                "cores",
+    "scenario-jobs",         "scenario-arrivals",
+    "scenario-mean-s",       "scenario-pareto-alpha",
+    "scenario-pareto-min-s", "scenario-pareto-max-s",
+    "scenario-models",       "scenario-workers-min",
+    "scenario-workers-max",  "scenario-iters-min",
+    "scenario-iters-max",    "scenario-batch",
+    "scenario-evict-frac",   "scenario-evict-min-s",
+    "scenario-evict-max-s",  "scenario-trace-seed",
+    "scenario-admission",    "scenario-band-limit",
+    "scenario-time-limit-s", "scenario-sample-s",
+    "scenario-compare",      "scenario-trace",
+    "scenario-trace-out",    "scenario-out",
+    "scenario-csv",
+};
+// What each static command reads beyond the testbed flags: compare and
+// the sweeps run every policy, sweep-placement every Table I placement and
+// sweep-batch every batch size themselves.
+constexpr std::string_view kRunFlags[] = {"policy", "placement", "batch",
+                                          "replicas", "export-prefix"};
+constexpr std::string_view kCompareFlags[] = {"placement", "batch"};
+constexpr std::string_view kSweepPlacementFlags[] = {"batch"};
+constexpr std::string_view kSweepBatchFlags[] = {"placement"};
+
+struct Command {
+  std::string_view name;
+  std::span<const std::string_view> group;
+  std::span<const std::string_view> own;
+};
+
+constexpr Command kCommands[] = {
+    {"run", kTestbedFlags, kRunFlags},
+    {"compare", kTestbedFlags, kCompareFlags},
+    {"sweep-placement", kTestbedFlags, kSweepPlacementFlags},
+    {"sweep-batch", kTestbedFlags, kSweepBatchFlags},
+    {"scenario", kScenarioFlags, {}},
+};
+
+/// True when some command reads `key` as a flag with a value.
+bool takes_value(std::string_view key) {
+  auto in = [key](std::span<const std::string_view> names) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
+  if (in(kSwitches)) return false;
+  if (in(kClusterFlags)) return true;
+  for (const Command& c : kCommands) {
+    if (in(c.group) || in(c.own)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
@@ -70,8 +140,13 @@ bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
     } else if (i + 1 < raw.size() && raw[i + 1].rfind("--", 0) != 0) {
       // "--key value" when the next token is not itself a flag.
       value = raw[++i];
+    } else if (takes_value(key)) {
+      *error = "--" + key + " needs a value";
+      return false;
     } else {
-      out->flags.emplace_back(key, "true");  // a bare switch
+      // A switch, or a flag no command reads, which the command's flag
+      // check rejects with the list of the flags it does read.
+      out->flags.emplace_back(key, "true");
       continue;
     }
     if (std::find(std::begin(kSwitches), std::end(kSwitches), key) !=
@@ -586,63 +661,6 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
   return 0;
 }
 
-// ---------------------------------------------------------------------
-// Flag tables: a command accepts exactly the flags it reads, so a typo
-// (--iter) or another command's flag (--trace on scenario) fails with the
-// valid list instead of silently running the defaults.
-
-/// Cluster, controller and output flags every command reads.
-constexpr std::string_view kClusterFlags[] = {
-    "hosts",     "seed",     "bands", "interval-s", "link-gbps",
-    "strategy",  "threads",  "csv",   "metrics",
-};
-/// The static testbed's workload, execution and observability flags.
-constexpr std::string_view kTestbedFlags[] = {
-    "jobs",         "workers",      "ps",          "iters",
-    "background",   "progress",     "trace",       "trace-csv",
-    "trace-filter", "trace-sample", "report",      "report-csv",
-    "report-json",  "report-html",
-};
-/// The dynamic cluster's flags.
-constexpr std::string_view kScenarioFlags[] = {
-    "policy",                "cores",
-    "scenario-jobs",         "scenario-arrivals",
-    "scenario-mean-s",       "scenario-pareto-alpha",
-    "scenario-pareto-min-s", "scenario-pareto-max-s",
-    "scenario-models",       "scenario-workers-min",
-    "scenario-workers-max",  "scenario-iters-min",
-    "scenario-iters-max",    "scenario-batch",
-    "scenario-evict-frac",   "scenario-evict-min-s",
-    "scenario-evict-max-s",  "scenario-trace-seed",
-    "scenario-admission",    "scenario-band-limit",
-    "scenario-time-limit-s", "scenario-sample-s",
-    "scenario-compare",      "scenario-trace",
-    "scenario-trace-out",    "scenario-out",
-    "scenario-csv",
-};
-// What each static command reads beyond the testbed flags: compare and
-// the sweeps run every policy, sweep-placement every Table I placement and
-// sweep-batch every batch size themselves.
-constexpr std::string_view kRunFlags[] = {"policy", "placement", "batch",
-                                          "replicas", "export-prefix"};
-constexpr std::string_view kCompareFlags[] = {"placement", "batch"};
-constexpr std::string_view kSweepPlacementFlags[] = {"batch"};
-constexpr std::string_view kSweepBatchFlags[] = {"placement"};
-
-struct Command {
-  std::string_view name;
-  std::span<const std::string_view> group;
-  std::span<const std::string_view> own;
-};
-
-constexpr Command kCommands[] = {
-    {"run", kTestbedFlags, kRunFlags},
-    {"compare", kTestbedFlags, kCompareFlags},
-    {"sweep-placement", kTestbedFlags, kSweepPlacementFlags},
-    {"sweep-batch", kTestbedFlags, kSweepBatchFlags},
-    {"scenario", kScenarioFlags, {}},
-};
-
 /// Rejects the first flag `command` does not read, listing the ones it
 /// does.
 bool check_flags(const Command& command, const CliArgs& args,
@@ -700,6 +718,11 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   std::string error;
   if (!parse_args(args, &parsed, &error)) {
     err << "tlsim: " << error << "\n" << kUsage;
+    return 2;
+  }
+  if (parsed.positional.size() > 1) {
+    err << "tlsim: unexpected argument '" << parsed.positional[1] << "'\n"
+        << kUsage;
     return 2;
   }
   std::string command =

@@ -31,8 +31,8 @@
 
 namespace tls::runtime {
 
-/// Parsed key-value flags ("--key value" or "--key=value"; bare "--key"
-/// maps to "true"). Positional arguments are collected separately.
+/// Parsed key-value flags ("--key value" or "--key=value"; a bare switch
+/// "--csv" maps to "true"). Positional arguments are collected separately.
 struct CliArgs {
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> flags;
@@ -43,14 +43,16 @@ struct CliArgs {
 };
 
 /// Splits raw arguments (excluding argv[0]) into CliArgs. Returns false
-/// and writes a message when a flag is malformed, including a switch
-/// (--csv, --background, --progress, --scenario-compare) given a value.
+/// and writes a message when a flag is malformed: a switch (--csv,
+/// --background, --progress, --scenario-compare) given a value, or a flag
+/// that takes a value given none ("--trace-csv needs a value").
 bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
                 std::string* error);
 
 /// Executes a tlsim invocation. `args` excludes the program name.
 /// Returns the process exit code: 0 ok, 1 the run failed (its message is
-/// on `err`), 2 usage error.
+/// on `err`), 2 usage error, including a positional argument after the
+/// command.
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
 

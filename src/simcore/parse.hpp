@@ -74,6 +74,25 @@ inline std::string_view trim(std::string_view item) {
   return item.substr(first, item.find_last_not_of(kSpace) - first + 1);
 }
 
+/// Parses the integer that starts at `first` into *out and returns the
+/// byte after its last digit: the same integer parse_int reads, but the
+/// bytes after it are the caller's, so a row reader can parse each field
+/// where it lies and check its separator itself. Returns nullptr, leaving
+/// *out unchanged, when no integer in [lo, hi] starts at `first`.
+template <typename T>
+inline const char* parse_int_prefix(
+    const char* first, const char* last, T* out,
+    std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+    std::type_identity_t<T> hi = std::numeric_limits<T>::max(),
+    int base = 10) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  T v{};
+  auto [ptr, ec] = std::from_chars(first, last, v, base);
+  if (ec != std::errc() || v < lo || v > hi) return nullptr;
+  *out = v;
+  return ptr;
+}
+
 /// Parses all of `field` as an integer in [lo, hi] into *out, in decimal
 /// unless `base` says otherwise (tc handles are hex, without "0x").
 /// Returns false, leaving *out unchanged, on anything else.
@@ -82,11 +101,11 @@ inline bool parse_int(std::string_view field, T* out,
                       std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
                       std::type_identity_t<T> hi = std::numeric_limits<T>::max(),
                       int base = 10) {
-  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
   T v{};
   const char* end = field.data() + field.size();
-  auto [ptr, ec] = std::from_chars(field.data(), end, v, base);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) return false;
+  if (parse_int_prefix(field.data(), end, &v, lo, hi, base) != end) {
+    return false;
+  }
   *out = v;
   return true;
 }

@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <vector>
 
+#include "obs/reader.hpp"
 #include "obs/trace.hpp"
 
 namespace tls::obs {
@@ -175,6 +180,148 @@ TEST(TraceCsvWriter, StreamedBytesEqualTraceCsvIncludingHealthTrailer) {
   ASSERT_NE(want.find("#health,sampled,qdisc,2\n"), std::string::npos)
       << want;
   EXPECT_EQ(os.str(), want);
+}
+
+TEST(TraceCsvRoundTrip, DigitBoundaries) {
+  // Every integer column at 0, +-1, +-(10^k - 1) and +-10^k for k <= 18 and
+  // at the extremes of its type (int32 host, job and band; int64
+  // otherwise), with the kinds and categories in turn. Each row must be
+  // the std::to_chars rendering of its fields, and the reader must give
+  // back the same event.
+  std::vector<std::int64_t> values = {0,         1,         -1,
+                                      INT32_MIN, INT32_MAX, INT64_MIN,
+                                      INT64_MAX};
+  std::int64_t pow = 1;
+  for (int k = 1; k <= 18; ++k) {
+    pow *= 10;
+    for (std::int64_t v : {pow - 1, pow}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  std::vector<TraceEvent> events;
+  for (int col = 0; col < 9; ++col) {
+    for (std::int64_t v : values) {
+      const bool fits32 = v >= INT32_MIN && v <= INT32_MAX;
+      if (col >= 1 && col <= 3 && !fits32) continue;
+      TraceEvent e;
+      e.kind = static_cast<EventKind>(events.size() % kNumEventKinds);
+      e.cat = static_cast<Cat>(1u << (events.size() % kNumCats));
+      switch (col) {
+        case 0: e.at = tls::sim::from_nanos(v); break;
+        case 1: e.host = static_cast<std::int32_t>(v); break;
+        case 2: e.job = static_cast<std::int32_t>(v); break;
+        case 3: e.band = static_cast<std::int32_t>(v); break;
+        case 4: e.flow = v; break;
+        case 5: e.bytes = v; break;
+        case 6: e.a = v; break;
+        case 7: e.b = v; break;
+        default: e.dur = tls::sim::from_nanos(v); break;
+      }
+      events.push_back(e);
+    }
+  }
+  auto field = [](std::int64_t v) {
+    char buf[24];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  // Five rounds, so rows also cross the writer's block boundaries.
+  std::string want = "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n";
+  std::ostringstream os;
+  TraceCsvWriter writer(os);
+  for (int round = 0; round < 5; ++round) {
+    for (const TraceEvent& e : events) {
+      writer.on_event(e);
+      want += field(tls::sim::to_nanos(e.at)) + ',' + to_string(e.kind) +
+              ',' + to_string(e.cat) + ',' + field(e.host) + ',' +
+              field(e.job) + ',' + field(e.band) + ',' + field(e.flow) +
+              ',' + field(e.bytes) + ',' + field(e.a) + ',' + field(e.b) +
+              ',' + field(tls::sim::to_nanos(e.dur)) + '\n';
+    }
+  }
+  writer.finish(TraceHealth{});
+  ASSERT_GT(want.size(), 2 * kReadChunkBytes);
+  const std::string got = os.str();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t at = 0; at < want.size();) {  // report the first bad row
+    std::size_t end = want.find('\n', at) + 1;
+    ASSERT_EQ(got.substr(at, end - at), want.substr(at, end - at));
+    at = end;
+  }
+
+  std::istringstream in(got);
+  std::vector<TraceEvent> back;
+  std::string error;
+  ASSERT_TRUE(for_each_trace_csv_event(
+      in, [&back](const TraceEvent& e) { back.push_back(e); }, nullptr,
+      &error))
+      << error;
+  ASSERT_EQ(back.size(), 5 * events.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    const TraceEvent& x = back[i];
+    const TraceEvent& y = events[i % events.size()];
+    ASSERT_TRUE(x.at == y.at && x.kind == y.kind && x.cat == y.cat &&
+                x.host == y.host && x.job == y.job && x.band == y.band &&
+                x.flow == y.flow && x.bytes == y.bytes && x.a == y.a &&
+                x.b == y.b && x.dur == y.dur)
+        << "row " << i + 2;
+  }
+}
+
+/// A stream buffer that takes its first `capacity` bytes and refuses the
+/// rest, as a disk that fills up does.
+class FillingBuf : public std::streambuf {
+ public:
+  explicit FillingBuf(std::size_t capacity) : capacity_(capacity) {}
+  std::size_t taken() const { return taken_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    const auto room = static_cast<std::streamsize>(capacity_ - taken_);
+    const std::streamsize k = std::min(n, room);
+    taken_ += static_cast<std::size_t>(k);
+    return k;
+  }
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) {
+      return traits_type::not_eof(c);
+    }
+    if (taken_ == capacity_) return traits_type::eof();
+    ++taken_;
+    return c;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::size_t taken_ = 0;
+};
+
+TEST(TraceCsvWriter, StreamThatFailsMidBlockStaysFailedAfterFinish) {
+  // The writer hands the stream whole blocks. A stream that fails inside
+  // one must show the failure once finish() returns: inside the only
+  // block, which finish() writes, and inside the second of three.
+  struct Case {
+    int rows;
+    std::size_t capacity;
+  };
+  for (const Case& c : {Case{100, 10}, Case{3000, 100'000}}) {
+    FillingBuf buf(c.capacity);
+    std::ostream os(&buf);
+    TraceCsvWriter writer(os);
+    TraceEvent e;
+    e.kind = EventKind::kChunkDequeue;
+    e.flow = 123456789;
+    e.bytes = 65536;
+    for (int i = 0; i < c.rows; ++i) {
+      e.at = tls::sim::from_nanos(1'000'000'000LL + i);
+      writer.on_event(e);
+    }
+    TraceHealth incomplete;
+    incomplete.dropped_total = 1;
+    writer.finish(incomplete);
+    EXPECT_TRUE(os.bad()) << c.rows << " rows";
+    EXPECT_EQ(buf.taken(), c.capacity) << c.rows << " rows";
+  }
 }
 
 TEST(Export, WriteFileRoundTrips) {

@@ -251,6 +251,25 @@ TEST(ObsArtifacts, RunThatThrowsLeavesNoPartialFiles) {
   EXPECT_FALSE(fs::exists(dir / "report.txt"));
 }
 
+TEST(ObsArtifacts, FailedRunLeavesASymlinkTraceCsvPathInPlace) {
+  // The run writes --trace before it commits the CSV, so an unwritable
+  // --trace fails it with the CSV uncommitted. The CSV path is a symlink
+  // the user made: the failed run must not delete it.
+  fs::path dir = fs::path(testing::TempDir()) / "tls_obs_symlink";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path target = dir / "target.csv";
+  const fs::path link = dir / "link.csv";
+  { std::ofstream(target) << "kept\n"; }
+  fs::create_symlink(target, link);
+  exp::ExperimentConfig c = small_scenario();
+  c.obs.trace_path = (dir / "missing" / "trace.json").string();
+  c.obs.trace_csv_path = link.string();
+  EXPECT_THROW(exp::run_experiment(c), std::runtime_error);
+  EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+  EXPECT_TRUE(fs::exists(target));
+}
+
 TEST(ObsArtifacts, UnopenableTraceCsvFailsBeforeTheRunIsWired) {
   fs::path missing = fs::path(testing::TempDir()) / "tls_obs_missing_dir";
   fs::remove_all(missing);

@@ -221,8 +221,8 @@ std::string break_field(std::size_t col, std::string field, sim::Rng& rng) {
 }
 
 /// A value field `col` of a data row must accept: the edge of the
-/// column's range, a leading zero or minus zero, a small number, or
-/// another valid kind or category name.
+/// column's range, leading zeros (past 19 characters too) or minus zero,
+/// a small number, or another valid kind or category name.
 std::string valid_field(std::size_t col, sim::Rng& rng) {
   if (col == 1) {
     static const char* const kKinds[] = {"chunk_enqueue", "ingress_deliver",
@@ -235,14 +235,21 @@ std::string valid_field(std::size_t col, sim::Rng& rng) {
                                         "ingress", "sample"};
     return pick(kCats, rng);
   }
+  const bool narrow = col >= 3 && col <= 5;  // host, job, band: int32
   static const char* const kEdgeI32[] = {"2147483647", "-2147483648"};
   static const char* const kEdgeI64[] = {"9223372036854775807",
                                          "-9223372036854775808"};
+  static const char* const kZerosI32[] = {
+      "-0", "007", "0000000000000000000000042",
+      "-000000000000000000002147483648"};
+  static const char* const kZerosI64[] = {
+      "-0", "007", "0000000000000000000000042",
+      "-00000000000000000009223372036854775808"};
   switch (rng.uniform_u64(3)) {
     case 0:
-      return col >= 3 && col <= 5 ? pick(kEdgeI32, rng) : pick(kEdgeI64, rng);
+      return narrow ? pick(kEdgeI32, rng) : pick(kEdgeI64, rng);
     case 1:
-      return rng.uniform_u64(2) == 0 ? "-0" : "007";
+      return narrow ? pick(kZerosI32, rng) : pick(kZerosI64, rng);
     default:
       return std::to_string(rng.uniform_i64(-3, 3));
   }

@@ -55,11 +55,22 @@ TEST(CliParse, EmptyFlagRejected) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(CliParse, ValueFlagGivenBareNeedsAValue) {
+  CliArgs args;
+  std::string error;
+  EXPECT_FALSE(parse_args({"run", "--trace-csv", "--seed", "3"}, &args,
+                          &error));
+  EXPECT_EQ(error, "--trace-csv needs a value");
+}
+
 TEST(Cli, HelpByDefaultAndExplicit) {
   CliRun r = cli({});
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("usage: tlsim"), std::string::npos);
   EXPECT_EQ(cli({"help"}).code, 0);
+  CliRun flag = cli({"--help"});
+  EXPECT_EQ(flag.code, 0);
+  EXPECT_EQ(flag.out, r.out);
 }
 
 TEST(Cli, UnknownCommandFails) {
@@ -242,6 +253,56 @@ TEST(Cli, SwitchGivenAValueIsAUsageError) {
     EXPECT_NE(err.str().find("is a switch and takes no value"),
               std::string::npos)
         << err.str();
+  }
+}
+
+TEST(Cli, ValueFlagGivenBareIsAUsageError) {
+  // A flag that takes a value, given none, must not read as "true": a
+  // path flag would write a file named "true", a number flag would quote a
+  // value the user never typed. Each is a usage error before any run.
+  struct Case {
+    std::vector<std::string> args;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {{"run", SMALL, "--trace-csv", "--seed", "3"}, "trace-csv"},
+      {{"run", "--iters", "--hosts", "4"}, "iters"},
+      {{"run", SMALL, "--policy"}, "policy"},
+      {{SMALL_SCENARIO, "--scenario-out"}, "scenario-out"},
+  };
+  for (const Case& c : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(c.args, out, err), 2) << c.flag;
+    EXPECT_TRUE(out.str().empty()) << out.str();
+    EXPECT_EQ(err.str().rfind("tlsim: --" + c.flag + " needs a value\n", 0),
+              0u)
+        << err.str();
+    EXPECT_NE(err.str().find("usage: tlsim"), std::string::npos) << err.str();
+  }
+}
+
+TEST(Cli, StrayPositionalArgumentIsAUsageError) {
+  // Only the command is positional: a word after it is a typo or a value
+  // whose flag was dropped, never something to ignore.
+  struct Case {
+    std::vector<std::string> args;
+    std::string stray;
+  };
+  const std::vector<Case> cases = {
+      {{"run", SMALL, "extra"}, "extra"},
+      {{"compare", SMALL, "fifo"}, "fifo"},
+      {{"run", "--iters", "2", "3"}, "3"},
+  };
+  for (const Case& c : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(c.args, out, err), 2) << c.stray;
+    EXPECT_TRUE(out.str().empty()) << out.str();
+    EXPECT_EQ(err.str().rfind("tlsim: unexpected argument '" + c.stray +
+                                  "'\n",
+                              0),
+              0u)
+        << err.str();
+    EXPECT_NE(err.str().find("usage: tlsim"), std::string::npos) << err.str();
   }
 }
 

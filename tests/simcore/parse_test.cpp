@@ -55,6 +55,25 @@ TEST(Parse, IntegersAreWholeDecimalFieldsInRange) {
   EXPECT_EQ(wide, 4294967298);
 }
 
+TEST(Parse, IntegerPrefixEndsAtTheFirstByteAfterItsDigits) {
+  const std::string text = "-42,7";
+  const char* last = text.data() + text.size();
+  int v = 0;
+  EXPECT_EQ(parse_int_prefix(text.data(), last, &v), text.data() + 3);
+  EXPECT_EQ(v, -42);
+  EXPECT_EQ(parse_int_prefix(text.data() + 4, last, &v), last);
+  EXPECT_EQ(v, 7);
+  for (const char* bad : {"", ",1", "+5", " 5", "-", "2147483648", "8,"}) {
+    v = -1;
+    const std::string field = bad;
+    EXPECT_EQ(parse_int_prefix(field.data(), field.data() + field.size(), &v,
+                               0, 7),
+              nullptr)
+        << bad;
+    EXPECT_EQ(v, -1) << bad;  // untouched on failure
+  }
+}
+
 TEST(Parse, RealsAreWholeFiniteFieldsInRange) {
   double v = 0;
   EXPECT_TRUE(parse_real("2.5", &v, 0, 10));

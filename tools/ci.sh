@@ -21,10 +21,12 @@ echo "==> [1b/4] debug-ubsan: input-reader mutation tests (UBSan incl. float-cas
 # an integer time, size or rate that only float-cast-overflow reports.
 # FlatIndexMutation (test_obs) feeds seeded and extreme chunk indexes and
 # delivery instants to the attribution engine's sorted-vector index.
+# TraceCsvRoundTrip (test_obs) runs every integer column of the trace CSV
+# writer and reader across each digit-count boundary and type extreme.
 cmake --preset debug-ubsan
 cmake --build --preset debug-ubsan -j "$jobs" \
   --target test_obs test_scenario test_tc test_runtime
-ctest --preset debug-ubsan -R Mutation -j "$jobs"
+ctest --preset debug-ubsan -R 'Mutation|TraceCsvRoundTrip' -j "$jobs"
 
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
