@@ -1,7 +1,7 @@
 // Simulator-core microbenchmark: the product EventQueue (a binary heap of
 // 24-byte keys over a slot table of inline callbacks) against the seed
 // binary-heap implementation, plus a 1000-host synthetic fabric drain
-// exercising the SoA chunk rings.
+// exercising the chunk rings.
 //
 // The legacy queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its

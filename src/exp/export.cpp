@@ -3,23 +3,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/export.hpp"
+
 namespace tls::exp {
 
 namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -52,7 +40,8 @@ std::string barriers_csv(const ExperimentResult& result) {
 std::string to_json(const ExperimentResult& result) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"policy\": \"" << json_escape(result.policy_name) << "\",\n";
+  os << "  \"policy\": \"" << obs::json_escape(result.policy_name)
+     << "\",\n";
   os << "  \"jobs\": " << result.jobs.size() << ",\n";
   os << "  \"all_finished\": " << (result.all_finished ? "true" : "false")
      << ",\n";

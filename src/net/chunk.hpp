@@ -69,9 +69,6 @@ struct Chunk {
   /// (-1 = background/non-job traffic).
   std::int32_t job = -1;
   bool last = false;
-  /// Application kind, for priomap-style disciplines (pfifo_fast) and
-  /// instrumentation.
-  FlowKind kind = FlowKind::kBulk;
 };
 
 }  // namespace tls::net

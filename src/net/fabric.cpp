@@ -119,7 +119,6 @@ void Fabric::admit(FlowId id, FlowState& flow) {
     chunk.weight = flow.noisy_weight;
     chunk.dst = flow.spec.dst;
     chunk.job = flow.spec.job_id;
-    chunk.kind = flow.spec.kind;
     ++flow.next_index;
     egress(flow.spec.src).submit(chunk, flow.spec);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "obs/trace.hpp"
 #include "simcore/time.hpp"
@@ -129,8 +128,6 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
     direct_bytes_ -= c.size;
     TLS_CHECK(direct_bytes_ >= Bytes{0}, "htb direct backlog went negative: ",
               direct_bytes_);
-    stats_.bytes_sent += c.size;
-    ++stats_.chunks_sent;
     ledger_.dequeued += c.size;
     TLS_DCHECK(ledger_.balanced(backlog_bytes()),
                "htb ledger imbalance after direct dequeue");
@@ -175,7 +172,6 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
     }
     TLS_CHECK(std::isfinite(wait_s),
               "htb: all-red backlog but no finite eligibility time");
-    ++stats_.overlimits;
     sim::Time retry = now + std::max(sim::from_seconds(wait_s), sim::Time{1});
     TLS_CHECK(retry > now, "htb retry time not in the future: retry=", retry,
               " now=", now);
@@ -192,17 +188,6 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
   best->ctokens -= need;
   root_tokens_ -= need;
   best->last_served = ++serve_seq_;
-  stats_.bytes_sent += chunk->size;
-  ++stats_.chunks_sent;
-  best->stats.bytes_sent += chunk->size;
-  ++best->stats.chunks_sent;
-  if (best_mode == Mode::kGreen) {
-    ++stats_.green_sends;
-    ++best->stats.green_sends;
-  } else {
-    ++stats_.yellow_sends;
-    ++best->stats.yellow_sends;
-  }
   if (TLS_OBS_ACTIVE(obs_)) {
     obs_->htb_send(now, obs_host_,
                    BandId{static_cast<std::int32_t>(best->cfg.minor)},
@@ -238,27 +223,6 @@ Bytes HtbQdisc::backlog_bytes() const {
     total += leaf.queue.backlog_bytes();
   }
   return total;
-}
-
-QdiscStats HtbQdisc::class_stats(std::uint32_t minor) const {
-  auto it = classes_.find(minor);
-  return it == classes_.end() ? QdiscStats{} : it->second.stats;
-}
-
-std::string HtbQdisc::stats_text() const {
-  std::ostringstream os;
-  os << "qdisc htb: sent " << stats_.bytes_sent << " bytes "
-     << stats_.chunks_sent << " chunks (green " << stats_.green_sends
-     << ", yellow " << stats_.yellow_sends << "), overlimits "
-     << stats_.overlimits << ", backlog " << backlog_bytes() << " bytes\n";
-  for (const auto& [minor, leaf] : classes_) {
-    os << "  class 1:" << std::hex << minor << std::dec << " prio "
-       << leaf.cfg.prio << ": sent " << leaf.stats.bytes_sent << " bytes "
-       << leaf.stats.chunks_sent << " chunks (green "
-       << leaf.stats.green_sends << ", yellow " << leaf.stats.yellow_sends
-       << "), backlog " << leaf.queue.backlog_bytes() << " bytes\n";
-  }
-  return os.str();
 }
 
 std::size_t HtbQdisc::backlog_chunks() const {

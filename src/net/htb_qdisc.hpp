@@ -17,8 +17,8 @@
 #include <optional>
 #include <string>
 
-#include "net/chunk_ring.hpp"
 #include "net/qdisc.hpp"
+#include "net/ring.hpp"
 #include "net/wdrr.hpp"
 
 namespace tls::net {
@@ -68,15 +68,7 @@ class HtbQdisc final : public Qdisc {
   DequeueResult dequeue(sim::Time now) override;
   Bytes backlog_bytes() const override;
   std::size_t backlog_chunks() const override;
-  std::string kind() const override { return "htb"; }
   void drain(std::vector<Chunk>& out) override;
-  const QdiscStats& stats() const override { return stats_; }
-  std::string stats_text() const override;
-
-  /// Per-class service counters; green_sends/yellow_sends record how often
-  /// the class sent at its assured rate vs by borrowing from the root —
-  /// the paper's green/yellow traffic-light states, measured.
-  QdiscStats class_stats(std::uint32_t minor) const;
 
  private:
   struct LeafClass {
@@ -86,7 +78,6 @@ class HtbQdisc final : public Qdisc {
     double ctokens = 0;  // bytes of ceil-rate credit
     sim::Time last_refill{};
     std::uint64_t last_served = 0;
-    QdiscStats stats;
 
     explicit LeafClass(const HtbClassConfig& c)
         : cfg(c), queue(c.quantum), tokens(to_double(c.burst)),
@@ -113,9 +104,8 @@ class HtbQdisc final : public Qdisc {
 
   // Ordered map => deterministic iteration, stable tie-breaking.
   std::map<std::uint32_t, LeafClass> classes_;
-  ChunkRing direct_;  // unclassified, unshaped
+  Ring<Chunk> direct_;  // unclassified, unshaped
   Bytes direct_bytes_{};
-  QdiscStats stats_;
   ByteLedger ledger_;
 };
 

@@ -1,7 +1,5 @@
 #include "net/pfifo_qdisc.hpp"
 
-#include <sstream>
-
 #include "obs/trace.hpp"
 
 namespace tls::net {
@@ -32,21 +30,11 @@ DequeueResult PfifoQdisc::dequeue(sim::Time now) {
   backlog_bytes_ -= c.size;
   TLS_CHECK(backlog_bytes_ >= Bytes{0}, "pfifo backlog went negative: ",
             backlog_bytes_);
-  stats_.bytes_sent += c.size;
-  ++stats_.chunks_sent;
   ledger_.dequeued += c.size;
   TLS_DCHECK(ledger_.balanced(backlog_bytes_), "pfifo ledger imbalance: in=",
              ledger_.enqueued, " out=", ledger_.dequeued, " drained=",
              ledger_.drained, " backlog=", backlog_bytes_);
   return DequeueResult::of(c);
-}
-
-std::string PfifoQdisc::stats_text() const {
-  std::ostringstream os;
-  os << "qdisc pfifo: sent " << stats_.bytes_sent << " bytes "
-     << stats_.chunks_sent << " chunks, backlog " << backlog_bytes_
-     << " bytes " << queue_.size() << " chunks\n";
-  return os.str();
 }
 
 }  // namespace tls::net

@@ -6,8 +6,8 @@
 // qdisc. Lossless (no tail drop); see DESIGN.md §4.
 #pragma once
 
-#include "net/chunk_ring.hpp"
 #include "net/qdisc.hpp"
+#include "net/ring.hpp"
 
 namespace tls::net {
 
@@ -19,15 +19,11 @@ class PfifoQdisc final : public Qdisc {
   DequeueResult dequeue(sim::Time now) override;
   Bytes backlog_bytes() const override { return backlog_bytes_; }
   std::size_t backlog_chunks() const override { return queue_.size(); }
-  std::string kind() const override { return "pfifo"; }
   void drain(std::vector<Chunk>& out) override;
-  const QdiscStats& stats() const override { return stats_; }
-  std::string stats_text() const override;
 
  private:
-  ChunkRing queue_;
+  Ring<Chunk> queue_;
   Bytes backlog_bytes_{};
-  QdiscStats stats_;
   ByteLedger ledger_;
 };
 

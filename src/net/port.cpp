@@ -31,8 +31,6 @@ void EgressPort::submit(Chunk chunk, const FlowSpec& spec) {
                                  chunk.index, chunk.size);
   }
   qdisc_->enqueue(chunk);
-  counters_.peak_backlog_bytes =
-      std::max(counters_.peak_backlog_bytes, qdisc_->backlog_bytes());
   TLS_DCHECK(submitted_bytes_ == counters_.bytes + in_flight_bytes_ +
                                      qdisc_->backlog_bytes(),
              "egress byte conservation broken after submit: submitted=",
@@ -132,10 +130,8 @@ void IngressPort::arrive(const Chunk& chunk) {
                                   static_cast<std::int64_t>(chunk.flow),
                                   chunk.index, chunk.size);
   }
-  queue_.push_back(chunk, /*stamp=*/sim_.now());
+  queue_.push_back({chunk, sim_.now()});
   backlog_bytes_ += chunk.size;
-  counters_.peak_backlog_bytes =
-      std::max(counters_.peak_backlog_bytes, backlog_bytes_);
   if (!busy_) serve_next();
 }
 
@@ -145,29 +141,28 @@ void IngressPort::serve_next() {
     return;
   }
   busy_ = true;
-  serving_arrived_at_ = queue_.front_stamp();
   serving_ = queue_.take_front();
-  backlog_bytes_ -= serving_.size;
+  backlog_bytes_ -= serving_.chunk.size;
   TLS_CHECK(backlog_bytes_ >= Bytes{0}, "ingress backlog went negative: ",
             backlog_bytes_);
-  serving_wait_ = sim_.now() - serving_arrived_at_;
-  sim_.schedule_after(transmit_time(serving_.size, rate_),
+  serving_wait_ = sim_.now() - serving_.at;
+  sim_.schedule_after(transmit_time(serving_.chunk.size, rate_),
                       [this] { finish_delivery(); });
 }
 
 void IngressPort::finish_delivery() {
-  counters_.bytes += serving_.size;
+  const Chunk& c = serving_.chunk;
+  counters_.bytes += c.size;
   ++counters_.chunks;
   if (TLS_OBS_ACTIVE(sim_.tracer())) {
-    sim_.tracer()->ingress_deliver(sim_.now(), host_, serving_.job,
-                                   serving_.band,
-                                   static_cast<std::int64_t>(serving_.flow),
-                                   serving_.index, serving_.size, serving_wait_,
-                                   sim_.now() - serving_arrived_at_);
+    sim_.tracer()->ingress_deliver(sim_.now(), host_, c.job, c.band,
+                                   static_cast<std::int64_t>(c.flow), c.index,
+                                   c.size, serving_wait_,
+                                   sim_.now() - serving_.at);
   }
   // busy_ stays set through the callback, so a re-entrant arrive() only
   // queues and serving_ is not overwritten before serve_next() below.
-  on_delivered_(serving_);
+  on_delivered_(c);
   serve_next();
 }
 

@@ -6,9 +6,9 @@
 #include <functional>
 #include <memory>
 
-#include "net/chunk_ring.hpp"
 #include "net/classifier.hpp"
 #include "net/qdisc.hpp"
+#include "net/ring.hpp"
 #include "simcore/simulator.hpp"
 
 namespace tls::net {
@@ -18,7 +18,6 @@ namespace tls::net {
 struct PortCounters {
   Bytes bytes{};
   std::uint64_t chunks = 0;
-  Bytes peak_backlog_bytes{};
 };
 
 /// Transmit side of a host NIC. Owns the classifier and qdisc; serializes
@@ -121,18 +120,22 @@ class IngressPort {
   HostId host_ = kNoHost;
   Rate rate_;
   Delivered on_delivered_;
-  /// FIFO of waiting chunks; the ring's stamp lane records each chunk's
-  /// arrival instant (fan-in wait and residence trace fields derive from
-  /// it), replacing a second parallel deque.
-  ChunkRing queue_;
+  /// A chunk with its arrival instant, from which the fan-in wait and
+  /// residence trace fields derive.
+  struct Arrival {
+    Chunk chunk;
+    sim::Time at{};
+  };
+
+  /// FIFO of waiting chunks.
+  Ring<Arrival> queue_;
   Bytes backlog_bytes_{};
   bool busy_ = false;
-  /// The chunk in service while busy_, with its arrival instant and the
-  /// time it waited behind earlier chunks. The port serves one chunk at a
-  /// time, so these live here rather than in the completion event's
-  /// capture, which then fits the inline callback buffer.
-  Chunk serving_{};
-  sim::Time serving_arrived_at_{};
+  /// The chunk in service while busy_, and the time it waited behind
+  /// earlier chunks. The port serves one chunk at a time, so these live
+  /// here rather than in the completion event's capture, which then fits
+  /// the inline callback buffer.
+  Arrival serving_{};
   sim::Time serving_wait_{};
   PortCounters counters_;
 };

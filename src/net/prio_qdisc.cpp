@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 #include "obs/trace.hpp"
 
@@ -12,7 +11,6 @@ PrioQdisc::PrioQdisc(int bands, Bytes quantum) {
   assert(bands >= 1 && bands <= kMaxBands);
   bands_.reserve(static_cast<std::size_t>(bands));
   for (int i = 0; i < bands; ++i) bands_.emplace_back(quantum);
-  band_stats_.resize(static_cast<std::size_t>(bands));
 }
 
 void PrioQdisc::enqueue(const Chunk& chunk) {
@@ -30,10 +28,6 @@ void PrioQdisc::enqueue(const Chunk& chunk) {
 DequeueResult PrioQdisc::dequeue(sim::Time now) {
   for (std::size_t b = 0; b < bands_.size(); ++b) {
     if (auto c = bands_[b].dequeue()) {
-      stats_.bytes_sent += c->size;
-      ++stats_.chunks_sent;
-      band_stats_[b].bytes_sent += c->size;
-      ++band_stats_[b].chunks_sent;
       if (TLS_OBS_ACTIVE(obs_)) {
         obs_->band_service(now, obs_host_,
                            BandId{static_cast<std::int32_t>(b)}, c->size);
@@ -50,20 +44,6 @@ DequeueResult PrioQdisc::dequeue(sim::Time now) {
              "prio reported idle with backlog of ", backlog_chunks(),
              " chunks");
   return DequeueResult::idle();
-}
-
-std::string PrioQdisc::stats_text() const {
-  std::ostringstream os;
-  os << "qdisc prio bands " << bands() << ": sent " << stats_.bytes_sent
-     << " bytes " << stats_.chunks_sent << " chunks, backlog "
-     << backlog_bytes() << " bytes\n";
-  for (std::size_t b = 0; b < bands_.size(); ++b) {
-    os << "  band " << b << ": sent " << band_stats_[b].bytes_sent
-       << " bytes " << band_stats_[b].chunks_sent << " chunks, backlog "
-       << bands_[b].backlog_bytes() << " bytes, " << bands_[b].active_flows()
-       << " active flows\n";
-  }
-  return os.str();
 }
 
 void PrioQdisc::drain(std::vector<Chunk>& out) {

@@ -25,15 +25,7 @@ class PrioQdisc final : public Qdisc {
   DequeueResult dequeue(sim::Time now) override;
   Bytes backlog_bytes() const override;
   std::size_t backlog_chunks() const override;
-  std::string kind() const override { return "prio"; }
   void drain(std::vector<Chunk>& out) override;
-  const QdiscStats& stats() const override { return stats_; }
-  std::string stats_text() const override;
-
-  /// Per-band service counters.
-  const QdiscStats& band_stats(int band) const {
-    return band_stats_.at(static_cast<std::size_t>(band));
-  }
 
   int bands() const { return static_cast<int>(bands_.size()); }
   const WdrrBand& band(int i) const { return bands_.at(static_cast<std::size_t>(i)); }
@@ -43,8 +35,6 @@ class PrioQdisc final : public Qdisc {
 
  private:
   std::vector<WdrrBand> bands_;
-  std::vector<QdiscStats> band_stats_;
-  QdiscStats stats_;
   ByteLedger ledger_;
 };
 

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/chunk.hpp"
@@ -19,18 +18,6 @@ class Tracer;
 }  // namespace tls::obs
 
 namespace tls::net {
-
-/// Cumulative service counters of a qdisc (or one of its classes/bands),
-/// the `tc -s` statistics analog.
-struct QdiscStats {
-  Bytes bytes_sent{};
-  std::uint64_t chunks_sent = 0;
-  /// htb only: sends at assured rate (green) vs borrowed (yellow).
-  std::uint64_t green_sends = 0;
-  std::uint64_t yellow_sends = 0;
-  /// Rate-limited stalls reported to the port (kWaitUntil results).
-  std::uint64_t overlimits = 0;
-};
 
 /// Byte-conservation ledger for qdisc implementations. The disciplines here
 /// are lossless, so at any instant
@@ -92,16 +79,6 @@ class Qdisc {
   /// Used to migrate backlog when the root qdisc is replaced (Linux drops
   /// the backlog on `tc qdisc replace`; a lossless simulation migrates).
   virtual void drain(std::vector<Chunk>& out) = 0;
-
-  /// Whole-qdisc service counters (`tc -s qdisc show` analog).
-  virtual const QdiscStats& stats() const = 0;
-
-  /// Human-readable statistics dump, one line per class/band where the
-  /// discipline has them.
-  virtual std::string stats_text() const = 0;
-
-  /// Discipline name for introspection ("pfifo", "prio", "htb").
-  virtual std::string kind() const = 0;
 
   bool empty() const { return backlog_chunks() == 0; }
 

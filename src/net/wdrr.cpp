@@ -46,9 +46,7 @@ std::optional<Chunk> WdrrBand::dequeue() {
     FlowQueue& fq = it->second;
     TLS_CHECK(!fq.chunks.empty(), "wdrr: active flow ", fid,
               " has an empty queue");
-    // One-lane peek: the DRR decision needs only the head chunk's size.
-    const Bytes head_size = fq.chunks.front_size();
-    if (fq.deficit < head_size) {
+    if (fq.deficit < fq.chunks.front().size) {
       fq.deficit += top_up(quantum_, fq.weight);
       active_.pop_front();
       active_.push_back(fid);

@@ -13,7 +13,7 @@
 #include <unordered_map>
 
 #include "net/chunk.hpp"
-#include "net/chunk_ring.hpp"
+#include "net/ring.hpp"
 
 namespace tls::net {
 
@@ -26,7 +26,7 @@ class WdrrBand {
   /// multi-round spinning.
   explicit WdrrBand(Bytes quantum = 128 * kKiB);
 
-  // Move-only: the per-flow ChunkRings own arena allocations.
+  // Move-only: the per-flow rings own their storage.
   WdrrBand(WdrrBand&&) = default;
   WdrrBand& operator=(WdrrBand&&) = default;
   WdrrBand(const WdrrBand&) = delete;
@@ -63,7 +63,7 @@ class WdrrBand {
 
  private:
   struct FlowQueue {
-    ChunkRing chunks;
+    Ring<Chunk> chunks;
     double weight = 1.0;
     Bytes deficit{};
     bool in_round = false;  // currently on the active list

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/export.hpp"
+
 namespace tls::obs {
 
 const char* to_string(SegmentKind kind) {
@@ -342,8 +344,9 @@ std::string diff_csv(const DiffReport& diff) {
 
 std::string diff_json(const DiffReport& diff) {
   std::ostringstream os;
-  os << "{\"schema\":\"tlsreport-diff-v2\",\"a\":\"" << diff.label_a
-     << "\",\"b\":\"" << diff.label_b << "\",\"jobs\":[";
+  os << "{\"schema\":\"tlsreport-diff-v2\",\"a\":\""
+     << json_escape(diff.label_a) << "\",\"b\":\""
+     << json_escape(diff.label_b) << "\",\"jobs\":[";
   bool first_job = true;
   for (const JobDiff& jd : diff.jobs) {
     if (!first_job) os << ',';

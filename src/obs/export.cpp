@@ -448,6 +448,26 @@ std::string trace_csv(const Tracer& tracer) {
   return os.str();
 }
 
+std::string json_escape(std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (byte < 0x20) {
+      out += "\\u00";
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 bool write_file(const std::string& path, const std::string& content,
                 std::string* error) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

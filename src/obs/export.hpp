@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 
@@ -64,6 +65,11 @@ class TraceCsvWriter final : public TraceSink {
 
 /// Renders a Tracer's log as CSV through TraceCsvWriter, trailer included.
 std::string trace_csv(const Tracer& tracer);
+
+/// `text` as the contents of a JSON string literal: `"` and `\` get a
+/// backslash and every byte below 0x20 is written as \u00XX, so any label
+/// or name renders as valid JSON.
+std::string json_escape(std::string_view text);
 
 /// Writes `content` to `path`, replacing the file. False with a message
 /// when the file cannot be opened or the bytes do not all reach it (a

@@ -111,7 +111,7 @@ bool parse_sampling(const std::string& text, std::uint32_t* out,
 enum class EventKind : std::uint8_t {
   kChunkEnqueue = 0,   ///< chunk admitted to an egress qdisc
   kChunkDequeue = 1,   ///< chunk picked for the wire (a = queue wait ns)
-  kBandService = 2,    ///< discipline served `band` (prio/pfifo/pfifo_fast)
+  kBandService = 2,    ///< discipline served `band` (prio/pfifo)
   kHtbGreen = 3,       ///< htb sent at assured rate
   kHtbYellow = 4,      ///< htb sent by borrowing from the root (yellow)
   kOverlimit = 5,      ///< rate limiter stalled the port (a = retry time ns)

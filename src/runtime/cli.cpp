@@ -241,9 +241,10 @@ scenario flags (shared flags that apply: --hosts (12 here), --policy,
 
 /// The flag reader every command shares. An absent flag yields its
 /// fallback; a present one, even an empty `--flag=`, must parse whole
-/// (simcore/parse.hpp) and lie in its range. The first value that does not
-/// is kept as the error and later reads yield their fallbacks, so
-/// build_config and its kin read every flag and then check ok() once.
+/// (simcore/parse.hpp) and lie in its range, and a path or list must not
+/// be empty. The first value that does not is kept as the error and later
+/// reads yield their fallbacks, so build_config and its kin read every
+/// flag and then check ok() once.
 class FlagReader {
  public:
   explicit FlagReader(const CliArgs& args) : args_(args) {}
@@ -263,6 +264,13 @@ class FlagReader {
     double parsed = 0;
     if (!sim::parse_real(v, &parsed, lo, 1e9)) return bad(key, v, fallback);
     return parsed;
+  }
+
+  /// A path or a list: "" when absent, but never empty when present.
+  std::string text(const std::string& key) {
+    std::string v = args_.get(key);
+    if (args_.has(key) && v.empty()) return bad(key, v, v);
+    return v;
   }
 
   /// One of `choices`, by name.
@@ -347,19 +355,19 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
   config->placement =
       cluster::table1(static_cast<int>(placement), static_cast<int>(jobs));
   config->background = args.has("background");
+  config->obs.trace_path = flags.text("trace");
+  config->obs.trace_csv_path = flags.text("trace-csv");
+  config->obs.metrics_path = flags.text("metrics");
+  config->obs.report_path = flags.text("report");
+  config->obs.report_csv_path = flags.text("report-csv");
+  config->obs.report_json_path = flags.text("report-json");
+  config->obs.report_html_path = flags.text("report-html");
   if (!flags.ok(error)) return false;
   if (workers > config->num_hosts - 1) {
     *error = "--workers must be <= --hosts - 1";
     return false;
   }
 
-  config->obs.trace_path = args.get("trace");
-  config->obs.trace_csv_path = args.get("trace-csv");
-  config->obs.metrics_path = args.get("metrics");
-  config->obs.report_path = args.get("report");
-  config->obs.report_csv_path = args.get("report-csv");
-  config->obs.report_json_path = args.get("report-json");
-  config->obs.report_html_path = args.get("report-html");
   // An explicitly empty --trace-filter= or --trace-sample= is malformed,
   // not absent.
   if (args.has("trace-filter") &&
@@ -411,6 +419,9 @@ int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
             std::ostream& err) {
   FlagReader flags(args);
   long replicas = flags.integer("replicas", 1, 1, 10000);
+  // --export-prefix PATH writes PATH.jobs.csv / PATH.barriers.csv /
+  // PATH.json for the first replica.
+  std::string prefix = flags.text("export-prefix");
   std::string error;
   if (!flags.ok(&error)) {
     err << "tlsim: " << error << "\n";
@@ -429,9 +440,6 @@ int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
     out << "avg JCT across " << replicas << " seeds: " << metrics::fmt(s.mean)
         << " +/- " << metrics::fmt(s.stddev) << " s\n";
   }
-  // --export-prefix PATH writes PATH.jobs.csv / PATH.barriers.csv /
-  // PATH.json for the first replica.
-  std::string prefix = args.get("export-prefix");
   if (!prefix.empty()) {
     const exp::ExperimentResult& first = runs.front();
     if (!obs::write_file(prefix + ".jobs.csv", exp::jobs_csv(first), &error) ||
@@ -526,7 +534,7 @@ bool build_scenario_config(const CliArgs& args, scenario::Config* config,
       {{"share", cluster::AdmissionPolicy::kShareBand},
        {"queue", cluster::AdmissionPolicy::kQueue},
        {"reject", cluster::AdmissionPolicy::kReject}});
-  config->metrics_path = args.get("metrics");
+  config->metrics_path = flags.text("metrics");
 
   scenario::TraceConfig& t = config->trace;
   t.process = flags.choice<scenario::ArrivalProcess>(
@@ -551,9 +559,10 @@ bool build_scenario_config(const CliArgs& args, scenario::Config* config,
   t.evict_max_s = flags.real("scenario-evict-max-s", 300.0, 1e-6);
   t.seed = static_cast<std::uint64_t>(
       flags.integer("scenario-trace-seed", 1, 0, INT64_MAX / 2));
+  std::string models = flags.text("scenario-models");
+  std::string trace_path = flags.text("scenario-trace");
   if (!flags.ok(error)) return false;
 
-  std::string models = args.get("scenario-models");
   if (!models.empty() && !scenario::parse_model_mix(models, &t.models, error)) {
     *error = "bad --scenario-models: " + *error;
     return false;
@@ -571,7 +580,6 @@ bool build_scenario_config(const CliArgs& args, scenario::Config* config,
     return false;
   }
 
-  std::string trace_path = args.get("scenario-trace");
   if (!trace_path.empty()) {
     std::ifstream in(trace_path, std::ios::binary);
     if (!in) {
@@ -604,12 +612,15 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
                  std::ostream& out, std::ostream& err) {
   scenario::Config config;
   std::string error;
-  if (!build_scenario_config(args, &config, &error)) {
+  FlagReader flags(args);
+  std::string trace_out = flags.text("scenario-trace-out");
+  std::string json_path = flags.text("scenario-out");
+  std::string csv_path = flags.text("scenario-csv");
+  if (!build_scenario_config(args, &config, &error) || !flags.ok(&error)) {
     err << "tlsim: " << error << "\n";
     return 2;
   }
 
-  std::string trace_out = args.get("scenario-trace-out");
   if (!trace_out.empty()) {
     scenario::Trace trace = config.replay.jobs.empty()
                                 ? scenario::generate_trace(config.trace)
@@ -636,8 +647,6 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
   }
   emit(table, args.has("csv"), out);
 
-  std::string json_path = args.get("scenario-out");
-  std::string csv_path = args.get("scenario-csv");
   for (std::size_t i = 0; i < report.results.size(); ++i) {
     const scenario::Result& r = report.results[i];
     bool multi = report.results.size() > 1;

@@ -73,8 +73,6 @@ ParseResult parse_qdisc(Cursor& c) {
         !sim::parse_int(c.next(), &cmd.spec.prio_bands, 1, 16)) {
       return ParseResult::failure("bad band count");
     }
-  } else if (kind == "pfifo_fast") {
-    cmd.spec.kind = QdiscKind::kPfifoFast;
   } else if (kind == "htb") {
     cmd.spec.kind = QdiscKind::kHtb;
     if (c.accept("default")) {
@@ -83,33 +81,6 @@ ParseResult parse_qdisc(Cursor& c) {
       if (!h) return ParseResult::failure("bad htb default");
       cmd.spec.htb_default = h->minor;
     }
-  } else if (kind == "tbf") {
-    cmd.spec.kind = QdiscKind::kTbf;
-    bool saw_rate = false;
-    while (!c.done()) {
-      std::string key = c.next();
-      std::string val = c.next();
-      if (val.empty()) return ParseResult::failure("missing value for '" + key + "'");
-      if (key == "rate") {
-        auto r = parse_rate(val);
-        if (!r) return ParseResult::failure("bad tbf rate '" + val + "'");
-        cmd.spec.tbf_rate = *r;
-        saw_rate = true;
-      } else if (key == "burst") {
-        auto s = parse_size(val);
-        if (!s) return ParseResult::failure("bad tbf burst '" + val + "'");
-        cmd.spec.tbf_burst = *s;
-      } else if (key == "limit" || key == "latency") {
-        // Accepted for command compatibility; our queues are lossless.
-        int ignored = 0;
-        if (!parse_size(val) && !sim::parse_int(val, &ignored)) {
-          return ParseResult::failure("bad tbf " + key);
-        }
-      } else {
-        return ParseResult::failure("unknown tbf parameter '" + key + "'");
-      }
-    }
-    if (!saw_rate) return ParseResult::failure("tbf requires 'rate'");
   } else {
     return ParseResult::failure("unknown qdisc kind '" + kind + "'");
   }

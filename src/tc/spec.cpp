@@ -14,10 +14,8 @@ namespace tls::tc {
 const char* to_string(QdiscKind kind) {
   switch (kind) {
     case QdiscKind::kPfifo: return "pfifo";
-    case QdiscKind::kPfifoFast: return "pfifo_fast";
     case QdiscKind::kPrio: return "prio";
     case QdiscKind::kHtb: return "htb";
-    case QdiscKind::kTbf: return "tbf";
   }
   return "?";
 }

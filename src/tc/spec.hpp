@@ -27,7 +27,7 @@ struct Handle {
   std::string str() const;
 };
 
-enum class QdiscKind { kPfifo, kPfifoFast, kPrio, kHtb, kTbf };
+enum class QdiscKind { kPfifo, kPrio, kHtb };
 
 const char* to_string(QdiscKind kind);
 
@@ -39,9 +39,6 @@ struct QdiscSpec {
   int prio_bands = 3;
   /// htb: classid minor receiving unclassified traffic (0 = direct queue).
   std::uint32_t htb_default = 0;
-  /// tbf: shaping parameters (rate required by the parser).
-  net::Rate tbf_rate{};
-  net::Bytes tbf_burst = 64 * net::kKiB;
 };
 
 /// htb class parameters ("tc class add ... htb rate ... ceil ...").

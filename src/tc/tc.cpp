@@ -3,10 +3,8 @@
 #include <string_view>
 
 #include "net/htb_qdisc.hpp"
-#include "net/pfifo_fast_qdisc.hpp"
 #include "net/pfifo_qdisc.hpp"
 #include "net/prio_qdisc.hpp"
-#include "net/tbf_qdisc.hpp"
 #include "simcore/parse.hpp"
 
 namespace tls::tc {
@@ -40,11 +38,6 @@ QdiscKind TrafficControl::root_kind(net::HostId host) const {
 
 net::Rate TrafficControl::link_rate(net::HostId host) const {
   return fabric_.egress(host).rate();
-}
-
-std::string TrafficControl::show_qdisc(net::HostId host) const {
-  return "dev " + device_name(host) + " " +
-         fabric_.egress(host).qdisc().stats_text();
 }
 
 std::uint64_t TrafficControl::reconfig_count(net::HostId host) const {
@@ -86,23 +79,12 @@ Status TrafficControl::apply_qdisc_add(const QdiscAddCmd& cmd) {
     case QdiscKind::kPfifo:
       qdisc = std::make_unique<net::PfifoQdisc>();
       break;
-    case QdiscKind::kPfifoFast:
-      qdisc = std::make_unique<net::PfifoFastQdisc>();
-      break;
     case QdiscKind::kPrio:
       qdisc = std::make_unique<net::PrioQdisc>(cmd.spec.prio_bands);
       break;
     case QdiscKind::kHtb:
       qdisc = std::make_unique<net::HtbQdisc>(port.rate(), cmd.spec.htb_default);
       break;
-    case QdiscKind::kTbf: {
-      net::TbfConfig tbf;
-      tbf.rate = cmd.spec.tbf_rate;
-      tbf.burst = cmd.spec.tbf_burst;
-      if (tbf.rate <= net::Rate{0.0}) return Status::fail("tbf requires a positive rate");
-      qdisc = std::make_unique<net::TbfQdisc>(tbf);
-      break;
-    }
   }
   port.set_qdisc(std::move(qdisc));
   port.classifier().clear();
@@ -199,9 +181,7 @@ Status TrafficControl::apply_filter_add(const FilterAddCmd& cmd) {
       rule.target_band = net::BandId{cmd.spec.flowid.minor};
       break;
     case QdiscKind::kPfifo:
-    case QdiscKind::kPfifoFast:
-    case QdiscKind::kTbf:
-      // Legal but meaningless on classless qdiscs, as in Linux.
+      // Legal but meaningless on a classless qdisc, as in Linux.
       rule.target_band = net::BandId{0};
       break;
   }

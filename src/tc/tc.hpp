@@ -4,10 +4,10 @@
 // Semantics follow Linux where it matters to the paper:
 //  * one root qdisc per device; adding over an existing root fails unless
 //    "replace" is used;
-//  * replacing a root qdisc requires an empty queue (Linux would drop the
-//    backlog; our transfers are lossless, so we refuse instead — the
-//    TensorLights controller never replaces a busy root, it only changes
-//    classes/filters);
+//  * replacing or deleting a busy root qdisc keeps its backlog: Linux
+//    would drop it, but our transfers are lossless, so
+//    EgressPort::set_qdisc migrates the queued chunks into the new root in
+//    the old one's service order;
 //  * filters attach to the root, so qdisc add/replace/del clears them;
 //  * prio flowid 1:N maps to band N-1 (tc convention), htb flowid 1:N maps
 //    to class minor N;
@@ -55,10 +55,6 @@ class TrafficControl {
   /// Egress line rate of a host (bytes/sec); controllers use it to size
   /// htb ceilings.
   net::Rate link_rate(net::HostId host) const;
-
-  /// `tc -s qdisc show dev hostN` analog: statistics of the root qdisc
-  /// and its classes/bands.
-  std::string show_qdisc(net::HostId host) const;
 
   /// All successfully executed command lines, in order.
   const std::vector<std::string>& history() const { return history_; }

@@ -58,9 +58,11 @@ TEST(Export, JsonContainsHeadlineMetrics) {
 
 TEST(Export, JsonEscapesStrings) {
   ExperimentResult r = sample_result();
-  r.policy_name = "we\"ird\\name";
+  r.policy_name = "we\"ird\\name\t";
   std::string json = to_json(r);
-  EXPECT_NE(json.find("we\\\"ird\\\\name"), std::string::npos);
+  EXPECT_NE(json.find("\"policy\": \"we\\\"ird\\\\name\\u0009\""),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "net/prio_qdisc.hpp"
 
 namespace tls::net {
 namespace {
@@ -141,6 +146,84 @@ TEST(Fabric, FairSharingBetweenEqualFlows) {
           << "flow " << i;
     }
   }
+}
+
+// Job A's and job B's bursts from host 0 on an ideal fabric, each of four
+// 1.25 MB flows: A's to hosts 1-4 from source port 5000, B's to hosts 5-8
+// from port 6000, A's started first. With `prio`, host 0's root is a
+// 2-band prio whose source-port filters put A in band 0 and B in band 1;
+// otherwise it is the default pfifo. Every run starts with a 1,000 B
+// flow to host 9 that holds the idle link for 800 ns, so each job's whole
+// first window is queued before its first chunk is served, alone as
+// behind the other job. Returns each job flow's end, A's flows first.
+std::vector<sim::Time> burst_pair_ends(bool with_a, bool with_b, bool prio) {
+  sim::Simulator s(1);
+  Fabric fab(s, ideal(10));
+  EgressPort& port = fab.egress(HostId{0});
+  if (prio) {
+    port.set_qdisc(std::make_unique<PrioQdisc>(2));
+    for (int band = 0; band < 2; ++band) {
+      FilterRule rule;
+      rule.pref = 10 + band;
+      rule.src_port = static_cast<std::uint16_t>(5000 + 1000 * band);
+      rule.target_band = BandId{band};
+      port.classifier().upsert(rule);
+    }
+  }
+  FlowSpec pilot;
+  pilot.src = HostId{0};
+  pilot.dst = HostId{9};
+  pilot.bytes = Bytes{1'000};
+  fab.start_flow(pilot, [](const FlowRecord&) {});
+  std::vector<sim::Time> ends;
+  for (int job = 0; job < 2; ++job) {
+    if (!(job == 0 ? with_a : with_b)) continue;
+    for (int i = 0; i < 4; ++i) {
+      FlowSpec f;
+      f.src = HostId{0};
+      f.dst = HostId{1 + 4 * job + i};
+      f.src_port = static_cast<std::uint16_t>(5000 + 1000 * job);
+      f.job_id = job;
+      f.bytes = Bytes{1'250'000};
+      const std::size_t slot = ends.size();
+      ends.push_back(sim::Time{-1});
+      fab.start_flow(f, [&ends, slot](const FlowRecord& r) {
+        ends[slot] = r.end;
+      });
+    }
+  }
+  s.run();
+  return ends;
+}
+
+TEST(Fabric, StrictPriorityBurstPairHalfTime) {
+  // The Fig. 4 half-time in closed form, exact in integer ns. Band 0 keeps
+  // the link busy until A's last chunk leaves, so A never sees B: every A
+  // flow ends exactly when it ends with B absent. B's chunks wait in band
+  // 1 until then and are served from there as if A had never been, so
+  // every B flow ends exactly sum_A t later than with A absent, sum_A t
+  // being the summed transmit time of A's chunks: per flow 9 chunks of
+  // 128 KiB (104,858 ns) and one of 70,352 B (56,282 ns), 1,000,004 ns.
+  const sim::Time full = transmit_time(128 * kKiB, gbps(10));
+  const sim::Time tail = transmit_time(Bytes{70'352}, gbps(10));
+  const sim::Time sum_a = (full * 9 + tail) * 4;
+  ASSERT_EQ(sum_a, sim::Time{4'000'016});
+  const std::vector<sim::Time> both = burst_pair_ends(true, true, true);
+  const std::vector<sim::Time> a_alone = burst_pair_ends(true, false, true);
+  const std::vector<sim::Time> b_alone = burst_pair_ends(false, true, true);
+  ASSERT_EQ(both.size(), 8u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(both[i], a_alone[i]) << "A flow " << i;
+    EXPECT_EQ(both[4 + i], b_alone[i] + sum_a) << "B flow " << i;
+  }
+  // Contrast: on the default pfifo the two bursts interleave, and A's last
+  // flow ends no earlier than sum_A t + sum_B t less four last-block
+  // times (3 * 104,858 + 56,282 = 370,856 ns).
+  const std::vector<sim::Time> fifo = burst_pair_ends(true, true, false);
+  const sim::Time last_block = full * 3 + tail;
+  const sim::Time a_last = *std::max_element(fifo.begin(), fifo.begin() + 4);
+  EXPECT_GE(a_last, sum_a * 2 - last_block * 4);
+  EXPECT_GT(a_last, *std::max_element(both.begin(), both.begin() + 4));
 }
 
 TEST(Fabric, IngressFanInContention) {

@@ -61,7 +61,5 @@ TEST(Pfifo, DrainPreservesOrderAndEmpties) {
   EXPECT_EQ(q.backlog_bytes(), tls::net::Bytes{0});
 }
 
-TEST(Pfifo, KindName) { EXPECT_EQ(PfifoQdisc().kind(), "pfifo"); }
-
 }  // namespace
 }  // namespace tls::net

@@ -76,9 +76,12 @@ TEST_F(PortTest, QdiscReplacementMigratesBacklog) {
 TEST_F(PortTest, PeakBacklogTracked) {
   EgressPort port(simulator, Rate{1000.0}, [&](const Chunk&) {});
   for (int i = 0; i < 4; ++i) port.submit(make_chunk(1, tls::net::Bytes{100}), FlowSpec{});
-  // First chunk went into service; three remain queued.
-  EXPECT_GE(port.counters().peak_backlog_bytes, tls::net::Bytes{300});
+  // First chunk went into service; three remain queued, the peak.
+  EXPECT_EQ(port.qdisc().backlog_bytes(), tls::net::Bytes{300});
+  EXPECT_EQ(port.qdisc().backlog_chunks(), 3u);
   simulator.run();
+  EXPECT_EQ(port.qdisc().backlog_bytes(), tls::net::Bytes{0});
+  EXPECT_EQ(port.counters().bytes, tls::net::Bytes{400});
 }
 
 TEST_F(PortTest, BusyFlagDuringService) {

@@ -467,6 +467,21 @@ TEST(AnalysisDiff, CertifiesFanInContentionElimination) {
       << csv;
 }
 
+TEST(AnalysisDiff, JsonEscapesLabels) {
+  // Labels default to the trace CSV file names, so any byte can reach the
+  // diff JSON: a quote or backslash gets a backslash, a control byte is
+  // written as \u00XX.
+  DiffReport d =
+      diff_reports(report_with(0, 0, tls::sim::Time{500}, 0),
+                   report_with(0, 0, tls::sim::Time{300}, 0), "a\"b\\c",
+                   "run\t2");
+  const std::string json = diff_json(d);
+  const std::string head =
+      "{\"schema\":\"tlsreport-diff-v2\",\"a\":\"a\\\"b\\\\c\","
+      "\"b\":\"run\\u00092\",\"jobs\":[";
+  EXPECT_EQ(json.substr(0, head.size()), head);
+}
+
 TEST(AnalysisContract, BlameSideNames) {
   EXPECT_STREQ(to_string(BlameSide::kEgress), "egress");
   EXPECT_STREQ(to_string(BlameSide::kIngress), "ingress");

@@ -324,6 +324,16 @@ TEST(TraceCsvWriter, StreamThatFailsMidBlockStaysFailedAfterFinish) {
   }
 }
 
+TEST(Export, JsonEscapeCoversQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("tab\there\n"), "tab\\u0009here\\u000a");
+  EXPECT_EQ(json_escape(std::string_view("\0\x1f\x7f", 3)),
+            "\\u0000\\u001f\x7f");
+  // Bytes from 0x20 up pass through, UTF-8 included.
+  EXPECT_EQ(json_escape("/ <b> caf\xc3\xa9"), "/ <b> caf\xc3\xa9");
+  EXPECT_EQ(json_escape(""), "");
+}
+
 TEST(Export, WriteFileRoundTrips) {
   std::string path = ::testing::TempDir() + "/tls_export_test.csv";
   std::string error;

@@ -564,6 +564,37 @@ TEST(CliMutation, EveryNumericFlagRejectsMalformedValues) {
   }
 }
 
+// A path or list flag given an empty value is malformed, not absent: each
+// one exits 2 naming the flag, before any simulation starts and before
+// any file is written.
+TEST(CliMutation, EveryPathAndListFlagRejectsAnEmptyValue) {
+  struct Flag {
+    bool scenario;
+    std::string name;
+  };
+  const std::vector<Flag> flags = {
+      {false, "trace"},          {false, "trace-csv"},
+      {false, "metrics"},        {false, "report"},
+      {false, "report-csv"},     {false, "report-json"},
+      {false, "report-html"},    {false, "export-prefix"},
+      {true, "metrics"},         {true, "scenario-models"},
+      {true, "scenario-trace"},  {true, "scenario-trace-out"},
+      {true, "scenario-out"},    {true, "scenario-csv"},
+  };
+  for (const Flag& f : flags) {
+    std::vector<std::string> args =
+        f.scenario ? std::vector<std::string>{SMALL_SCENARIO}
+                   : std::vector<std::string>{"run", SMALL};
+    args.push_back("--" + f.name + "=");
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, out, err), 2) << "--" << f.name << "=";
+    EXPECT_TRUE(out.str().empty()) << "--" << f.name << "=";
+    EXPECT_NE(err.str().find("bad value for --" + f.name + ": ''"),
+              std::string::npos)
+        << err.str();
+  }
+}
+
 TEST(Cli, UnwritableTraceCsvFailsWithExitOne) {
   CliRun r = cli({"run", SMALL, "--trace-csv", "/nonexistent-dir-xyz/t.csv"});
   EXPECT_EQ(r.code, 1);

@@ -1,7 +1,9 @@
-// Parser + applier coverage for the pfifo_fast and tbf qdisc kinds.
+// Parser + applier coverage of the root disciplines beyond the basics:
+// filters on the classless pfifo, the applier's name for each root, and
+// shaping through an htb class end to end.
 #include <gtest/gtest.h>
 
-#include "net/tbf_qdisc.hpp"
+#include "net/pfifo_qdisc.hpp"
 #include "tc/tc.hpp"
 
 namespace tls::tc {
@@ -15,75 +17,77 @@ class TcQdiscKindsTest : public ::testing::Test {
     c.num_hosts = 2;
     return c;
   }
+  const char* root_name() const {
+    return to_string(control_.root_kind(net::HostId{0}));
+  }
   sim::Simulator sim_{1};
   net::Fabric fabric_;
   TrafficControl control_;
 };
 
-TEST_F(TcQdiscKindsTest, PfifoFastInstalls) {
-  Status s = control_.exec("tc qdisc add dev host0 root handle 1: pfifo_fast");
-  ASSERT_TRUE(s.ok) << s.error;
-  EXPECT_EQ(control_.root_kind(tls::net::HostId{0}), QdiscKind::kPfifoFast);
-  EXPECT_EQ(fabric_.egress(tls::net::HostId{0}).qdisc().kind(), "pfifo_fast");
-}
-
-TEST_F(TcQdiscKindsTest, TbfInstallsWithRate) {
-  Status s = control_.exec(
-      "tc qdisc add dev host0 root handle 1: tbf rate 500mbit burst 256k");
-  ASSERT_TRUE(s.ok) << s.error;
-  auto& tbf = static_cast<net::TbfQdisc&>(fabric_.egress(tls::net::HostId{0}).qdisc());
-  EXPECT_DOUBLE_EQ(net::to_double(tbf.config().rate), 500e6 / 8);
-  EXPECT_EQ(tbf.config().burst, tls::net::Bytes{256 * 1024});
-}
-
-TEST_F(TcQdiscKindsTest, TbfRequiresRate) {
-  EXPECT_FALSE(control_.exec("tc qdisc add dev host0 root handle 1: tbf").ok);
-  EXPECT_FALSE(
-      control_.exec("tc qdisc add dev host0 root handle 1: tbf burst 64k").ok);
-  EXPECT_FALSE(
-      control_.exec("tc qdisc add dev host0 root handle 1: tbf rate slow").ok);
-}
-
-TEST_F(TcQdiscKindsTest, TbfAcceptsLimitForCompat) {
-  EXPECT_TRUE(control_
-                  .exec("tc qdisc add dev host0 root handle 1: tbf rate "
-                        "100mbit burst 64k limit 1m")
-                  .ok);
-}
-
 TEST_F(TcQdiscKindsTest, FiltersOnClasslessQdiscsAreNoOps) {
-  ASSERT_TRUE(control_.exec("tc qdisc add dev host0 root handle 1: pfifo_fast").ok);
+  ASSERT_TRUE(control_.exec("tc qdisc add dev host0 root handle 1: pfifo").ok);
   ASSERT_TRUE(control_
                   .exec("tc filter add dev host0 parent 1: pref 10 u32 match "
                         "ip sport 5000 0xffff flowid 1:3")
                   .ok);
   net::FlowSpec f;
   f.src_port = 5000;
-  EXPECT_EQ(fabric_.egress(tls::net::HostId{0}).classifier().classify(f), tls::net::BandId{0});
+  EXPECT_EQ(fabric_.egress(net::HostId{0}).classifier().classify(f),
+            net::BandId{0});
 }
 
 TEST_F(TcQdiscKindsTest, ShowQdiscNamesDiscipline) {
-  ASSERT_TRUE(control_.exec("tc qdisc add dev host0 root handle 1: tbf rate 1gbit").ok);
-  std::string shown = control_.show_qdisc(tls::net::HostId{0});
-  EXPECT_NE(shown.find("tbf"), std::string::npos);
-  EXPECT_NE(shown.find("host0"), std::string::npos);
+  EXPECT_STREQ(root_name(), "pfifo");
+  ASSERT_TRUE(control_.exec("tc qdisc add dev host0 root handle 1: htb").ok);
+  EXPECT_STREQ(root_name(), "htb");
+  ASSERT_TRUE(
+      control_.exec("tc qdisc replace dev host0 root handle 1: prio").ok);
+  EXPECT_STREQ(root_name(), "prio");
+  ASSERT_TRUE(control_.exec("tc qdisc del dev host0 root").ok);
+  EXPECT_STREQ(root_name(), "pfifo");
+}
+
+TEST_F(TcQdiscKindsTest, OnlyPfifoPrioAndHtbInstall) {
+  for (const char* kind : {"pfifo_fast", "tbf rate 100mbit", "sfq"}) {
+    Status s = control_.exec(
+        std::string("tc qdisc add dev host0 root handle 1: ") + kind);
+    EXPECT_FALSE(s.ok) << kind;
+    EXPECT_NE(s.error.find("unknown qdisc kind"), std::string::npos)
+        << s.error;
+  }
+  EXPECT_STREQ(root_name(), "pfifo");
+  EXPECT_NE(dynamic_cast<const net::PfifoQdisc*>(
+                &fabric_.egress(net::HostId{0}).qdisc()),
+            nullptr);
+  EXPECT_EQ(control_.reconfig_count(net::HostId{0}), 0u);
 }
 
 TEST_F(TcQdiscKindsTest, TbfShapesEndToEnd) {
-  // 8 MB through a 100 mbit tbf takes ~0.65 s instead of ~7 ms.
+  // An htb class whose ceil equals its rate never borrows, so it shapes
+  // like a token bucket filter: 8 MiB (10.9 MB on the wire) through one
+  // capped at 100 mbit takes ~0.85 s instead of ~9 ms. Once its 256 KiB
+  // bucket is spent each chunk waits for tokens, and the port re-polls
+  // the qdisc at every retry time.
+  ASSERT_TRUE(control_.exec("tc qdisc add dev host0 root handle 1: htb").ok);
   ASSERT_TRUE(control_
-                  .exec("tc qdisc add dev host0 root handle 1: tbf rate "
-                        "100mbit burst 256k")
+                  .exec("tc class add dev host0 parent 1: classid 1:1 htb "
+                        "rate 100mbit ceil 100mbit burst 256k cburst 256k")
+                  .ok);
+  ASSERT_TRUE(control_
+                  .exec("tc filter add dev host0 parent 1: pref 10 u32 match "
+                        "ip sport 5000 0xffff flowid 1:1")
                   .ok);
   net::FlowSpec f;
-  f.src = tls::net::HostId{0};
-  f.dst = tls::net::HostId{1};
+  f.src = net::HostId{0};
+  f.dst = net::HostId{1};
+  f.src_port = 5000;
   f.bytes = 8 * net::kMiB;
-  sim::Time done = tls::sim::Time{0};
+  sim::Time done{0};
   fabric_.start_flow(f, [&](const net::FlowRecord& r) { done = r.end; });
   sim_.run();
-  EXPECT_GT(sim::to_seconds(done), 0.4);
-  EXPECT_LT(sim::to_seconds(done), 1.5);
+  EXPECT_GT(sim::to_seconds(done), 0.8);
+  EXPECT_LT(sim::to_seconds(done), 0.9);
 }
 
 }  // namespace

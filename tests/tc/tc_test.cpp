@@ -5,6 +5,7 @@
 #include <string>
 
 #include "net/htb_qdisc.hpp"
+#include "net/pfifo_qdisc.hpp"
 #include "net/prio_qdisc.hpp"
 
 namespace tls::tc {
@@ -38,7 +39,9 @@ TEST_F(TcTest, DeviceNameResolution) {
 
 TEST_F(TcTest, DefaultRootIsPfifo) {
   EXPECT_EQ(control_.root_kind(tls::net::HostId{0}), QdiscKind::kPfifo);
-  EXPECT_EQ(fabric_.egress(tls::net::HostId{0}).qdisc().kind(), "pfifo");
+  EXPECT_NE(dynamic_cast<const net::PfifoQdisc*>(
+                &fabric_.egress(tls::net::HostId{0}).qdisc()),
+            nullptr);
 }
 
 TEST_F(TcTest, InstallPrioRoot) {

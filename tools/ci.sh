@@ -248,4 +248,12 @@ check_peak_rss "sparse churn" ./build-ci/tools/tlsim scenario --hosts 12 \
   --scenario-evict-frac 0.1 --scenario-evict-min-s 30 \
   --scenario-evict-max-s 120 --threads 1
 
+echo "==> [4d/4] perfbench: build from src/ and run its tiny-scale smoke tests"
+# perfbench is a standalone CMake project that compiles src/ and reads
+# some of its accessors; building it here shows a src/ change that breaks
+# the benchmark before a benchmark run does.
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j "$jobs"
+ctest --test-dir build-perfbench --output-on-failure
+
 echo "==> ci.sh: all green"
