@@ -10,19 +10,28 @@
 //   TLS_BENCH_JSON_DIR             where BENCH_<name>.json timing files land
 //                                  (default: current directory)
 //
+// The flags are read as tlsim and tlsreport read theirs (simcore/flags.hpp):
+// --k v or --k=v, the last one wins, and a flag overrides its variable. Any
+// other argument, or a missing, empty or malformed value, ends the bench
+// with exit 2 and a message.
+//
 // Absolute times scale with TLS_BENCH_ITERS; the ratios the paper reports
 // stabilize after a few tens of iterations.
 #pragma once
 
 #include <chrono>  // host wall timing only — bench/ is outside the src/ lint
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/experiment.hpp"
 #include "metrics/report.hpp"
 #include "runtime/runner.hpp"
+#include "simcore/flags.hpp"
 #include "simcore/parse.hpp"
 
 namespace tls::bench {
@@ -53,20 +62,39 @@ inline long resolved_jobs() {
   return jobs > 0 ? jobs : tls::runtime::default_jobs();
 }
 
-/// Maps `--iters/--seed/--jobs N` flags onto the TLS_BENCH_* environment
-/// variables, so both spellings behave identically everywhere downstream.
-/// Call first thing in every bench main().
+/// Reads `--iters/--seed/--jobs N` with the reader tlsim and tlsreport
+/// share (simcore/flags.hpp) and exports them as the TLS_BENCH_* variables,
+/// so both spellings behave identically everywhere downstream. An unknown
+/// flag, a missing, empty or malformed value, or a positional argument ends
+/// the bench with exit 2. Call first thing in every bench main().
 inline void init(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    std::string flag = argv[i];
-    const char* value = argv[i + 1];
-    if (flag == "--iters") {
-      ::setenv("TLS_BENCH_ITERS", value, 1);
-    } else if (flag == "--seed") {
-      ::setenv("TLS_BENCH_SEED", value, 1);
-    } else if (flag == "--jobs") {
-      ::setenv("TLS_BENCH_JOBS", value, 1);
-    }
+  constexpr std::string_view kFlags[] = {"iters", "seed", "jobs"};
+  constexpr const char* kEnv[] = {"TLS_BENCH_ITERS", "TLS_BENCH_SEED",
+                                  "TLS_BENCH_JOBS"};
+  std::string_view name = argv[0];
+  if (std::size_t slash = name.rfind('/'); slash != name.npos) {
+    name.remove_prefix(slash + 1);
+  }
+  sim::CliArgs args;
+  std::string error;
+  bool ok = sim::parse_args(std::vector<std::string>(argv + 1, argv + argc),
+                            {}, kFlags, &args, &error) &&
+            sim::check_flags(args, name, kFlags, &error);
+  if (ok && !args.positional.empty()) {
+    error = "unexpected argument '" + args.positional.front() + "'";
+    ok = false;
+  }
+  sim::FlagReader flags(args);
+  for (std::string_view flag : kFlags) {
+    flags.integer(std::string(flag), 0, LONG_MIN, LONG_MAX);
+  }
+  if (!ok || !flags.ok(&error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    std::exit(2);
+  }
+  for (std::size_t i = 0; i < std::size(kFlags); ++i) {
+    std::string flag(kFlags[i]);
+    if (args.has(flag)) ::setenv(kEnv[i], args.get(flag).c_str(), 1);
   }
 }
 

@@ -47,25 +47,6 @@ void Histogram::record(std::int64_t sample) {
   sum_ += sample;
 }
 
-std::int64_t Histogram::quantile_upper_bound(double q) const {
-  if (count_ == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the target sample, 1-based; ceil without float rounding traps.
-  std::int64_t rank = static_cast<std::int64_t>(q * static_cast<double>(count_));
-  if (rank < 1) rank = 1;
-  if (rank > count_) rank = count_;
-  std::int64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      std::int64_t upper = bucket_upper(i);
-      return upper > max_ ? max_ : upper;
-    }
-  }
-  return max_;
-}
-
 std::int64_t Histogram::quantile(double q) const {
   if (count_ == 0) return 0;
   if (q < 0.0) q = 0.0;

@@ -74,15 +74,12 @@ class Histogram {
   }
   std::int64_t bucket(int i) const { return buckets_[i]; }
 
-  /// Smallest value v such that at least `q` (in [0,1]) of samples are <= v,
-  /// resolved to the upper edge of the containing bucket.
-  std::int64_t quantile_upper_bound(double q) const;
-
-  /// Rank-interpolated quantile: locates the containing bucket like
-  /// quantile_upper_bound, then interpolates linearly by rank across the
-  /// bucket's span (edges clamped to the observed min/max), so quantile
-  /// estimates move smoothly instead of jumping between power-of-two
-  /// edges. Integer arithmetic throughout — the result is byte-stable.
+  /// Rank-interpolated quantile, `q` in [0,1]: finds the bucket holding
+  /// the sample of rank q * count (truncated, clamped to [1, count]), then
+  /// interpolates linearly by rank across the bucket's span (edges clamped
+  /// to the observed min/max), so quantile estimates move smoothly instead
+  /// of jumping between power-of-two edges. Integer arithmetic throughout —
+  /// the result is byte-stable. 0 when empty.
   std::int64_t quantile(double q) const;
 
  private:

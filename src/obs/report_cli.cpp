@@ -1,7 +1,10 @@
 #include "obs/report_cli.hpp"
 
+#include <algorithm>
 #include <climits>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/analysis.hpp"
@@ -9,7 +12,7 @@
 #include "obs/html.hpp"
 #include "obs/reader.hpp"
 #include "obs/streaming.hpp"
-#include "simcore/parse.hpp"
+#include "simcore/flags.hpp"
 
 namespace tls::obs {
 
@@ -59,28 +62,33 @@ struct CliConfig {
   std::string csv_path;
   std::string json_path;
   std::string html_path;
-  std::string label_a;
-  std::string label_b;
   int poll_ms = 500;
   int max_polls = 0;   // 0 = unlimited
   int idle_polls = 0;  // 0 = never stop on idle
-  std::vector<std::string> flags;  // every --flag given, in order
   std::vector<std::string> inputs;
 };
 
-/// Why the chosen mode would ignore `flag`, or "" when it reads it.
-std::string unread_flag(const CliConfig& cfg, const std::string& flag) {
-  if ((flag == "--label-a" || flag == "--label-b") && !cfg.diff_mode) {
-    return flag + " is only read with --diff";
-  }
-  if ((flag == "--poll-ms" || flag == "--max-polls" ||
-       flag == "--idle-polls") &&
-      !cfg.follow) {
-    return flag + " is only read with --follow";
-  }
-  if (flag == "--csv" && cfg.follow) return "--csv is not read with --follow";
-  return "";
-}
+// Flag tables: each mode accepts exactly the flags it reads, like a tlsim
+// command, so --csv with --follow or --label-a without --diff fails with
+// the mode's list instead of being ignored.
+constexpr std::string_view kSwitches[] = {"diff", "follow", "quiet", "help"};
+constexpr std::string_view kValueFlags[] = {
+    "csv",     "json",      "html",      "label-a",
+    "label-b", "poll-ms",   "max-polls", "idle-polls"};
+constexpr std::string_view kOneFlags[] = {"csv", "json", "html", "quiet"};
+constexpr std::string_view kDiffFlags[] = {"diff",    "label-a", "label-b",
+                                           "csv",     "json",    "html",
+                                           "quiet"};
+constexpr std::string_view kFollowFlags[] = {
+    "follow", "html", "poll-ms", "max-polls", "idle-polls", "json", "quiet"};
+
+struct Mode {
+  std::string_view label;
+  std::span<const std::string_view> flags;
+};
+constexpr Mode kOne{"tlsreport", kOneFlags};
+constexpr Mode kDiff{"tlsreport --diff", kDiffFlags};
+constexpr Mode kFollow{"tlsreport --follow", kFollowFlags};
 
 /// Tails `path` with a StreamingAnalyzer, re-rendering the dashboard
 /// whenever a poll delivered new events. Returns the exit code.
@@ -154,103 +162,58 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
 
 int run_report_cli(int argc, const char* const* argv, std::ostream& out,
                    std::ostream& err, const ReportCliHooks& hooks) {
-  CliConfig cfg;
-
-  auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      err << "tlsreport: " << flag << " requires a value\n" << kUsage;
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  auto need_int = [&](int& i, const char* flag, int* slot) -> bool {
-    const char* v = need_value(i, flag);
-    if (v == nullptr) return false;
-    // [0, INT_MAX]: the poll sleeper takes an int.
-    if (!sim::parse_int(v, slot, 0)) {
-      err << "tlsreport: " << flag
-          << " expects a non-negative integer up to " << INT_MAX << ", got '"
-          << v << "'\n"
-          << kUsage;
-      return false;
-    }
-    return true;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.starts_with("--")) cfg.flags.push_back(arg);
-    if (arg == "--diff") {
-      cfg.diff_mode = true;
-    } else if (arg == "--follow") {
-      cfg.follow = true;
-    } else if (arg == "--quiet") {
-      cfg.quiet = true;
-    } else if (arg == "--csv") {
-      const char* v = need_value(i, "--csv");
-      if (v == nullptr) return 2;
-      cfg.csv_path = v;
-    } else if (arg == "--json") {
-      const char* v = need_value(i, "--json");
-      if (v == nullptr) return 2;
-      cfg.json_path = v;
-    } else if (arg == "--html") {
-      const char* v = need_value(i, "--html");
-      if (v == nullptr) return 2;
-      cfg.html_path = v;
-    } else if (arg == "--label-a") {
-      const char* v = need_value(i, "--label-a");
-      if (v == nullptr) return 2;
-      cfg.label_a = v;
-    } else if (arg == "--label-b") {
-      const char* v = need_value(i, "--label-b");
-      if (v == nullptr) return 2;
-      cfg.label_b = v;
-    } else if (arg == "--poll-ms") {
-      if (!need_int(i, "--poll-ms", &cfg.poll_ms)) return 2;
-    } else if (arg == "--max-polls") {
-      if (!need_int(i, "--max-polls", &cfg.max_polls)) return 2;
-    } else if (arg == "--idle-polls") {
-      if (!need_int(i, "--idle-polls", &cfg.idle_polls)) return 2;
-    } else if (arg == "--help" || arg == "-h") {
-      out << kUsage;
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "tlsreport: unknown flag " << arg << "\n" << kUsage;
-      return 2;
-    } else {
-      cfg.inputs.push_back(arg);
-    }
-  }
-
-  if (cfg.follow && cfg.diff_mode) {
-    err << "tlsreport: --follow and --diff are mutually exclusive\n"
-        << kUsage;
+  sim::CliArgs args;
+  std::string error;
+  auto usage_error = [&]() {
+    err << "tlsreport: " << error << "\n" << kUsage;
     return 2;
+  };
+  if (!sim::parse_args(std::vector<std::string>(argv + 1, argv + argc),
+                       kSwitches, kValueFlags, &args, &error)) {
+    return usage_error();
+  }
+  if (args.has("help") || std::ranges::count(args.positional, "-h") > 0) {
+    out << kUsage;
+    return 0;
   }
 
-  for (const std::string& flag : cfg.flags) {
-    std::string why = unread_flag(cfg, flag);
-    if (!why.empty()) {
-      err << "tlsreport: " << why << "\n" << kUsage;
-      return 2;
-    }
+  CliConfig cfg;
+  cfg.diff_mode = args.has("diff");
+  cfg.follow = args.has("follow");
+  if (cfg.follow && cfg.diff_mode) {
+    error = "--follow and --diff are mutually exclusive";
+    return usage_error();
   }
+  const Mode& mode = cfg.follow ? kFollow : cfg.diff_mode ? kDiff : kOne;
+  if (!sim::check_flags(args, mode.label, mode.flags, &error)) {
+    return usage_error();
+  }
+
+  cfg.quiet = args.has("quiet");
+  cfg.csv_path = args.get("csv");
+  cfg.json_path = args.get("json");
+  cfg.html_path = args.get("html");
+  cfg.inputs = args.positional;
+  // [0, INT_MAX]: the poll sleeper takes an int.
+  sim::FlagReader flags(args);
+  cfg.poll_ms = static_cast<int>(flags.integer("poll-ms", 500, 0, INT_MAX));
+  cfg.max_polls = static_cast<int>(flags.integer("max-polls", 0, 0, INT_MAX));
+  cfg.idle_polls =
+      static_cast<int>(flags.integer("idle-polls", 0, 0, INT_MAX));
+  if (!flags.ok(&error)) return usage_error();
 
   std::size_t expected = cfg.diff_mode ? 2u : 1u;
   if (cfg.inputs.size() != expected) {
-    err << "tlsreport: expected " << expected << " trace CSV path"
-        << (expected == 1 ? "" : "s") << ", got " << cfg.inputs.size() << "\n"
-        << kUsage;
-    return 2;
+    error = "expected " + std::to_string(expected) + " trace CSV path" +
+            (expected == 1 ? "" : "s") + ", got " +
+            std::to_string(cfg.inputs.size());
+    return usage_error();
   }
 
   if (cfg.follow) {
     if (cfg.html_path.empty()) {
-      err << "tlsreport: --follow requires --html PATH (the live "
-             "dashboard)\n"
-          << kUsage;
-      return 2;
+      error = "--follow requires --html PATH (the live dashboard)";
+      return usage_error();
     }
     return run_follow(cfg, hooks, out, err);
   }
@@ -261,7 +224,6 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
   for (const std::string& path : cfg.inputs) {
     StreamingAnalyzer analyzer;
     TraceHealth health;
-    std::string error;
     if (!for_each_trace_csv_event(
             path, [&analyzer](const TraceEvent& e) { analyzer.ingest(e); },
             &health, &error)) {
@@ -273,10 +235,9 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
   }
 
   if (cfg.diff_mode) {
-    if (cfg.label_a.empty()) cfg.label_a = label_from_path(cfg.inputs[0]);
-    if (cfg.label_b.empty()) cfg.label_b = label_from_path(cfg.inputs[1]);
-    DiffReport d =
-        diff_reports(reports[0], reports[1], cfg.label_a, cfg.label_b);
+    std::string label_a = args.get("label-a", label_from_path(cfg.inputs[0]));
+    std::string label_b = args.get("label-b", label_from_path(cfg.inputs[1]));
+    DiffReport d = diff_reports(reports[0], reports[1], label_a, label_b);
     if (!cfg.quiet) out << diff_text(d);
     if (!cfg.csv_path.empty() &&
         !write_output(cfg.csv_path, diff_csv(d), err)) {
@@ -288,9 +249,9 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
     }
     if (!cfg.html_path.empty()) {
       HtmlOptions opts;
-      opts.title = "tlsreport diff: " + cfg.label_a + " vs " + cfg.label_b;
-      opts.label_a = cfg.label_a;
-      opts.label_b = cfg.label_b;
+      opts.title = "tlsreport diff: " + label_a + " vs " + label_b;
+      opts.label_a = label_a;
+      opts.label_b = label_b;
       if (!write_output(cfg.html_path,
                         report_html(report_json(reports[0]),
                                     report_json(reports[1]), opts),

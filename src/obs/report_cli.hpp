@@ -15,8 +15,13 @@
 // machine-readable and dashboard forms. Every mode streams the file
 // through obs::StreamingAnalyzer, so memory stays bounded by the in-flight
 // iterations rather than the trace length; --follow tails a growing trace
-// CSV, re-rendering the --html dashboard as new iterations finalize. Exit
-// codes: 0 success, 2 usage/input error.
+// CSV, re-rendering the --html dashboard as new iterations finalize.
+//
+// Arguments follow the rule every front end shares (simcore/flags.hpp):
+// --k v and --k=v alike, the last occurrence wins, a switch never takes a
+// value, and an empty or missing value is an error. Each mode accepts only
+// the flags it reads. Exit codes: 0 success (and --help / -h), 2 usage or
+// input error; a usage error prints the usage text after its message.
 //
 // The library never sleeps or reads wall clocks (determinism lint); the
 // pause between --follow polls is injected by the caller through

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <exception>
 #include <fstream>
-#include <initializer_list>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -19,31 +18,17 @@
 #include "runtime/runner.hpp"
 #include "runtime/scenario_runner.hpp"
 #include "scenario/export.hpp"
-#include "simcore/parse.hpp"
+#include "simcore/flags.hpp"
 
 namespace tls::runtime {
 
-std::string CliArgs::get(const std::string& key,
-                         const std::string& fallback) const {
-  std::string value = fallback;
-  for (const auto& [k, v] : flags) {
-    if (k == key) value = v;
-  }
-  return value;
-}
-
-bool CliArgs::has(const std::string& key) const {
-  for (const auto& [k, v] : flags) {
-    (void)v;
-    if (k == key) return true;
-  }
-  return false;
-}
-
 namespace {
 
-/// Flags that are on when present and take no value: "--csv=no" or
-/// "--background 0" would otherwise read as on.
+using sim::CliArgs;
+using sim::FlagReader;
+
+/// Flags that are on when present and take no value: "--csv=no" fails
+/// rather than read as on, and "--csv extra" leaves "extra" a positional.
 constexpr std::string_view kSwitches[] = {"csv", "background", "progress",
                                           "scenario-compare"};
 
@@ -104,63 +89,20 @@ constexpr Command kCommands[] = {
     {"scenario", kScenarioFlags, {}},
 };
 
-/// True when some command reads `key` as a flag with a value.
-bool takes_value(std::string_view key) {
-  auto in = [key](std::span<const std::string_view> names) {
-    return std::find(names.begin(), names.end(), key) != names.end();
-  };
-  if (in(kSwitches)) return false;
-  if (in(kClusterFlags)) return true;
+/// Every flag some command reads with a value: all but the switches.
+std::vector<std::string_view> value_flags() {
+  std::vector<std::string_view> names(std::begin(kClusterFlags),
+                                      std::end(kClusterFlags));
   for (const Command& c : kCommands) {
-    if (in(c.group) || in(c.own)) return true;
+    names.insert(names.end(), c.group.begin(), c.group.end());
+    names.insert(names.end(), c.own.begin(), c.own.end());
   }
-  return false;
+  std::erase_if(names, [](std::string_view name) {
+    return std::find(std::begin(kSwitches), std::end(kSwitches), name) !=
+           std::end(kSwitches);
+  });
+  return names;
 }
-
-}  // namespace
-
-bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
-                std::string* error) {
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::string& a = raw[i];
-    if (a.rfind("--", 0) != 0) {
-      out->positional.push_back(a);
-      continue;
-    }
-    std::string key = a.substr(2);
-    if (key.empty()) {
-      *error = "empty flag name";
-      return false;
-    }
-    std::string value;
-    auto eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key.resize(eq);
-    } else if (i + 1 < raw.size() && raw[i + 1].rfind("--", 0) != 0) {
-      // "--key value" when the next token is not itself a flag.
-      value = raw[++i];
-    } else if (takes_value(key)) {
-      *error = "--" + key + " needs a value";
-      return false;
-    } else {
-      // A switch, or a flag no command reads, which the command's flag
-      // check rejects with the list of the flags it does read.
-      out->flags.emplace_back(key, "true");
-      continue;
-    }
-    if (std::find(std::begin(kSwitches), std::end(kSwitches), key) !=
-        std::end(kSwitches)) {
-      *error = "--" + key + " is a switch and takes no value, got '" + value +
-               "'";
-      return false;
-    }
-    out->flags.emplace_back(std::move(key), std::move(value));
-  }
-  return true;
-}
-
-namespace {
 
 constexpr const char* kUsage = R"(tlsim - TensorLights cluster simulator
 
@@ -239,74 +181,6 @@ scenario flags (shared flags that apply: --hosts (12 here), --policy,
   --scenario-csv PATH            per-job outcome CSV
 )";
 
-/// The flag reader every command shares. An absent flag yields its
-/// fallback; a present one, even an empty `--flag=`, must parse whole
-/// (simcore/parse.hpp) and lie in its range, and a path or list must not
-/// be empty. The first value that does not is kept as the error and later
-/// reads yield their fallbacks, so build_config and its kin read every
-/// flag and then check ok() once.
-class FlagReader {
- public:
-  explicit FlagReader(const CliArgs& args) : args_(args) {}
-
-  long integer(const std::string& key, long fallback, long lo, long hi) {
-    if (!args_.has(key)) return fallback;
-    std::string v = args_.get(key);
-    long parsed = 0;
-    if (!sim::parse_int(v, &parsed, lo, hi)) return bad(key, v, fallback);
-    return parsed;
-  }
-
-  /// Reals are also capped at 1e9, so any time in seconds fits sim::Time.
-  double real(const std::string& key, double fallback, double lo) {
-    if (!args_.has(key)) return fallback;
-    std::string v = args_.get(key);
-    double parsed = 0;
-    if (!sim::parse_real(v, &parsed, lo, 1e9)) return bad(key, v, fallback);
-    return parsed;
-  }
-
-  /// A path or a list: "" when absent, but never empty when present.
-  std::string text(const std::string& key) {
-    std::string v = args_.get(key);
-    if (args_.has(key) && v.empty()) return bad(key, v, v);
-    return v;
-  }
-
-  /// One of `choices`, by name.
-  template <typename T>
-  T choice(const std::string& key, const std::string& fallback,
-           std::initializer_list<std::pair<std::string_view, T>> choices) {
-    std::string v = args_.get(key, fallback);
-    std::string names;
-    for (const auto& [name, value] : choices) {
-      if (name == v) return value;
-      names += (names.empty() ? "" : "|") + std::string(name);
-    }
-    if (error_.empty()) {
-      error_ = "bad --" + key + " '" + v + "' (" + names + ")";
-    }
-    return choices.begin()->second;
-  }
-
-  /// False, with the first failure in `*error`, once any read failed.
-  bool ok(std::string* error) const {
-    if (error_.empty()) return true;
-    *error = error_;
-    return false;
-  }
-
- private:
-  template <typename T>
-  T bad(const std::string& key, const std::string& value, T fallback) {
-    if (error_.empty()) error_ = "bad value for --" + key + ": '" + value + "'";
-    return fallback;
-  }
-
-  const CliArgs& args_;
-  std::string error_;
-};
-
 /// The cluster and controller flags every command parses, into either
 /// configuration (exp::ExperimentConfig or scenario::Config). Only the
 /// defaults of --hosts and --interval-s differ between the two.
@@ -355,21 +229,19 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
   config->placement =
       cluster::table1(static_cast<int>(placement), static_cast<int>(jobs));
   config->background = args.has("background");
-  config->obs.trace_path = flags.text("trace");
-  config->obs.trace_csv_path = flags.text("trace-csv");
-  config->obs.metrics_path = flags.text("metrics");
-  config->obs.report_path = flags.text("report");
-  config->obs.report_csv_path = flags.text("report-csv");
-  config->obs.report_json_path = flags.text("report-json");
-  config->obs.report_html_path = flags.text("report-html");
+  config->obs.trace_path = args.get("trace");
+  config->obs.trace_csv_path = args.get("trace-csv");
+  config->obs.metrics_path = args.get("metrics");
+  config->obs.report_path = args.get("report");
+  config->obs.report_csv_path = args.get("report-csv");
+  config->obs.report_json_path = args.get("report-json");
+  config->obs.report_html_path = args.get("report-html");
   if (!flags.ok(error)) return false;
   if (workers > config->num_hosts - 1) {
     *error = "--workers must be <= --hosts - 1";
     return false;
   }
 
-  // An explicitly empty --trace-filter= or --trace-sample= is malformed,
-  // not absent.
   if (args.has("trace-filter") &&
       !obs::parse_categories(args.get("trace-filter"),
                              &config->obs.trace_categories, error)) {
@@ -421,7 +293,7 @@ int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
   long replicas = flags.integer("replicas", 1, 1, 10000);
   // --export-prefix PATH writes PATH.jobs.csv / PATH.barriers.csv /
   // PATH.json for the first replica.
-  std::string prefix = flags.text("export-prefix");
+  std::string prefix = args.get("export-prefix");
   std::string error;
   if (!flags.ok(&error)) {
     err << "tlsim: " << error << "\n";
@@ -534,7 +406,7 @@ bool build_scenario_config(const CliArgs& args, scenario::Config* config,
       {{"share", cluster::AdmissionPolicy::kShareBand},
        {"queue", cluster::AdmissionPolicy::kQueue},
        {"reject", cluster::AdmissionPolicy::kReject}});
-  config->metrics_path = flags.text("metrics");
+  config->metrics_path = args.get("metrics");
 
   scenario::TraceConfig& t = config->trace;
   t.process = flags.choice<scenario::ArrivalProcess>(
@@ -559,8 +431,8 @@ bool build_scenario_config(const CliArgs& args, scenario::Config* config,
   t.evict_max_s = flags.real("scenario-evict-max-s", 300.0, 1e-6);
   t.seed = static_cast<std::uint64_t>(
       flags.integer("scenario-trace-seed", 1, 0, INT64_MAX / 2));
-  std::string models = flags.text("scenario-models");
-  std::string trace_path = flags.text("scenario-trace");
+  std::string models = args.get("scenario-models");
+  std::string trace_path = args.get("scenario-trace");
   if (!flags.ok(error)) return false;
 
   if (!models.empty() && !scenario::parse_model_mix(models, &t.models, error)) {
@@ -612,11 +484,10 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
                  std::ostream& out, std::ostream& err) {
   scenario::Config config;
   std::string error;
-  FlagReader flags(args);
-  std::string trace_out = flags.text("scenario-trace-out");
-  std::string json_path = flags.text("scenario-out");
-  std::string csv_path = flags.text("scenario-csv");
-  if (!build_scenario_config(args, &config, &error) || !flags.ok(&error)) {
+  std::string trace_out = args.get("scenario-trace-out");
+  std::string json_path = args.get("scenario-out");
+  std::string csv_path = args.get("scenario-csv");
+  if (!build_scenario_config(args, &config, &error)) {
     err << "tlsim: " << error << "\n";
     return 2;
   }
@@ -670,29 +541,6 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
   return 0;
 }
 
-/// Rejects the first flag `command` does not read, listing the ones it
-/// does.
-bool check_flags(const Command& command, const CliArgs& args,
-                 std::string* error) {
-  std::vector<std::string_view> valid(std::begin(kClusterFlags),
-                                      std::end(kClusterFlags));
-  valid.insert(valid.end(), command.group.begin(), command.group.end());
-  valid.insert(valid.end(), command.own.begin(), command.own.end());
-  for (const auto& [key, value] : args.flags) {
-    (void)value;
-    if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
-    std::string list;
-    for (std::string_view name : valid) {
-      list += list.empty() ? "--" : ", --";
-      list += name;
-    }
-    *error = "unknown flag --" + key + " (valid flags for " +
-             std::string(command.name) + ": " + list + ")";
-    return false;
-  }
-  return true;
-}
-
 /// Runs a known command whose flags passed check_flags.
 int dispatch(const std::string& command, const CliArgs& args,
              std::ostream& out, std::ostream& err) {
@@ -725,7 +573,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
   CliArgs parsed;
   std::string error;
-  if (!parse_args(args, &parsed, &error)) {
+  if (!sim::parse_args(args, kSwitches, value_flags(), &parsed, &error)) {
     err << "tlsim: " << error << "\n" << kUsage;
     return 2;
   }
@@ -736,7 +584,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   }
   std::string command =
       parsed.positional.empty() ? "help" : parsed.positional.front();
-  if (command == "help" || command == "--help") {
+  if (command == "help") {
     out << kUsage;
     return 0;
   }
@@ -748,7 +596,11 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     err << "tlsim: unknown command '" << command << "'\n" << kUsage;
     return 2;
   }
-  if (!check_flags(*spec, parsed, &error)) {
+  std::vector<std::string_view> valid(std::begin(kClusterFlags),
+                                      std::end(kClusterFlags));
+  valid.insert(valid.end(), spec->group.begin(), spec->group.end());
+  valid.insert(valid.end(), spec->own.begin(), spec->own.end());
+  if (!sim::check_flags(parsed, spec->name, valid, &error)) {
     err << "tlsim: " << error << "\n";
     return 2;
   }

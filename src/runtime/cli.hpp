@@ -9,7 +9,9 @@
 //   tlsim help
 //
 // Each command accepts only the flags it reads (one table per command in
-// cli.cpp) and rejects any other with the list of valid ones.
+// cli.cpp) and rejects any other with the list of valid ones. Arguments
+// are split by the reader every front end shares (simcore/flags.hpp), so a
+// flag may come before the command.
 //
 // Common flags (with defaults matching the paper's testbed):
 //   --hosts N (21) --jobs N (21) --workers N (20) --ps N (1)
@@ -30,24 +32,6 @@
 #include <vector>
 
 namespace tls::runtime {
-
-/// Parsed key-value flags ("--key value" or "--key=value"; a bare switch
-/// "--csv" maps to "true"). Positional arguments are collected separately.
-struct CliArgs {
-  std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
-
-  /// Last value of a flag, or `fallback` when absent.
-  std::string get(const std::string& key, const std::string& fallback = "") const;
-  bool has(const std::string& key) const;
-};
-
-/// Splits raw arguments (excluding argv[0]) into CliArgs. Returns false
-/// and writes a message when a flag is malformed: a switch (--csv,
-/// --background, --progress, --scenario-compare) given a value, or a flag
-/// that takes a value given none ("--trace-csv needs a value").
-bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
-                std::string* error);
 
 /// Executes a tlsim invocation. `args` excludes the program name.
 /// Returns the process exit code: 0 ok, 1 the run failed (its message is

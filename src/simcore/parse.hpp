@@ -1,6 +1,7 @@
 // The one definition of a field of text input, shared by every reader: the
-// tc command DSL, the obs and scenario trace CSVs, the tlsim and tlsreport
-// flags, and the environment knobs.
+// tc command DSL, the obs and scenario trace CSVs, the command-line flags of
+// tlsim, tlsreport and the benches (read through simcore/flags.hpp), and
+// the environment knobs.
 //
 // A field is the bytes between two separators; empty fields are kept, so a
 // reader sees "a,,b" as three fields and can reject the empty one. A

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -224,6 +225,47 @@ TEST(Fabric, StrictPriorityBurstPairHalfTime) {
   const sim::Time a_last = *std::max_element(fifo.begin(), fifo.begin() + 4);
   EXPECT_GE(a_last, sum_a * 2 - last_block * 4);
   EXPECT_GT(a_last, *std::max_element(both.begin(), both.begin() + 4));
+}
+
+TEST(Fabric, PoissonArrivalsMatchMD1MeanWait) {
+  // The egress as an M/D/1 queue: 200,000 flows of 100,000 B from host 0
+  // to host 1 start at Poisson instants with mean gap D / rho. Each flow is
+  // one chunk, served in D = 80,000 ns at the egress and again at the
+  // ingress. Equal chunks leave the egress at least D apart, so none waits
+  // at the ingress and end - start - 2D is the egress queue wait alone. Its
+  // mean is Pollaczek-Khinchine's rho D / (2 (1 - rho)) = 40,000 ns at
+  // rho = 0.5.
+  const sim::Time d = transmit_time(Bytes{100'000}, gbps(10));
+  ASSERT_EQ(d, sim::Time{80'000});
+  const double rho = 0.5;
+  const int flows = 200'000;
+  sim::Simulator s(1);
+  Fabric fab(s, ideal(2));
+  sim::Rng gaps(1);
+  int started = 0;
+  int too_early = 0;
+  std::int64_t wait_sum = 0;
+  std::function<void()> arrive = [&] {
+    FlowSpec f;
+    f.src = tls::net::HostId{0};
+    f.dst = tls::net::HostId{1};
+    f.bytes = Bytes{100'000};
+    fab.start_flow(f, [&](const FlowRecord& r) {
+      sim::Time wait = r.end - r.start - d * 2;
+      if (wait < sim::Time{0}) ++too_early;
+      wait_sum += wait.raw();
+    });
+    if (++started == flows) return;
+    double gap_ns = gaps.exponential(static_cast<double>(d.raw()) / rho);
+    s.schedule_after(sim::Time{static_cast<std::int64_t>(gap_ns)},
+                     [&arrive] { arrive(); });
+  };
+  arrive();
+  s.run();
+  ASSERT_EQ(fab.completed_flows(), static_cast<std::uint64_t>(flows));
+  EXPECT_EQ(too_early, 0);
+  const double want = rho * static_cast<double>(d.raw()) / (2 * (1 - rho));
+  EXPECT_NEAR(static_cast<double>(wait_sum) / flows / want, 1.0, 0.03);
 }
 
 TEST(Fabric, IngressFanInContention) {

@@ -327,7 +327,8 @@ TEST(ReportCliFollow, UsageErrors) {
   CliRun bad_int = report_cli({"--follow", "t.csv", "--html", "o.html",
                                "--poll-ms", "soon"});
   EXPECT_EQ(bad_int.code, 2);
-  EXPECT_NE(bad_int.err.find("non-negative integer"), std::string::npos);
+  EXPECT_NE(bad_int.err.find("bad value for --poll-ms: 'soon'"),
+            std::string::npos);
 }
 
 }  // namespace

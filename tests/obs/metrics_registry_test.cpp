@@ -26,7 +26,6 @@ TEST(Histogram, EmptyHistogramIsZeroes) {
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.max(), 0);
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_EQ(h.quantile_upper_bound(0.5), 0);
 }
 
 TEST(Histogram, Log2Bucketing) {
@@ -50,16 +49,6 @@ TEST(Histogram, NegativeSamplesClampToZero) {
   EXPECT_EQ(h.bucket(0), 1);
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.sum(), 0);
-}
-
-TEST(Histogram, QuantileIsBucketUpperEdgeCappedAtMax) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.record(10);  // all in [8, 16)
-  // Upper edge of the bucket is 15, but no sample exceeds 10.
-  EXPECT_EQ(h.quantile_upper_bound(0.5), 10);
-  h.record(1000);  // one outlier in [512, 1024)
-  EXPECT_EQ(h.quantile_upper_bound(0.5), 15);
-  EXPECT_EQ(h.quantile_upper_bound(1.0), 1000);
 }
 
 TEST(Registry, InstrumentsAreKeyedByAllDimensions) {

@@ -558,7 +558,7 @@ TEST(ReportCli, HelpAndErrors) {
 
   CliRun no_value = report_cli({"a.csv", "--csv"});
   EXPECT_EQ(no_value.code, 2);
-  EXPECT_NE(no_value.err.find("--csv requires a value"), std::string::npos);
+  EXPECT_NE(no_value.err.find("--csv needs a value"), std::string::npos);
 
   // The batch engine and its --stream switch are gone: every mode streams.
   CliRun stream = report_cli({"a.csv", "--stream"});
@@ -576,8 +576,7 @@ TEST(ReportCli, HelpAndErrors) {
     CliRun big = report_cli({"--follow", (dir / "t.csv").string(), "--html",
                              html, "--max-polls", "1", "--poll-ms", poll_ms});
     EXPECT_EQ(big.code, 2) << poll_ms;
-    EXPECT_NE(big.err.find("--poll-ms expects a non-negative integer"),
-              std::string::npos)
+    EXPECT_NE(big.err.find("bad value for --poll-ms"), std::string::npos)
         << big.err;
   }
 }
@@ -600,31 +599,101 @@ TEST(ReportCli, RejectsFlagsItsModeDoesNotRead) {
   const std::string trace = (dir / "empty.csv").string();
   const std::string html = (dir / "f.html").string();
   const std::string csv = (dir / "f.csv").string();
+  // Each mode takes only the flags it reads, like a tlsim command.
   struct Row {
     std::vector<std::string> args;
-    const char* why;
+    const char* flag;
   };
   const std::vector<Row> rows = {
       {{"--follow", trace, "--html", html, "--csv", csv, "--max-polls", "1"},
-       "--csv is not read with --follow"},
-      {{trace, "--label-a", "A"}, "--label-a is only read with --diff"},
+       "--csv"},
+      {{trace, "--label-a", "A"}, "--label-a"},
       {{"--follow", trace, "--html", html, "--max-polls", "1", "--label-b",
         "B"},
-       "--label-b is only read with --diff"},
-      {{trace, "--poll-ms", "5"}, "--poll-ms is only read with --follow"},
-      {{"--diff", trace, trace, "--max-polls", "1"},
-       "--max-polls is only read with --follow"},
-      {{trace, "--idle-polls", "1"}, "--idle-polls is only read with --follow"},
+       "--label-b"},
+      {{trace, "--poll-ms", "5"}, "--poll-ms"},
+      {{"--diff", trace, trace, "--max-polls", "1"}, "--max-polls"},
+      {{trace, "--idle-polls", "1"}, "--idle-polls"},
   };
   for (const Row& row : rows) {
     CliRun r = report_cli(row.args);
-    EXPECT_EQ(r.code, 2) << row.why;
-    EXPECT_NE(r.err.find(std::string("tlsreport: ") + row.why),
+    EXPECT_EQ(r.code, 2) << row.flag;
+    EXPECT_NE(r.err.find(std::string("tlsreport: unknown flag ") + row.flag +
+                         " (valid flags for tlsreport"),
               std::string::npos)
         << r.err;
-    EXPECT_NE(r.err.find("usage: tlsreport"), std::string::npos) << row.why;
+    EXPECT_NE(r.err.find("usage: tlsreport"), std::string::npos) << row.flag;
   }
   EXPECT_FALSE(fs::exists(csv));
+}
+
+// Every value flag of tlsreport, given an empty, missing or malformed
+// value in either spelling, exits 2 with the usage text before writing
+// any output: an empty path or label is not read as "absent".
+TEST(ReportCliMutation, EveryValueFlagRejectsMissingAndMalformedValues) {
+  const std::string trace = (empty_trace_dir() / "empty.csv").string();
+  const fs::path out = fs::path(testing::TempDir()) /
+                       ("tls_report_cli_mutation-" + std::to_string(getpid()));
+  fs::remove_all(out);
+  fs::create_directories(out);
+  const std::string html = (out / "o.html").string();
+  const std::string json = (out / "o.json").string();
+  // Each flag in a mode that reads it, with another output that a run
+  // would write; --follow is bounded twice, so no single value unbounds it.
+  const std::vector<std::string> one_html = {trace, "--quiet", "--html", html};
+  const std::vector<std::string> one_json = {trace, "--quiet", "--json", json};
+  const std::vector<std::string> diff = {"--diff", trace, trace, "--quiet",
+                                         "--json", json};
+  const std::vector<std::string> follow = {
+      "--follow", trace, "--quiet", "--html", html, "--max-polls", "1",
+      "--idle-polls", "1"};
+  struct Flag {
+    const char* name;
+    const std::vector<std::string>& mode;
+    bool number;
+  };
+  const Flag flags[] = {
+      {"csv", one_html, false},     {"json", one_html, false},
+      {"html", one_json, false},    {"label-a", diff, false},
+      {"label-b", diff, false},     {"poll-ms", follow, true},
+      {"max-polls", follow, true},  {"idle-polls", follow, true},
+  };
+  for (const Flag& f : flags) {
+    const std::string flag = std::string("--") + f.name;
+    std::vector<std::vector<std::string>> tries = {
+        {flag, ""}, {flag + "="}, {flag}};
+    if (f.number) {
+      for (const char* v : {"-1", "1e3", "0x10", " 5", "2147483648"}) {
+        tries.push_back({flag, v});
+        tries.push_back({flag + "=" + v});
+      }
+    }
+    for (const std::vector<std::string>& given : tries) {
+      std::vector<std::string> args = f.mode;
+      args.insert(args.end(), given.begin(), given.end());
+      std::string shown =
+          given[0] + (given.size() > 1 ? " '" + given[1] + "'" : "");
+      CliRun r = report_cli(args);
+      EXPECT_EQ(r.code, 2) << shown;
+      EXPECT_TRUE(r.out.empty()) << shown;
+      EXPECT_NE(r.err.find("usage: tlsreport"), std::string::npos) << shown;
+      EXPECT_TRUE(fs::is_empty(out)) << shown;
+      fs::remove_all(out);
+      fs::create_directories(out);
+    }
+  }
+
+  // The --k=v spelling reads as --k v, as it does for tlsim.
+  const std::string& fifo = shared_trace_csv(core::PolicyKind::kFifo, "fifo");
+  const std::string spaced = (out / "spaced.json").string();
+  const std::string joined = (out / "joined.json").string();
+  ASSERT_EQ(report_cli({fifo, "--quiet", "--json", spaced}).code, 0);
+  CliRun r = report_cli({fifo, "--quiet", "--json=" + joined});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(read_file(joined), read_file(spaced));
+  r = report_cli({"--follow", fifo, "--quiet", "--html", html,
+                  "--poll-ms=10", "--max-polls", "1"});
+  EXPECT_EQ(r.code, 0) << r.err;
 }
 
 }  // namespace

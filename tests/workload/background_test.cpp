@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "obs/trace.hpp"
+
 namespace tls::workload {
 namespace {
 
@@ -93,6 +97,54 @@ TEST(Background, DeterministicPerSeed) {
     return bg.flows_started();
   };
   EXPECT_EQ(count_at(3), count_at(3));
+}
+
+/// Averages the egress queue wait that each chunk_dequeue carries.
+class QueueWaitMean : public obs::TraceSink {
+ public:
+  void on_event(const obs::TraceEvent& e) override {
+    if (e.kind != obs::EventKind::kChunkDequeue) return;
+    sum_ += e.a;
+    ++count_;
+  }
+  double mean() const {
+    return count_ == 0 ? 0.0
+                       : static_cast<double>(sum_) / static_cast<double>(count_);
+  }
+
+ private:
+  std::int64_t sum_ = 0;
+  std::int64_t count_ = 0;
+};
+
+TEST(Background, PoissonArrivalsMatchMM1MeanWait) {
+  // Each egress of an ideal 2-host fabric as an M/M/1 queue. Every flow
+  // goes from one host to the other, so 125,000 flows/s split into 62,500
+  // per egress. Sizes are exponential with mean 10,000 B, E[S] = 8,000 ns
+  // at 10 Gb/s, so each egress runs at rho = 0.5, and a flow is larger than
+  // one 128 KiB chunk with probability e^-13: every flow is one chunk. The
+  // mean wait before service is then rho / (1 - rho) * E[S] = 8,000 ns.
+  net::FabricConfig fc = fabric_config(2);
+  fc.tcp_weight_sigma = 0;
+  fc.protocol_overhead = 1.0;
+  fc.switch_latency = sim::Time{0};
+  sim::Simulator s(1);
+  obs::Tracer tracer(static_cast<std::uint32_t>(obs::Cat::kChunk));
+  tracer.set_retain_events(false);
+  QueueWaitMean waits;
+  tracer.add_sink(&waits);
+  s.set_tracer(&tracer);
+  net::Fabric fabric(s, fc);
+  BackgroundTrafficConfig cfg;
+  cfg.flows_per_second = 125'000;
+  cfg.mean_bytes = net::Bytes{10'000};
+  BackgroundTraffic bg(s, fabric, cfg);
+  bg.start();
+  s.run(sim::from_millis(1600));
+  bg.stop();
+  s.run();
+  EXPECT_EQ(bg.flows_completed(), bg.flows_started());
+  EXPECT_NEAR(waits.mean() / 8'000.0, 1.0, 0.04);
 }
 
 }  // namespace

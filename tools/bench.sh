@@ -10,9 +10,6 @@
 #
 # Scale knobs pass through to the harnesses: TLS_BENCH_ITERS (default 60),
 # TLS_BENCH_SEED, TLS_BENCH_JOBS.
-#
-# bench_micro is excluded: it is a google-benchmark harness with its own
-# output format and emits no BENCH json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -22,13 +19,11 @@ run() { echo; echo ">>> $*"; "$@"; }
 
 [ -d build ] || run cmake --preset default
 run cmake --build build -j"$(nproc)" --target \
-  $(ls bench/bench_*.cpp | sed -e 's|bench/||' -e 's|\.cpp$||' \
-    | grep -v '^bench_micro$')
+  $(ls bench/bench_*.cpp | sed -e 's|bench/||' -e 's|\.cpp$||')
 
 status=0
 for bin in build/bench/bench_*; do
   name=$(basename "$bin")
-  [ "$name" = bench_micro ] && continue
   echo "$name" | grep -Eq "$filter" || continue
   if ! run env TLS_BENCH_JSON_DIR="$root" "$bin"; then
     echo "FAILED: $name" >&2

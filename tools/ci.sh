@@ -17,8 +17,9 @@ ctest --preset debug-asan -j "$jobs"
 echo "==> [1b/4] debug-ubsan: input-reader mutation tests (UBSan incl. float-cast-overflow)"
 # The seeded mutation tests feed hostile input to every hand-rolled reader:
 # trace CSVs to the obs and scenario readers, tc command lines to the tc
-# DSL, and argv to tlsim. A NaN or huge number that slips through becomes
-# an integer time, size or rate that only float-cast-overflow reports.
+# DSL, and argv to tlsim and tlsreport (one reader, simcore/flags.hpp). A
+# NaN or huge number that slips through becomes an integer time, size or
+# rate that only float-cast-overflow reports.
 # FlatIndexMutation (test_obs) feeds seeded and extreme chunk indexes and
 # delivery instants to the attribution engine's sorted-vector index.
 # TraceCsvRoundTrip (test_obs) runs every integer column of the trace CSV
