@@ -45,7 +45,7 @@ double timed_sweep(Decorate decorate) {
   }
   runtime::RunOptions options;
   options.jobs = static_cast<int>(tls::bench::bench_jobs());
-  options.progress = tls::bench::env_long("TLS_BENCH_PROGRESS", 0) != 0;
+  options.progress = tls::bench::bench_progress();
   Clock::time_point t0 = Clock::now();
   runtime::run_plan(plan, options);
   return std::chrono::duration<double>(Clock::now() - t0).count();

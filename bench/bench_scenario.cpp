@@ -39,8 +39,11 @@ using tls::scenario::Result;
 namespace metrics = tls::metrics;
 namespace sim = tls::sim;
 
-long scenario_jobs() { return env_long("TLS_BENCH_SCENARIO_JOBS", 120); }
-long scenario_hosts() { return env_long("TLS_BENCH_SCENARIO_HOSTS", 12); }
+// The ranges of tlsim's --scenario-jobs and --hosts.
+long scenario_jobs() {
+  return env_long("TLS_BENCH_SCENARIO_JOBS", 120, 1, 100000);
+}
+long scenario_hosts() { return env_long("TLS_BENCH_SCENARIO_HOSTS", 12, 2, 4096); }
 
 /// The >= 1 h policy-comparison workload: Poisson arrivals at a 36 s mean
 /// spread `scenario_jobs()` jobs over ~72 min of simulated time. The

@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
       "simulator core must sustain datacenter-scale event rates");
 
   std::size_t ops = static_cast<std::size_t>(
-      tls::bench::env_long("TLS_BENCH_SIMCORE_OPS", 20000));
+      tls::bench::env_long("TLS_BENCH_SIMCORE_OPS", 20000, 1, 10'000'000));
   double t0 = now_s();
 
   std::printf("Queue mixes (%llu reference ops each):\n",
@@ -323,8 +323,8 @@ int main(int argc, char** argv) {
   print_mix("mixed-horizon", mixed_new, mixed_old);
 
   // Fabric drain: 1000 hosts, one flow each, scaled by --iters.
-  int hosts = static_cast<int>(tls::bench::env_long("TLS_BENCH_SIMCORE_HOSTS",
-                                                    1000));
+  int hosts = static_cast<int>(
+      tls::bench::env_long("TLS_BENCH_SIMCORE_HOSTS", 1000, 2, 4096));
   tls::net::Bytes bytes_per_flow =
       64 * tls::net::kKiB *
       static_cast<std::int64_t>(tls::bench::bench_iters());

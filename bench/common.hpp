@@ -1,9 +1,12 @@
 // Shared helpers for the figure/table reproduction harnesses.
 //
-// Scale knobs (environment variables, or the matching command-line flag):
-//   TLS_BENCH_ITERS  / --iters N   iterations per job (default 60; paper: 1500)
-//   TLS_BENCH_SEED   / --seed N    base RNG seed      (default 1)
-//   TLS_BENCH_JOBS   / --jobs N    worker threads for independent runs
+// Scale knobs (environment variables, or the matching command-line flag),
+// each in the range tlsim gives the same knob:
+//   TLS_BENCH_ITERS  / --iters N   iterations per job, [1, 1e6]
+//                                  (default 60; paper: 1500)
+//   TLS_BENCH_SEED   / --seed N    base RNG seed, [0, 2^62) (default 1)
+//   TLS_BENCH_JOBS   / --jobs N    worker threads for independent runs,
+//                                  [0, 4096] like tlsim --threads
 //                                  (default 0 = hardware concurrency; results
 //                                  are byte-identical at any thread count)
 //   TLS_BENCH_PROGRESS             1 = per-run progress/ETA lines on stderr
@@ -12,18 +15,17 @@
 //
 // The flags are read as tlsim and tlsreport read theirs (simcore/flags.hpp):
 // --k v or --k=v, the last one wins, and a flag overrides its variable. Any
-// other argument, or a missing, empty or malformed value, ends the bench
-// with exit 2 and a message.
+// other argument, or a missing, empty, malformed or out-of-range value,
+// ends the bench with exit 2 and a message.
 //
 // Absolute times scale with TLS_BENCH_ITERS; the ratios the paper reports
 // stabilize after a few tens of iterations.
 #pragma once
 
 #include <chrono>  // host wall timing only — bench/ is outside the src/ lint
-#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,25 +39,45 @@
 namespace tls::bench {
 
 /// An integer knob from the environment: unset or empty yields `fallback`,
-/// and a value that is not a whole decimal ends the bench with exit 2
-/// rather than running at a size nobody asked for.
-inline long env_long(const char* name, long fallback) {
+/// and a value that is not a whole decimal in [lo, hi] ends the bench with
+/// exit 2 rather than running at a size nobody asked for.
+inline long env_long(const char* name, long fallback, long lo, long hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   long out = 0;
-  if (!sim::parse_int(v, &out)) {
+  if (!sim::parse_int(v, &out, lo, hi)) {
     std::fprintf(stderr, "bad value for %s: '%s'\n", name, v);
     std::exit(2);
   }
   return out;
 }
 
-inline long bench_iters() { return env_long("TLS_BENCH_ITERS", 60); }
+/// A scale knob: its flag, its variable, its default and tlsim's range.
+struct Knob {
+  std::string_view flag;
+  const char* env;
+  long fallback;
+  long lo;
+  long hi;
+
+  long read() const { return env_long(env, fallback, lo, hi); }
+};
+inline constexpr Knob kKnobs[] = {
+    {"iters", "TLS_BENCH_ITERS", 60, 1, 1'000'000},
+    {"seed", "TLS_BENCH_SEED", 1, 0, INT64_MAX / 2},
+    {"jobs", "TLS_BENCH_JOBS", 0, 0, 4096},
+};
+
+inline long bench_iters() { return kKnobs[0].read(); }
 inline std::uint64_t bench_seed() {
-  return static_cast<std::uint64_t>(env_long("TLS_BENCH_SEED", 1));
+  return static_cast<std::uint64_t>(kKnobs[1].read());
 }
 /// Requested worker-thread count; 0 = auto (hardware concurrency).
-inline long bench_jobs() { return env_long("TLS_BENCH_JOBS", 0); }
+inline long bench_jobs() { return kKnobs[2].read(); }
+/// TLS_BENCH_PROGRESS=1: per-run progress lines on stderr.
+inline bool bench_progress() {
+  return env_long("TLS_BENCH_PROGRESS", 0, 0, 1) != 0;
+}
 /// The thread count a bench will actually use.
 inline long resolved_jobs() {
   long jobs = bench_jobs();
@@ -65,12 +87,12 @@ inline long resolved_jobs() {
 /// Reads `--iters/--seed/--jobs N` with the reader tlsim and tlsreport
 /// share (simcore/flags.hpp) and exports them as the TLS_BENCH_* variables,
 /// so both spellings behave identically everywhere downstream. An unknown
-/// flag, a missing, empty or malformed value, or a positional argument ends
-/// the bench with exit 2. Call first thing in every bench main().
+/// flag, a missing, empty, malformed or out-of-range value (of a flag or of
+/// a variable), or a positional argument ends the bench with exit 2 before
+/// it prints anything. Call first thing in every bench main().
 inline void init(int argc, char** argv) {
-  constexpr std::string_view kFlags[] = {"iters", "seed", "jobs"};
-  constexpr const char* kEnv[] = {"TLS_BENCH_ITERS", "TLS_BENCH_SEED",
-                                  "TLS_BENCH_JOBS"};
+  constexpr std::string_view kFlags[] = {kKnobs[0].flag, kKnobs[1].flag,
+                                         kKnobs[2].flag};
   std::string_view name = argv[0];
   if (std::size_t slash = name.rfind('/'); slash != name.npos) {
     name.remove_prefix(slash + 1);
@@ -85,17 +107,19 @@ inline void init(int argc, char** argv) {
     ok = false;
   }
   sim::FlagReader flags(args);
-  for (std::string_view flag : kFlags) {
-    flags.integer(std::string(flag), 0, LONG_MIN, LONG_MAX);
+  for (const Knob& knob : kKnobs) {
+    flags.integer(std::string(knob.flag), knob.fallback, knob.lo, knob.hi);
   }
   if (!ok || !flags.ok(&error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     std::exit(2);
   }
-  for (std::size_t i = 0; i < std::size(kFlags); ++i) {
-    std::string flag(kFlags[i]);
-    if (args.has(flag)) ::setenv(kEnv[i], args.get(flag).c_str(), 1);
+  for (const Knob& knob : kKnobs) {
+    std::string flag(knob.flag);
+    if (args.has(flag)) ::setenv(knob.env, args.get(flag).c_str(), 1);
+    knob.read();
   }
+  bench_progress();
 }
 
 /// The paper's testbed configuration: 21 hosts, 21 concurrent ResNet-32
@@ -173,7 +197,7 @@ inline std::vector<exp::ExperimentResult> run_all(
   }
   runtime::RunOptions options;
   options.jobs = static_cast<int>(bench_jobs());
-  options.progress = env_long("TLS_BENCH_PROGRESS", 0) != 0;
+  options.progress = bench_progress();
   runtime::RunReport report = runtime::run_plan(plan, options);
   if (timing != nullptr) timing->add_runs(static_cast<long>(configs.size()));
   return std::move(report.results);

@@ -49,8 +49,9 @@ struct FlowSpec {
 };
 
 /// One schedulable segment of a flow. Fields are ordered by size so the
-/// struct packs into 56 bytes: a transmit-completion event captures
-/// `[this, chunk]`, which must fit EventQueue::Callback's 64-byte buffer.
+/// struct packs into 56 bytes, `flow_slot` included: a transmit-completion
+/// event captures `[this, chunk]`, which must fit EventQueue::Callback's
+/// 64-byte buffer.
 struct Chunk {
   FlowId flow = 0;
   Bytes size{};
@@ -68,7 +69,13 @@ struct Chunk {
   /// Owning job, denormalized from the flow spec for trace attribution
   /// (-1 = background/non-job traffic).
   std::int32_t job = -1;
+  /// The admitting Fabric's slot for the flow, so a delivery finds the
+  /// flow's state without a lookup. Only that Fabric reads it; `flow`
+  /// stays the flow's identity everywhere else.
+  std::uint32_t flow_slot = 0;
   bool last = false;
 };
+static_assert(sizeof(Chunk) == 56,
+              "a [this, chunk] capture must fit the 64-byte event callback");
 
 }  // namespace tls::net

@@ -1,12 +1,12 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "simcore/check.hpp"
 
 namespace tls::net {
 
@@ -84,7 +84,16 @@ FlowId Fabric::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
     return id;
   }
 
-  FlowState flow;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(flows_.size());
+    flows_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  FlowState& flow = flows_[slot];
+  flow.id = id;
   flow.spec = spec;
   flow.on_complete = std::move(on_complete);
   double noise = config_.tcp_weight_sigma > 0
@@ -100,19 +109,21 @@ FlowId Fabric::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
       Bytes{std::llround(to_double(spec.bytes) * config_.protocol_overhead)});
   flow.chunks_total = static_cast<std::uint32_t>(
       (flow.wire_bytes + config_.chunk_size - Bytes{1}) / config_.chunk_size);
+  flow.next_index = 0;
+  flow.delivered_chunks = 0;
   flow.start = sim_.now();
-  auto [it, inserted] = flows_.emplace(id, std::move(flow));
-  assert(inserted);
-  admit(id, it->second);
+  admit(slot);
   return id;
 }
 
-void Fabric::admit(FlowId id, FlowState& flow) {
+void Fabric::admit(std::uint32_t slot) {
+  FlowState& flow = flows_[slot];
   while (flow.next_index < flow.chunks_total &&
          static_cast<int>(flow.next_index - flow.delivered_chunks) <
              flow.window) {
     Chunk chunk;
-    chunk.flow = id;
+    chunk.flow = flow.id;
+    chunk.flow_slot = slot;
     chunk.index = flow.next_index;
     chunk.size = chunk_bytes(flow, flow.next_index);
     chunk.last = (flow.next_index + 1 == flow.chunks_total);
@@ -132,14 +143,18 @@ void Fabric::on_transmit(HostId /*src*/, const Chunk& chunk) {
 }
 
 void Fabric::on_delivered(const Chunk& chunk) {
-  auto it = flows_.find(chunk.flow);
-  assert(it != flows_.end());
-  FlowState& flow = it->second;
+  TLS_CHECK(chunk.flow_slot < flows_.size() &&
+                flows_[chunk.flow_slot].id == chunk.flow,
+            "delivered chunk of flow ", chunk.flow, " names slot ",
+            chunk.flow_slot, ", which does not hold that flow");
+  FlowState& flow = flows_[chunk.flow_slot];
   ++flow.delivered_chunks;
   if (flow.delivered_chunks == flow.chunks_total) {
     FlowRecord rec{chunk.flow, flow.spec, flow.start, sim_.now()};
     FlowCallback cb = std::move(flow.on_complete);
-    flows_.erase(it);
+    flow.on_complete = nullptr;
+    flow.id = 0;
+    free_slots_.push_back(chunk.flow_slot);
     ++completed_flows_;
     if (TLS_OBS_ACTIVE(sim_.tracer())) {
       sim_.tracer()->flow_end(sim_.now(), rec.spec.src, rec.spec.dst,
@@ -152,7 +167,7 @@ void Fabric::on_delivered(const Chunk& chunk) {
     if (cb) cb(rec);
     return;
   }
-  admit(chunk.flow, flow);
+  admit(chunk.flow_slot);
 }
 
 }  // namespace tls::net

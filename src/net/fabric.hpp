@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/port.hpp"
@@ -74,13 +73,18 @@ class Fabric {
   const IngressPort& ingress(HostId host) const;
 
   /// Flows started but not yet fully delivered.
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const {
+    return flows_.size() - free_slots_.size();
+  }
 
   /// Total flows completed since construction.
   std::uint64_t completed_flows() const { return completed_flows_; }
 
  private:
+  /// A flow in flight, in a slot of `flows_`. A retired slot has id 0 and
+  /// waits on the free list for the next flow.
   struct FlowState {
+    FlowId id = 0;
     FlowSpec spec;
     FlowCallback on_complete;
     double noisy_weight = 1.0;
@@ -92,7 +96,7 @@ class Fabric {
     sim::Time start{};
   };
 
-  void admit(FlowId id, FlowState& flow);
+  void admit(std::uint32_t slot);
   void on_transmit(HostId src, const Chunk& chunk);
   void on_delivered(const Chunk& chunk);
   Bytes chunk_bytes(const FlowState& flow, std::uint32_t index) const;
@@ -102,7 +106,8 @@ class Fabric {
   sim::Rng rng_;
   std::vector<std::unique_ptr<EgressPort>> egress_;
   std::vector<std::unique_ptr<IngressPort>> ingress_;
-  std::unordered_map<FlowId, FlowState> flows_;
+  std::vector<FlowState> flows_;
+  std::vector<std::uint32_t> free_slots_;
   FlowId next_flow_id_ = 1;
   std::uint64_t completed_flows_ = 0;
 };

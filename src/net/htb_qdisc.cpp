@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "simcore/time.hpp"
@@ -14,6 +15,14 @@ bool valid_config(const HtbClassConfig& c) {
   return c.minor != 0 && c.rate > Rate{0.0} && c.ceil >= c.rate &&
          c.burst > Bytes{0} && c.cburst > Bytes{0} &&
          WdrrBand::top_up(c.quantum, WdrrBand::kMinWeight) > Bytes{0};
+}
+
+/// First class in `classes` (sorted by minor) whose minor is >= `minor`.
+template <typename Classes>
+auto lower_bound_minor(Classes& classes, std::uint32_t minor) {
+  return std::lower_bound(
+      classes.begin(), classes.end(), minor,
+      [](const auto& leaf, std::uint32_t m) { return leaf.cfg.minor < m; });
 }
 }  // namespace
 
@@ -27,60 +36,69 @@ HtbQdisc::HtbQdisc(Rate root_rate, std::uint32_t default_minor)
   root_tokens_ = to_double(root_burst_);
 }
 
+const HtbQdisc::LeafClass* HtbQdisc::find(std::uint32_t minor) const {
+  auto it = lower_bound_minor(classes_, minor);
+  return it != classes_.end() && it->cfg.minor == minor ? &*it : nullptr;
+}
+
+HtbQdisc::LeafClass* HtbQdisc::find(std::uint32_t minor) {
+  return const_cast<LeafClass*>(std::as_const(*this).find(minor));
+}
+
 bool HtbQdisc::add_class(const HtbClassConfig& config) {
-  if (!valid_config(config) || has_class(config.minor)) return false;
-  classes_.emplace(config.minor, LeafClass(config));
+  if (!valid_config(config)) return false;
+  auto it = lower_bound_minor(classes_, config.minor);
+  if (it != classes_.end() && it->cfg.minor == config.minor) return false;
+  classes_.emplace(it, config);
   return true;
 }
 
 bool HtbQdisc::change_class(const HtbClassConfig& config) {
   if (!valid_config(config)) return false;
-  auto it = classes_.find(config.minor);
-  if (it == classes_.end()) return false;
-  LeafClass& leaf = it->second;
-  leaf.cfg = config;
-  leaf.tokens = to_double(config.burst);
-  leaf.ctokens = to_double(config.cburst);
+  LeafClass* leaf = find(config.minor);
+  if (leaf == nullptr) return false;
+  leaf->cfg = config;
+  leaf->tokens = to_double(config.burst);
+  leaf->ctokens = to_double(config.cburst);
   return true;
 }
 
 bool HtbQdisc::delete_class(std::uint32_t minor) {
-  auto it = classes_.find(minor);
-  if (it == classes_.end()) return false;
-  if (!it->second.queue.empty()) return false;
+  auto it = lower_bound_minor(classes_, minor);
+  if (it == classes_.end() || it->cfg.minor != minor) return false;
+  if (!it->queue.empty()) return false;
   classes_.erase(it);
   return true;
 }
 
 std::optional<HtbClassConfig> HtbQdisc::class_config(std::uint32_t minor) const {
-  auto it = classes_.find(minor);
-  if (it == classes_.end()) return std::nullopt;
-  return it->second.cfg;
+  const LeafClass* leaf = find(minor);
+  if (leaf == nullptr) return std::nullopt;
+  return leaf->cfg;
 }
 
 Bytes HtbQdisc::class_backlog(std::uint32_t minor) const {
-  auto it = classes_.find(minor);
-  return it == classes_.end() ? Bytes{0} : it->second.queue.backlog_bytes();
+  const LeafClass* leaf = find(minor);
+  return leaf == nullptr ? Bytes{0} : leaf->queue.backlog_bytes();
 }
 
 void HtbQdisc::enqueue(const Chunk& chunk) {
   TLS_CHECK(chunk.size >= Bytes{0}, "htb enqueue of negative-size chunk: ",
             chunk.size);
   ledger_.enqueued += chunk.size;
+  ++backlog_chunks_;
   std::uint32_t minor =
       chunk.band.valid() ? static_cast<std::uint32_t>(chunk.band.idx()) : 0;
-  auto it = classes_.find(minor);
-  if (it == classes_.end() && default_minor_ != 0) {
-    it = classes_.find(default_minor_);
-  }
-  if (it == classes_.end()) {
+  LeafClass* leaf = find(minor);
+  if (leaf == nullptr && default_minor_ != 0) leaf = find(default_minor_);
+  if (leaf == nullptr) {
     direct_.push_back(chunk);
     direct_bytes_ += chunk.size;
     TLS_DCHECK(ledger_.balanced(backlog_bytes()),
                "htb ledger imbalance after direct enqueue");
     return;
   }
-  it->second.queue.enqueue(chunk);
+  leaf->queue.enqueue(chunk);
   TLS_DCHECK(ledger_.balanced(backlog_bytes()),
              "htb ledger imbalance after enqueue");
 }
@@ -126,6 +144,7 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
   if (!direct_.empty()) {
     Chunk c = direct_.take_front();
     direct_bytes_ -= c.size;
+    --backlog_chunks_;
     TLS_CHECK(direct_bytes_ >= Bytes{0}, "htb direct backlog went negative: ",
               direct_bytes_);
     ledger_.dequeued += c.size;
@@ -133,16 +152,11 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
                "htb ledger imbalance after direct dequeue");
     return DequeueResult::of(c);
   }
-  if (backlog_chunks() == 0) return DequeueResult::idle();
+  if (backlog_chunks_ == 0) return DequeueResult::idle();
 
+  // Refill every class, and pick GREEN first, then YELLOW; tie-break by
+  // (prio, least recently served) for borrowing fairness among peers.
   refill_root(now);
-  for (auto& [minor, leaf] : classes_) {
-    (void)minor;
-    refill(leaf, now);
-  }
-
-  // Pick GREEN first, then YELLOW; tie-break by (prio, least recently
-  // served) for borrowing fairness among peers.
   LeafClass* best = nullptr;
   Mode best_mode = Mode::kRed;
   auto better = [&](LeafClass& cand, Mode m) {
@@ -151,8 +165,8 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
     if (cand.cfg.prio != best->cfg.prio) return cand.cfg.prio < best->cfg.prio;
     return cand.last_served < best->last_served;
   };
-  for (auto& [minor, leaf] : classes_) {
-    (void)minor;
+  for (LeafClass& leaf : classes_) {
+    refill(leaf, now);
     if (leaf.queue.empty()) continue;
     Mode m = mode_of(leaf);
     if (m == Mode::kRed) continue;
@@ -165,8 +179,7 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
   if (best == nullptr) {
     // Everything backlogged is RED: report the earliest eligibility.
     double wait_s = std::numeric_limits<double>::infinity();
-    for (auto& [minor, leaf] : classes_) {
-      (void)minor;
+    for (const LeafClass& leaf : classes_) {
       if (leaf.queue.empty()) continue;
       wait_s = std::min(wait_s, eligible_in(leaf));
     }
@@ -181,6 +194,7 @@ DequeueResult HtbQdisc::dequeue(sim::Time now) {
 
   std::optional<Chunk> chunk = best->queue.dequeue();
   TLS_CHECK(chunk.has_value(), "htb picked a class with an empty queue");
+  --backlog_chunks_;
   double need = to_double(chunk->size);
   // Sending consumes ceil credit and root credit; assured-rate credit only
   // when sending green. Buckets may overdraw (go negative) by one chunk.
@@ -205,32 +219,20 @@ void HtbQdisc::drain(std::vector<Chunk>& out) {
   direct_.clear();
   ledger_.drained += direct_bytes_;
   direct_bytes_ = Bytes{0};
-  for (auto& [minor, leaf] : classes_) {
-    (void)minor;
+  for (LeafClass& leaf : classes_) {
     while (auto c = leaf.queue.dequeue()) {
       ledger_.drained += c->size;
       out.push_back(*c);
     }
   }
+  backlog_chunks_ = 0;
   TLS_DCHECK(ledger_.balanced(backlog_bytes()),
              "htb ledger imbalance after drain");
 }
 
 Bytes HtbQdisc::backlog_bytes() const {
   Bytes total = direct_bytes_;
-  for (const auto& [minor, leaf] : classes_) {
-    (void)minor;
-    total += leaf.queue.backlog_bytes();
-  }
-  return total;
-}
-
-std::size_t HtbQdisc::backlog_chunks() const {
-  std::size_t total = direct_.size();
-  for (const auto& [minor, leaf] : classes_) {
-    (void)minor;
-    total += leaf.queue.backlog_chunks();
-  }
+  for (const LeafClass& leaf : classes_) total += leaf.queue.backlog_bytes();
   return total;
 }
 

@@ -13,9 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/qdisc.hpp"
 #include "net/ring.hpp"
@@ -59,7 +59,7 @@ class HtbQdisc final : public Qdisc {
   /// Removes an *empty* class. Returns false when absent or backlogged.
   bool delete_class(std::uint32_t minor);
 
-  bool has_class(std::uint32_t minor) const { return classes_.count(minor) != 0; }
+  bool has_class(std::uint32_t minor) const { return find(minor) != nullptr; }
   std::optional<HtbClassConfig> class_config(std::uint32_t minor) const;
   std::size_t class_count() const { return classes_.size(); }
   Bytes class_backlog(std::uint32_t minor) const;
@@ -67,7 +67,7 @@ class HtbQdisc final : public Qdisc {
   void enqueue(const Chunk& chunk) override;
   DequeueResult dequeue(sim::Time now) override;
   Bytes backlog_bytes() const override;
-  std::size_t backlog_chunks() const override;
+  std::size_t backlog_chunks() const override { return backlog_chunks_; }
   void drain(std::vector<Chunk>& out) override;
 
  private:
@@ -86,6 +86,10 @@ class HtbQdisc final : public Qdisc {
 
   enum class Mode { kGreen, kYellow, kRed };
 
+  /// The class with `minor`, or nullptr.
+  LeafClass* find(std::uint32_t minor);
+  const LeafClass* find(std::uint32_t minor) const;
+
   void refill(LeafClass& leaf, sim::Time now) const;
   void refill_root(sim::Time now);
   /// htb lets buckets go negative by up to one packet: a class may send
@@ -102,10 +106,11 @@ class HtbQdisc final : public Qdisc {
   sim::Time root_last_refill_{};
   std::uint64_t serve_seq_ = 0;
 
-  // Ordered map => deterministic iteration, stable tie-breaking.
-  std::map<std::uint32_t, LeafClass> classes_;
+  // Sorted by minor: dequeue scans and breaks ties in minor order.
+  std::vector<LeafClass> classes_;
   Ring<Chunk> direct_;  // unclassified, unshaped
   Bytes direct_bytes_{};
+  std::size_t backlog_chunks_ = 0;  // direct queue and every class
   ByteLedger ledger_;
 };
 

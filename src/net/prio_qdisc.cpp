@@ -1,14 +1,15 @@
 #include "net/prio_qdisc.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/trace.hpp"
+#include "simcore/check.hpp"
 
 namespace tls::net {
 
 PrioQdisc::PrioQdisc(int bands, Bytes quantum) {
-  assert(bands >= 1 && bands <= kMaxBands);
+  TLS_CHECK(bands >= 1 && bands <= kMaxBands, "prio band count must be in [1, ",
+            kMaxBands, "], got ", bands);
   bands_.reserve(static_cast<std::size_t>(bands));
   for (int i = 0; i < bands; ++i) bands_.emplace_back(quantum);
 }

@@ -1,8 +1,9 @@
 // FIFO ring buffer of whole elements: the queue behind every qdisc band,
-// WDRR flow and ingress port. One power-of-two allocation that doubles as
-// it grows, so steady-state enqueue and dequeue allocate nothing. Storage
-// is allocated uninitialized, because WDRR drops a flow's queue when it
-// empties and so builds a new ring on every burst.
+// WDRR flow slot and ingress port, and WDRR's round of slots. One
+// power-of-two allocation that doubles as it grows, so steady-state enqueue
+// and dequeue allocate nothing. Storage is allocated uninitialized: a slot
+// is written by push_back before anything reads it, so filling it first
+// would be work no reader sees.
 #pragma once
 
 #include <cstddef>

@@ -4,13 +4,18 @@
 // classes. Weights model the throughput share each TCP flow would obtain
 // through a shared queue; the fabric draws a lognormal per-flow noise factor
 // so completions inside a burst spread out the way they do on a real NIC.
+//
+// Per-flow state allocates nothing in steady state: flow queues live in a
+// pool of slots whose rings keep their storage from burst to burst, the
+// round is a ring of slot indices, and a flow finds its slot through an
+// open-addressing index keyed by FlowId.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "net/chunk.hpp"
 #include "net/ring.hpp"
@@ -43,7 +48,7 @@ class WdrrBand {
   bool empty() const { return backlog_chunks_ == 0; }
 
   /// Number of flows currently backlogged in this band.
-  std::size_t active_flows() const { return active_.size(); }
+  std::size_t active_flows() const { return round_.size(); }
 
   Bytes quantum() const { return quantum_; }
 
@@ -62,16 +67,43 @@ class WdrrBand {
   static constexpr double kMinWeight = 0.05;
 
  private:
+  /// A backlogged flow's queue. When the queue empties, the flow leaves the
+  /// round and its slot goes back to the free list, ring storage and all.
   struct FlowQueue {
     Ring<Chunk> chunks;
-    double weight = 1.0;
+    FlowId flow = 0;
+    Bytes top_up{};  // per-round deficit, fixed while the flow is backlogged
     Bytes deficit{};
-    bool in_round = false;  // currently on the active list
   };
 
+  /// One index entry: a backlogged flow and its slot, or kNoSlot if free.
+  struct IndexEntry {
+    FlowId flow = 0;
+    std::uint32_t slot = kNoSlot;
+  };
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// The slot of the chunk's flow. A flow that is not backlogged takes a
+  /// free slot, with zero deficit, the chunk's weight and a place at the
+  /// back of the round.
+  std::uint32_t slot_for(const Chunk& chunk);
+  /// Where `flow` sits in the index, or the free entry its probe ends at.
+  std::size_t probe(FlowId flow) const;
+  std::size_t home(FlowId flow) const {
+    return static_cast<std::size_t>((flow * 0x9E3779B97F4A7C15ull) >>
+                                    index_shift_);
+  }
+  void grow_index();
+  void unindex(FlowId flow);
+
   Bytes quantum_;
-  std::unordered_map<FlowId, FlowQueue> flows_;
-  std::deque<FlowId> active_;
+  std::vector<FlowQueue> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  Ring<std::uint32_t> round_;  // backlogged slots, in service order
+  // Linear probing over a power-of-two table at most half full, keyed by a
+  // multiplicative hash's top bits; deletion shifts later entries back.
+  std::vector<IndexEntry> index_;
+  unsigned index_shift_ = 64;
   Bytes backlog_bytes_{};
   std::size_t backlog_chunks_ = 0;
 };

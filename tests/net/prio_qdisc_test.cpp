@@ -57,10 +57,12 @@ TEST(Prio, WithinBandFairAmongFlows) {
 TEST(Prio, BandCountValidated) {
   EXPECT_EQ(PrioQdisc(1).bands(), 1);
   EXPECT_EQ(PrioQdisc(16).bands(), 16);
-#ifndef NDEBUG
-  EXPECT_DEATH(PrioQdisc(0), "");
-  EXPECT_DEATH(PrioQdisc(17), "");
-#endif
+  // Checked in every build: a 0-band prio would clamp enqueues into
+  // [0, -1].
+  EXPECT_DEATH(PrioQdisc(0),
+               "prio band count must be in \\[1, 16\\], got 0");
+  EXPECT_DEATH(PrioQdisc(17),
+               "prio band count must be in \\[1, 16\\], got 17");
 }
 
 TEST(Prio, BacklogSumsAcrossBands) {

@@ -14,7 +14,7 @@ cmake --preset debug-asan
 cmake --build --preset debug-asan -j "$jobs"
 ctest --preset debug-asan -j "$jobs"
 
-echo "==> [1b/4] debug-ubsan: input-reader mutation tests (UBSan incl. float-cast-overflow)"
+echo "==> [1b/4] debug-ubsan: input-reader mutation + net table differential tests (UBSan incl. float-cast-overflow)"
 # The seeded mutation tests feed hostile input to every hand-rolled reader:
 # trace CSVs to the obs and scenario readers, tc command lines to the tc
 # DSL, and argv to tlsim and tlsreport (one reader, simcore/flags.hpp). A
@@ -24,10 +24,14 @@ echo "==> [1b/4] debug-ubsan: input-reader mutation tests (UBSan incl. float-cas
 # delivery instants to the attribution engine's sorted-vector index.
 # TraceCsvRoundTrip (test_obs) runs every integer column of the trace CSV
 # writer and reader across each digit-count boundary and type extreme.
+# The *Differential tests (test_net) drive the WDRR flow index's mask and
+# shift arithmetic, the htb class table and the fabric's recycled flow
+# slots against the node-based tables they replaced, or a model.
 cmake --preset debug-ubsan
 cmake --build --preset debug-ubsan -j "$jobs" \
-  --target test_obs test_scenario test_tc test_runtime
-ctest --preset debug-ubsan -R 'Mutation|TraceCsvRoundTrip' -j "$jobs"
+  --target test_obs test_scenario test_tc test_runtime test_net
+ctest --preset debug-ubsan -R 'Mutation|TraceCsvRoundTrip|Differential' \
+  -j "$jobs"
 
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
