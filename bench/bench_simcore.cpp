@@ -1,12 +1,12 @@
 // Simulator-core microbenchmark: the product EventQueue (a binary heap of
-// 24-byte keys over a slot table of inline callbacks) against the seed
-// binary-heap implementation, plus a 1000-host synthetic fabric drain
-// exercising the chunk rings.
+// 16-byte (time, key) entries over a slot table of inline callbacks built
+// in place) against the seed binary-heap implementation, plus a 1000-host
+// synthetic fabric drain exercising the chunk rings.
 //
 // The legacy queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its
 // O(n) cancel scan and its std::function per entry, which the slot table
-// replaces with a generation check and an inline callback.
+// replaces with a key compare and an inline callback.
 //
 // Knobs:
 //   TLS_BENCH_SIMCORE_OPS   reference op count per queue mix (default 20000;

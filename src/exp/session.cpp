@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "exp/export.hpp"
@@ -18,37 +19,58 @@ namespace tls::exp {
 namespace {
 
 /// The --trace-csv file, streamed: opened before the simulation so rows
-/// land as events are emitted. Unless commit() succeeds, the destructor
-/// removes the partial file, so a run that throws leaves none behind. Only
-/// a regular file is removed: a symlink, device or FIFO at the path is the
-/// user's, and stays.
+/// land as events are emitted. A run whose commit() never succeeds must
+/// not destroy what was at the path, so what the path leads to, through
+/// any symlinks, decides where the rows go:
+/// - nothing: a new file there, which `tlsreport --follow` sees grow and
+///   the destructor removes unless the run committed;
+/// - a regular file: a temporary beside it, which commit() renames over
+///   it and the destructor otherwise removes, so the old file stays whole
+///   until the run succeeds;
+/// - anything else, such as a device, a FIFO or a file with no name to
+///   rename over (a memfd behind /proc/self/fd): the user's path itself,
+///   never removed and never renamed over.
 class StreamedTraceCsv {
  public:
   explicit StreamedTraceCsv(std::string path)
-      : path_(std::move(path)),
-        out_(path_, std::ios::binary | std::ios::trunc),
-        writer_(out_) {
+      : path_(std::move(path)), writer_(out_) {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::file_type type = fs::status(path_, ec).type();
+    if (type == fs::file_type::regular) {
+      fs::path target = fs::canonical(path_, ec);
+      if (!ec && fs::equivalent(target, path_, ec)) {
+        written_ = target;
+        written_ += ".partial";
+        replaced_ = std::move(target);
+      }
+    }
+    out_.open(written_.empty() ? fs::path(path_) : written_,
+              std::ios::binary | std::ios::trunc);
     if (!out_) {
       throw std::runtime_error("trace CSV export failed: cannot open '" +
                                path_ + "' for writing");
     }
+    if (type == fs::file_type::not_found) {
+      // The open made this file. Name it through any symlinks, so that a
+      // failed run removes the file and not a link to it.
+      written_ = fs::canonical(path_, ec);
+    }
   }
   ~StreamedTraceCsv() {
-    if (committed_) return;
+    if (committed_ || written_.empty()) return;
     out_.close();
     std::error_code ec;  // a failed removal leaves the partial file
-    if (std::filesystem::symlink_status(path_, ec).type() ==
-        std::filesystem::file_type::regular) {
-      std::filesystem::remove(path_, ec);
-    }
+    std::filesystem::remove(written_, ec);
   }
   StreamedTraceCsv(const StreamedTraceCsv&) = delete;
   StreamedTraceCsv& operator=(const StreamedTraceCsv&) = delete;
 
   obs::TraceSink* sink() { return &writer_; }
 
-  /// Appends the health trailer and closes the file, which then takes no
-  /// more rows; throws if any write failed.
+  /// Appends the health trailer, closes the file, which then takes no
+  /// more rows, and moves it over the file it replaces; throws if any
+  /// write or the move failed.
   void commit(const obs::TraceHealth& health) {
     writer_.finish(health);
     out_.close();
@@ -56,11 +78,24 @@ class StreamedTraceCsv {
       throw std::runtime_error("trace CSV export failed: write to '" +
                                path_ + "' failed");
     }
+    if (!replaced_.empty()) {
+      std::error_code ec;
+      std::filesystem::rename(written_, replaced_, ec);
+      if (ec) {
+        throw std::runtime_error("trace CSV export failed: cannot replace '" +
+                                 path_ + "': " + ec.message());
+      }
+    }
     committed_ = true;
   }
 
  private:
   std::string path_;
+  /// The file this writer created (removed unless committed); empty when
+  /// it streams to the user's path directly.
+  std::filesystem::path written_;
+  /// The regular file `written_` replaces on commit; empty when none.
+  std::filesystem::path replaced_;
   std::ofstream out_;
   obs::TraceCsvWriter writer_;
   bool committed_ = false;

@@ -24,6 +24,11 @@ class InlineCallback {
  public:
   static constexpr std::size_t kCapacity = 64;
   static constexpr std::size_t kAlign = 8;
+  /// Whether a callable of type T can be stored.
+  template <typename T>
+  static constexpr bool kFits =
+      std::is_invocable_r_v<void, T&> && sizeof(T) <= kCapacity &&
+      alignof(T) <= kAlign && std::is_nothrow_move_constructible_v<T>;
 
   InlineCallback() noexcept = default;
 
@@ -32,10 +37,18 @@ class InlineCallback {
   /// `operator bool`) yields an empty callback, which
   /// EventQueue::schedule rejects.
   template <typename F, typename T = std::decay_t<F>>
-    requires(!std::is_same_v<T, InlineCallback> &&
-             std::is_invocable_r_v<void, T&> && sizeof(T) <= kCapacity &&
-             alignof(T) <= kAlign && std::is_nothrow_move_constructible_v<T>)
+    requires(!std::is_same_v<T, InlineCallback> && kFits<T>)
   InlineCallback(F&& f) {
+    emplace(std::forward<F>(f));
+  }
+
+  /// Replaces the target with `f`, built in this callback's buffer (the
+  /// converting constructor's rules apply). If building throws, the
+  /// callback is left empty, never holding a destroyed target.
+  template <typename F, typename T = std::decay_t<F>>
+    requires(!std::is_same_v<T, InlineCallback> && kFits<T>)
+  void emplace(F&& f) {
+    reset();
     if constexpr (std::is_pointer_v<T>) {
       if (f == nullptr) return;
     } else if constexpr (requires(const T& t) { t.operator bool(); }) {

@@ -5,45 +5,34 @@
 
 namespace tls::sim {
 
-namespace {
-
-std::uint32_t slot_of(EventId id) {
-  return static_cast<std::uint32_t>(id.value);
-}
-std::uint32_t generation_of(EventId id) {
-  return static_cast<std::uint32_t>(id.value >> 32);
-}
-
-}  // namespace
-
-EventId EventQueue::take_slot(Callback&& cb) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    TLS_CHECK(slot_gen_.size() < UINT32_MAX, "event slot table full");
-    slot = static_cast<std::uint32_t>(slot_gen_.size());
-    slot_gen_.push_back(1);
-    slot_cb_.push_back(std::move(cb));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slot_cb_[slot] = std::move(cb);
-  }
-  return EventId{(std::uint64_t{slot_gen_[slot]} << 32) | slot};
+std::uint32_t EventQueue::add_slot() {
+  TLS_CHECK(slot_key_.size() < kSlotMask, "event slot table full");
+  const auto slot = static_cast<std::uint32_t>(slot_key_.size());
+  // The callback first: if the key's push throws, the next call finds the
+  // callback already there, so both vectors always cover every key.
+  slot_cb_.resize(slot + 1);
+  slot_key_.push_back(0);
+  return slot;
 }
 
-bool EventQueue::pending(EventId id) const {
-  std::uint32_t slot = slot_of(id);
-  return slot < slot_gen_.size() && slot_gen_[slot] == generation_of(id);
+EventId EventQueue::push(Time at, std::uint32_t slot) {
+  TLS_CHECK(slot_cb_[slot], "scheduling a null callback at t=", at);
+  TLS_CHECK(next_seq_ < kSeqEnd, "event sequence numbers exhausted at t=",
+            at);
+  const std::uint64_t key = next_seq_ << kSlotBits | slot;
+  heap_.push_back(Entry{at, key});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++next_seq_;
+  slot_key_[slot] = key;
+  ++live_;
+  ++stats_.scheduled;
+  return EventId{key};
 }
 
-void EventQueue::retire(std::uint32_t slot) {
-  // Generation 0 is never handed out, so EventId{} stays invalid after a
-  // wrap.
-  if (++slot_gen_[slot] == 0) slot_gen_[slot] = 1;
+void EventQueue::release(std::uint32_t slot, Callback& into) {
+  into = std::move(slot_cb_[slot]);
+  slot_key_[slot] = 0;
   free_slots_.push_back(slot);
-  // Destroyed only once the slot is consistent: a capture's destructor may
-  // re-enter the queue.
-  Callback dead = std::move(slot_cb_[slot]);
 }
 
 void EventQueue::pop_top() {
@@ -55,28 +44,24 @@ const EventQueue::Entry& EventQueue::next_live() {
   for (;;) {
     TLS_DCHECK(!heap_.empty(), "event heap empty with ", live_,
                " live events");
-    if (pending(heap_.front().id)) return heap_.front();
+    const Entry& top = heap_.front();
+    if (slot_key_[slot_of(top.key)] == top.key) return top;
     // Tombstone: the event was cancelled.
     ++stats_.tombstones_skipped;
     pop_top();
   }
 }
 
-EventId EventQueue::schedule(Time at, Callback cb) {
-  TLS_CHECK(cb, "scheduling a null callback at t=", at);
-  std::uint64_t seq = next_seq_++;
-  EventId id = take_slot(std::move(cb));
-  heap_.push_back(Entry{at, seq, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
-  ++stats_.scheduled;
-  return id;
-}
-
 bool EventQueue::cancel(EventId id) {
-  // Fired, cancelled, cleared, or never scheduled.
-  if (!pending(id)) return false;
-  retire(slot_of(id));
+  // Fired, cancelled, cleared, or never scheduled. Free slots hold key 0,
+  // which no event has.
+  const std::uint32_t slot = slot_of(id.value);
+  if (id.value == 0 || slot >= slot_key_.size() ||
+      slot_key_[slot] != id.value) {
+    return false;
+  }
+  Callback dead;
+  release(slot, dead);
   ++stats_.cancelled;
   TLS_CHECK(live_ > 0, "cancel with zero live events (id=", id.value, ")");
   --live_;
@@ -90,41 +75,43 @@ Time EventQueue::peek_time() {
 
 std::pair<Time, EventQueue::Callback> EventQueue::pop() {
   TLS_CHECK(!empty(), "pop() on an empty event queue");
-  return *pop_due(kTimeMax);
+  std::pair<Time, Callback> out;
+  pop_due(kTimeMax, out.first, out.second);
+  return out;
 }
 
-std::optional<std::pair<Time, EventQueue::Callback>> EventQueue::pop_due(
-    Time until) {
-  std::optional<std::pair<Time, Callback>> out;
-  if (empty()) return out;
-  const Entry e = next_live();
-  if (e.at > until) return out;
+bool EventQueue::pop_due(Time until, Time& at, Callback& cb) {
+  if (empty()) return false;
+  const Entry top = next_live();
+  if (top.at > until) return false;
   pop_top();
-  std::uint32_t slot = slot_of(e.id);
-  out.emplace(e.at, std::move(slot_cb_[slot]));
-  retire(slot);
+  release(slot_of(top.key), cb);
   --live_;
   ++stats_.popped;
   // Event-time monotonicity: the queue must deliver times in nondecreasing
   // order or the simulation clock would run backwards.
-  TLS_CHECK(e.at >= last_pop_time_, "event queue went backwards: popped t=",
-            e.at, " after t=", last_pop_time_);
-  last_pop_time_ = e.at;
-  return out;
+  TLS_CHECK(top.at >= last_pop_time_, "event queue went backwards: popped t=",
+            top.at, " after t=", last_pop_time_);
+  last_pop_time_ = top.at;
+  at = top.at;
+  return true;
 }
 
 void EventQueue::clear() {
   heap_.clear();
   live_ = 0;
   last_pop_time_ = kTimeMin;
-  // Stale EventIds must stay dead: retire every slot, so cancel() on a
-  // pre-clear() handle can never touch a post-clear() event.
+  // Every slot goes free. Sequence numbers carry on, so an EventId issued
+  // before clear() can never match an event scheduled after it.
   free_slots_.clear();
-  for (std::uint32_t slot = 0; slot < slot_gen_.size(); ++slot) retire(slot);
+  for (std::uint32_t slot = 0; slot < slot_key_.size(); ++slot) {
+    Callback dead;
+    release(slot, dead);
+  }
 }
 
 EventQueue::Footprint EventQueue::footprint() const {
-  return Footprint{heap_.capacity(), slot_gen_.size()};
+  return Footprint{heap_.capacity(), slot_key_.size()};
 }
 
 }  // namespace tls::sim

@@ -5,18 +5,21 @@
 // order), which in turn makes whole experiments reproducible: the pop
 // order is exactly ascending (time, seq).
 //
-// Callbacks live in a slot table, not in the heap: an EventId names a slot
-// plus the slot's generation at scheduling time, and heap entries are
-// 24-byte (time, seq, id) keys, so sift moves never move a callback.
-// Firing or cancelling an event bumps its slot's generation and frees the
-// slot for reuse, so cancel() is a compare and a write, and a cancelled
-// entry is recognised as a tombstone (generation mismatch) and discarded
-// when it reaches the top of the heap. The table holds one slot per
-// pending event at its peak, not one per event ever scheduled.
+// Callbacks live in a slot table, not in the heap. A heap entry is a
+// 16-byte (time, key) pair whose key is the event's sequence number above
+// its slot index (seq << 24 | slot), so sift moves never move a callback
+// and (time, key) sorts exactly like (time, seq). The key is also the
+// EventId. A slot holds the key of its live event (0 when free) and the
+// callback, built in place by schedule() and moved out once, by pop_due().
+// Firing or cancelling an event zeroes its slot's key and frees the slot
+// for reuse, so cancel() is a compare and a write, and a cancelled entry is
+// recognised as a tombstone (key mismatch) and discarded when it reaches
+// the top of the heap. Sequence numbers are never reused, so a stale id
+// never matches a later event in the same slot. The table holds one slot
+// per pending event at its peak, not one per event ever scheduled.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -27,9 +30,9 @@
 namespace tls::sim {
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
-/// Packs the event's slot-table index (low 32 bits) and the slot's
-/// generation (high 32 bits); generation 0 is never handed out, so the
-/// default-constructed id names no event.
+/// Sequence numbers start at 1 and are never reused, so the
+/// default-constructed id names no event and an id never names a later
+/// event.
 struct EventId {
   std::uint64_t value = 0;
   friend bool operator==(const EventId&, const EventId&) = default;
@@ -62,9 +65,27 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `cb` at absolute time `at`. Returns a handle usable with
-  /// cancel(). Events at equal times fire in scheduling order.
-  EventId schedule(Time at, Callback cb);
+  /// Schedules `f` at absolute time `at`, building its callback in a slot.
+  /// Returns a handle usable with cancel(). Events at equal times fire in
+  /// scheduling order. If copying `f` throws, nothing is scheduled.
+  template <typename F>
+    requires requires(Callback& cb, F&& f) { cb.emplace(std::forward<F>(f)); }
+  EventId schedule(Time at, F&& f) {
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = add_slot();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    try {
+      slot_cb_[slot].emplace(std::forward<F>(f));
+    } catch (...) {
+      free_slots_.push_back(slot);  // still empty, so free again
+      throw;
+    }
+    return push(at, slot);
+  }
 
   /// Cancels a previously scheduled event in O(1). Returns true if the
   /// event was still pending (and is now guaranteed not to fire), false if
@@ -84,11 +105,11 @@ class EventQueue {
   /// The returned pair is (time, callback).
   std::pair<Time, Callback> pop();
 
-  /// Removes and returns the earliest live event if it is due at or
-  /// before `until`; otherwise (or when empty) returns nullopt and leaves
-  /// every pending event in place. Looks at the top of the heap once,
-  /// where peek_time() followed by pop() looks twice.
-  std::optional<std::pair<Time, Callback>> pop_due(Time until);
+  /// If the earliest live event is due at or before `until`, removes it,
+  /// moves its callback into `cb` (which must be empty), stores its time
+  /// in `at` and returns true. Otherwise (or when empty) returns false and
+  /// leaves every pending event in place.
+  bool pop_due(Time until, Time& at, Callback& cb);
 
   /// Drops everything, firing nothing. EventIds issued before clear()
   /// become stale: cancelling one returns false and can never affect an
@@ -108,42 +129,55 @@ class EventQueue {
   Footprint footprint() const;
 
  private:
+  /// Low bits of a key: the slot index. The table stops one short of
+  /// 2^24 slots, and sequence numbers stop at 2^40, so a key never wraps.
+  static constexpr std::uint32_t kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqEnd = std::uint64_t{1} << 40;
+
   /// Heap key of a pending (or cancelled) event; its callback is in
-  /// slot_cb_.
+  /// slot_cb_[key & kSlotMask].
   struct Entry {
     Time at;
-    std::uint64_t seq;
-    EventId id;
+    std::uint64_t key;
   };
   /// Heap order for std::push_heap / std::pop_heap, which keep the
   /// greatest element on top: "greater" on the strict total order
-  /// (at, seq), so the earliest entry is on top. seq is unique, so no
+  /// (at, key), so the earliest entry is on top. Keys are unique, so no
   /// ties.
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+      return a.at != b.at ? a.at > b.at : a.key > b.key;
     }
   };
 
+  static std::uint32_t slot_of(std::uint64_t key) {
+    return static_cast<std::uint32_t>(key & kSlotMask);
+  }
+
+  /// Appends an empty slot to the table and returns its index.
+  std::uint32_t add_slot();
+  /// Makes the callback just built in the taken slot `slot` a pending
+  /// event at `at`.
+  EventId push(Time at, std::uint32_t slot);
   /// Removes the top entry of the heap.
   void pop_top();
   /// Discards tombstones off the top until a live entry is there, and
   /// returns it. Requires !empty().
   const Entry& next_live();
-  /// Stores `cb` in a free slot and returns the id naming it.
-  EventId take_slot(Callback&& cb);
-  bool pending(EventId id) const;
-  /// Ends the life of the event in `slot` (fired or cancelled): bumps the
-  /// slot's generation, so its id and heap entry go stale, frees the
-  /// slot, and destroys whatever callback is still in it.
-  void retire(std::uint32_t slot);
+  /// Frees `slot` (its event fired or was cancelled) and moves its
+  /// callback into the empty `into`. The caller runs or destroys it once
+  /// the queue is consistent: a capture may re-enter the queue.
+  void release(std::uint32_t slot, Callback& into);
 
-  // --- slot table: generation and callback per slot, plus free slots ---
-  std::vector<std::uint32_t> slot_gen_;
+  // --- slot table: the live event's key (0 when free) and the callback per
+  // slot, plus free slots ---
+  std::vector<std::uint64_t> slot_key_;
   std::vector<Callback> slot_cb_;
   std::vector<std::uint32_t> free_slots_;
 
-  /// Min-heap on (at, seq) under Later; holds live entries and the
+  /// Min-heap on (at, key) under Later; holds live entries and the
   /// tombstones not yet discarded.
   std::vector<Entry> heap_;
 

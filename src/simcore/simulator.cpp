@@ -8,40 +8,22 @@ namespace tls::sim {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-EventId Simulator::schedule_after(Time delay, EventQueue::Callback cb) {
-  TLS_CHECK(delay >= Time{0}, "schedule_after with negative delay=", delay,
-            " at now=", now_);
-  return queue_.schedule(now_ + delay, std::move(cb));
-}
-
-EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
-  TLS_CHECK(at >= now_, "schedule_at in the past: at=", at, " now=", now_);
-  return queue_.schedule(at, std::move(cb));
-}
-
 std::uint64_t Simulator::run(Time until) {
   std::uint64_t n = 0;
-  while (auto due = queue_.pop_due(until)) {
-    auto& [at, cb] = *due;
-    TLS_CHECK(at >= now_, "clock would run backwards: event t=", at,
-              " now=", now_);
-    now_ = at;
-    cb();
-    ++n;
-    ++dispatched_;
-    if (event_limit_ != 0 && dispatched_ >= event_limit_) {
-      throw std::runtime_error("Simulator event limit exceeded");
-    }
-  }
+  while (dispatch_next(until)) ++n;
   // When stopping on the time bound with events still pending, advance the
   // clock to the bound so now() reflects the elapsed horizon.
   if (!queue_.empty() && until != kTimeMax && now_ < until) now_ = until;
   return n;
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto [at, cb] = queue_.pop();
+bool Simulator::dispatch_next(Time until) {
+  Time at;
+  EventQueue::Callback cb;
+  if (!queue_.pop_due(until, at, cb)) return false;
+  if (event_limit_ != 0 && dispatched_ >= event_limit_) {
+    throw std::runtime_error("Simulator event limit exceeded");
+  }
   TLS_CHECK(at >= now_, "clock would run backwards: event t=", at,
             " now=", now_);
   now_ = at;

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 
+#include "simcore/check.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/time.hpp"
@@ -31,11 +33,21 @@ class Simulator {
   /// Current simulation time.
   Time now() const { return now_; }
 
-  /// Schedules `cb` to run `delay` from now (delay >= 0).
-  EventId schedule_after(Time delay, EventQueue::Callback cb);
+  /// Schedules `f` to run `delay` from now (delay >= 0); see
+  /// EventQueue::schedule.
+  template <typename F>
+  EventId schedule_after(Time delay, F&& f) {
+    TLS_CHECK(delay >= Time{0}, "schedule_after with negative delay=", delay,
+              " at now=", now_);
+    return queue_.schedule(now_ + delay, std::forward<F>(f));
+  }
 
-  /// Schedules `cb` at absolute time `at` (at >= now()).
-  EventId schedule_at(Time at, EventQueue::Callback cb);
+  /// Schedules `f` at absolute time `at` (at >= now()).
+  template <typename F>
+  EventId schedule_at(Time at, F&& f) {
+    TLS_CHECK(at >= now_, "schedule_at in the past: at=", at, " now=", now_);
+    return queue_.schedule(at, std::forward<F>(f));
+  }
 
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -46,7 +58,7 @@ class Simulator {
   std::uint64_t run(Time until = kTimeMax);
 
   /// Runs a single event if one is pending. Returns false when idle.
-  bool step();
+  bool step() { return dispatch_next(kTimeMax); }
 
   /// True when no events remain.
   bool idle() const { return queue_.empty(); }
@@ -66,7 +78,9 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   /// Installs a hard cap on dispatched events (guards against runaway
-  /// feedback loops in tests). 0 disables the cap (default).
+  /// feedback loops in tests): run() and step() throw instead of
+  /// dispatching one more event than `limit`, and that event is dropped.
+  /// 0 disables the cap (default).
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
 
   /// Observability hook. The simulator only carries the pointer (forward
@@ -77,6 +91,10 @@ class Simulator {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  /// Pops the earliest event due at or before `until` and runs it; returns
+  /// false when none is due.
+  bool dispatch_next(Time until);
+
   EventQueue queue_;
   Time now_{};
   std::uint64_t dispatched_ = 0;

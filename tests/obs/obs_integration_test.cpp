@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.hpp"
 #include "obs/trace.hpp"
@@ -29,6 +30,16 @@ std::string read_file(const fs::path& p) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The names in `dir`, sorted.
+std::vector<std::string> entries(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 /// Tiny but complete scenario: 2 hosts, 2 jobs sharing one PS host and one
@@ -267,7 +278,46 @@ TEST(ObsArtifacts, FailedRunLeavesASymlinkTraceCsvPathInPlace) {
   c.obs.trace_csv_path = link.string();
   EXPECT_THROW(exp::run_experiment(c), std::runtime_error);
   EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
-  EXPECT_TRUE(fs::exists(target));
+  EXPECT_EQ(read_file(target), "kept\n");
+  EXPECT_EQ(entries(dir), (std::vector<std::string>{"link.csv", "target.csv"}));
+}
+
+TEST(ObsArtifacts, FailedRunLeavesARegularTraceCsvFileInPlace) {
+  // As above, with the CSV path a regular file: the run writes a temporary
+  // beside it, so the failure removes that and the file keeps its bytes.
+  fs::path dir = fs::path(testing::TempDir()) / "tls_obs_regular";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path target = dir / "target.csv";
+  { std::ofstream(target) << "kept\n"; }
+  exp::ExperimentConfig c = small_scenario();
+  c.obs.trace_path = (dir / "missing" / "trace.json").string();
+  c.obs.trace_csv_path = target.string();
+  EXPECT_THROW(exp::run_experiment(c), std::runtime_error);
+  EXPECT_EQ(read_file(target), "kept\n");
+  EXPECT_EQ(entries(dir), (std::vector<std::string>{"target.csv"}));
+}
+
+TEST(ObsArtifacts, RunThroughASymlinkTraceCsvPathWritesItsTarget) {
+  // A run that succeeds replaces the file the link points at and keeps
+  // the link; the bytes equal a run's into a fresh path.
+  fs::path dir = fs::path(testing::TempDir()) / "tls_obs_symlink_ok";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "data");
+  const fs::path target = dir / "data" / "target.csv";
+  const fs::path link = dir / "link.csv";
+  { std::ofstream(target) << "kept\n"; }
+  fs::create_symlink(fs::path("data") / "target.csv", link);
+  exp::ExperimentConfig c = small_scenario();
+  c.obs.trace_csv_path = link.string();
+  exp::run_experiment(c);
+  c.obs.trace_csv_path = (dir / "fresh.csv").string();
+  exp::run_experiment(c);
+  EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+  const std::string fresh = read_file(dir / "fresh.csv");
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_EQ(read_file(target), fresh);
+  EXPECT_EQ(entries(dir / "data"), (std::vector<std::string>{"target.csv"}));
 }
 
 TEST(ObsArtifacts, UnopenableTraceCsvFailsBeforeTheRunIsWired) {

@@ -8,6 +8,8 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -247,10 +249,17 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomMix) {
       auto it = pending.begin();
       ASSERT_EQ(q.peek_time(), it->first);
       // A bound just before the earliest event pops nothing and keeps it.
-      ASSERT_FALSE(q.pop_due(it->first - Time{1}).has_value());
+      Time t = kTimeMin;
+      EventQueue::Callback cb;
+      ASSERT_FALSE(q.pop_due(it->first - Time{1}, t, cb));
+      ASSERT_FALSE(cb);
       ASSERT_EQ(q.size(), pending.size());
       fired_flag = false;
-      auto [t, cb] = r % 2 == 0 ? *q.pop_due(it->first) : q.pop();
+      if (r % 2 == 0) {
+        ASSERT_TRUE(q.pop_due(it->first, t, cb));
+      } else {
+        std::tie(t, cb) = q.pop();
+      }
       cb();
       ASSERT_TRUE(fired_flag);
       ASSERT_EQ(t, it->first);
@@ -477,6 +486,37 @@ TEST(EventQueueCallback, CaptureDestroyedOnceWhetherFiredCancelledOrCleared) {
     EXPECT_EQ(destroyed, kEvents);
   }
   EXPECT_EQ(destroyed, kEvents);
+}
+
+/// Capture whose copy throws; moves do not, as InlineCallback requires.
+struct ThrowingCopy {
+  ThrowingCopy() = default;
+  ThrowingCopy(const ThrowingCopy&) { throw std::runtime_error("copy"); }
+  ThrowingCopy(ThrowingCopy&&) noexcept = default;
+  void operator()() const {}
+};
+
+TEST(EventQueueCallback, ThrowingCopyLeavesItsSlotFreeAndEmpty) {
+  // The callback is built in its slot; a copy that throws there must leave
+  // the slot free and empty, whether the slot was reused or just added.
+  EventQueue q;
+  const ThrowingCopy capture;
+  EXPECT_THROW(q.schedule(Time{1}, capture), std::runtime_error);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.footprint().slots, 1u);
+  int destroyed = 0;
+  q.schedule(Time{2}, CountedCapture{&destroyed});
+  EXPECT_EQ(q.footprint().slots, 1u);
+  q.pop().second();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_THROW(q.schedule(Time{3}, capture), std::runtime_error);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.stats().scheduled, 1u);
+  bool fired = false;
+  q.schedule(Time{4}, [&fired] { fired = true; });
+  EXPECT_EQ(q.footprint().slots, 1u);
+  q.pop().second();
+  EXPECT_TRUE(fired);
 }
 
 TEST(EventQueueDeathTest, NullCallbackIsRejected) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
 namespace tls::sim {
@@ -90,6 +92,18 @@ TEST(Simulator, EventLimitThrows) {
   std::function<void()> loop = [&] { s.schedule_after(tls::sim::Time{1}, loop); };
   s.schedule_after(tls::sim::Time{1}, loop);
   EXPECT_THROW(s.run(), std::runtime_error);
+}
+
+TEST(Simulator, StepHonoursEventLimit) {
+  Simulator s;
+  s.set_event_limit(2);
+  int fired = 0;
+  for (int i = 0; i < 3; ++i) s.schedule_at(Time{i}, [&] { ++fired; });
+  EXPECT_TRUE(s.step());
+  EXPECT_TRUE(s.step());
+  EXPECT_THROW(s.step(), std::runtime_error);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.dispatched(), 2u);
 }
 
 TEST(PeriodicTimer, TicksAtPeriod) {

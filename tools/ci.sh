@@ -14,7 +14,7 @@ cmake --preset debug-asan
 cmake --build --preset debug-asan -j "$jobs"
 ctest --preset debug-asan -j "$jobs"
 
-echo "==> [1b/4] debug-ubsan: input-reader mutation + net table differential tests (UBSan incl. float-cast-overflow)"
+echo "==> [1b/4] debug-ubsan: input-reader mutation + net table and event queue differential tests (UBSan incl. float-cast-overflow)"
 # The seeded mutation tests feed hostile input to every hand-rolled reader:
 # trace CSVs to the obs and scenario readers, tc command lines to the tc
 # DSL, and argv to tlsim and tlsreport (one reader, simcore/flags.hpp). A
@@ -27,9 +27,13 @@ echo "==> [1b/4] debug-ubsan: input-reader mutation + net table differential tes
 # The *Differential tests (test_net) drive the WDRR flow index's mask and
 # shift arithmetic, the htb class table and the fabric's recycled flow
 # slots against the node-based tables they replaced, or a model.
+# EventQueueDifferential (test_simcore) drives the event queue's heap keys
+# (sequence number shifted above the slot index, slot masked back out)
+# through Simulator::run, cancels, slot reuse and clear() against an
+# ordered-set model.
 cmake --preset debug-ubsan
 cmake --build --preset debug-ubsan -j "$jobs" \
-  --target test_obs test_scenario test_tc test_runtime test_net
+  --target test_obs test_scenario test_tc test_runtime test_net test_simcore
 ctest --preset debug-ubsan -R 'Mutation|TraceCsvRoundTrip|Differential' \
   -j "$jobs"
 
