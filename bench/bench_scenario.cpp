@@ -27,7 +27,7 @@
 
 #include "common.hpp"
 #include "metrics/report.hpp"
-#include "runtime/scenario_runner.hpp"
+#include "runtime/runner.hpp"
 
 namespace {
 
@@ -124,12 +124,13 @@ int main(int argc, char** argv) {
       "TensorLights holds its JCT advantage as jobs arrive and depart; "
       "past 6 colocated PS jobs tc's band budget is the binding constraint");
 
-  const int jobs = static_cast<int>(tls::bench::bench_jobs());
+  tls::runtime::RunOptions options;
+  options.jobs = static_cast<int>(tls::bench::bench_jobs());
   long runs = 0;
 
   // --- 1. Policy comparison over the shared long-horizon trace. ---------
   ScenarioPlan plan = ScenarioPlan::policy_comparison(comparison_config());
-  ScenarioReport cmp = tls::runtime::run_scenario_plan(plan, jobs);
+  ScenarioReport cmp = tls::runtime::run_plan(plan, options);
   runs += static_cast<long>(cmp.results.size());
 
   metrics::Table table({"policy", "done", "other", "mean JCT (s)",
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
   ScenarioPlan burst;
   burst.add("share-band", burst_config(tls::cluster::AdmissionPolicy::kShareBand));
   burst.add("queue", burst_config(tls::cluster::AdmissionPolicy::kQueue));
-  ScenarioReport exhaust = tls::runtime::run_scenario_plan(burst, jobs);
+  ScenarioReport exhaust = tls::runtime::run_plan(burst, options);
   runs += static_cast<long>(exhaust.results.size());
   const Result& share = exhaust.results[0];
   const Result& queue = exhaust.results[1];
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
   ScenarioPlan rot;
   rot.add("RR-1s", rotation_config(1 * sim::kSecond));
   rot.add("RR-20s", rotation_config(20 * sim::kSecond));
-  ScenarioReport thrash = tls::runtime::run_scenario_plan(rot, jobs);
+  ScenarioReport thrash = tls::runtime::run_plan(rot, options);
   runs += static_cast<long>(thrash.results.size());
   const Result& fast = thrash.results[0];
   const Result& slow = thrash.results[1];

@@ -2,8 +2,19 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace tls::cluster {
+
+namespace {
+
+/// Port block s covers [kBasePort + s * kPortStride, + kPortStride).
+constexpr std::uint32_t kBasePort = 5000;
+constexpr std::uint32_t kPortStride = 64;
+/// Blocks that end at or below port 65536: 945.
+constexpr std::uint32_t kPortSlots = (65536 - kBasePort) / kPortStride;
+
+}  // namespace
 
 Launcher::Launcher(sim::Simulator& simulator, net::Fabric& fabric)
     : sim_(simulator), fabric_(fabric) {}
@@ -12,41 +23,31 @@ void Launcher::add_listener(JobEventListener* listener) {
   listeners_.push_back(listener);
 }
 
-std::uint16_t Launcher::take_port_slot(const LaunchConfig& config) {
-  std::uint16_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();  // sorted descending -> lowest slot
-    free_slots_.pop_back();
-  } else {
-    slot = next_fresh_slot_++;
-  }
-  std::uint32_t port = static_cast<std::uint32_t>(config.base_port) +
-                       static_cast<std::uint32_t>(slot) * config.port_stride;
-  if (port + config.port_stride > 65536) {
-    throw std::runtime_error("port space exhausted: too many concurrent jobs");
-  }
-  return static_cast<std::uint16_t>(port);
-}
-
-dl::JobRuntime& Launcher::admit(
-    dl::JobSpec spec, dl::JobPlacement placement, const LaunchConfig& config,
+dl::JobRuntime& Launcher::create(
+    dl::JobSpec spec, dl::JobPlacement placement,
     std::function<void(const dl::JobRuntime&)> on_departed) {
-  if (!jobs_.empty() && !dynamic_) {
-    throw std::logic_error("admit() cannot follow launch_all()");
+  if (spec.num_ps + spec.num_workers >= static_cast<int>(kPortStride)) {
+    throw std::invalid_argument(
+        "job " + std::to_string(spec.job_id) + " runs " +
+        std::to_string(spec.num_ps) + " PS + " +
+        std::to_string(spec.num_workers) +
+        " workers; a job's PS shards plus workers must be at most " +
+        std::to_string(kPortStride - 1));
   }
-  dynamic_ = true;
-  if (config.port_stride <
-      static_cast<std::uint16_t>(1 + spec.num_ps + spec.num_workers)) {
-    throw std::invalid_argument("port_stride too small for task count");
+  const bool reuse = !free_slots_.empty();
+  if (!reuse && next_fresh_slot_ == kPortSlots) {
+    throw std::runtime_error("port space exhausted: at most " +
+                             std::to_string(kPortSlots) +
+                             " jobs can run at once");
   }
-  spec.ps_port = take_port_slot(config);
-  std::uint16_t slot = static_cast<std::uint16_t>(
-      (spec.ps_port - config.base_port) / config.port_stride);
+  // Sorted descending, so back() is the lowest free slot.
+  const std::uint16_t slot = reuse ? free_slots_.back() : next_fresh_slot_;
+  spec.ps_port = static_cast<std::uint16_t>(kBasePort + slot * kPortStride);
   std::size_t index = jobs_.size();
   auto on_finish = [this, index, slot, cb = std::move(on_departed)] {
     ++finished_;
     // Lowest-slot-first reuse keeps port assignment a pure function of the
-    // admission/departure sequence (determinism across runs).
+    // creation/departure sequence (determinism across runs).
     free_slots_.insert(
         std::upper_bound(free_slots_.begin(), free_slots_.end(), slot,
                          std::greater<std::uint16_t>()),
@@ -57,53 +58,22 @@ dl::JobRuntime& Launcher::admit(
     }
     if (cb) cb(job);
   };
-  jobs_.push_back(std::make_unique<dl::JobRuntime>(
-      sim_, fabric_, std::move(spec), std::move(placement), on_finish,
-      busy_sink_));
+  auto runtime = std::make_unique<dl::JobRuntime>(
+      sim_, fabric_, std::move(spec), std::move(placement),
+      std::move(on_finish), busy_sink_);
+  // Taken only now, so a job the runtime rejects leaves its slot free.
+  if (reuse) {
+    free_slots_.pop_back();
+  } else {
+    ++next_fresh_slot_;
+  }
+  jobs_.push_back(std::move(runtime));
   dl::JobRuntime& job = *jobs_.back();
   if (gate_ != nullptr) job.set_transmission_gate(gate_);
-  for (JobEventListener* l : listeners_) {
-    l->on_job_arrival(job.spec(), job.placement());
-  }
-  job.start();
   return job;
 }
 
-void Launcher::launch_all(std::vector<dl::JobSpec> specs,
-                          std::vector<dl::JobPlacement> placements,
-                          const LaunchConfig& config) {
-  if (!jobs_.empty()) throw std::logic_error("launch_all may be called once");
-  if (specs.size() != placements.size()) {
-    throw std::invalid_argument("specs/placements size mismatch");
-  }
-  jobs_.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    dl::JobSpec& spec = specs[i];
-    if (config.port_stride <
-        static_cast<std::uint16_t>(1 + spec.num_ps + spec.num_workers)) {
-      throw std::invalid_argument("port_stride too small for task count");
-    }
-    spec.ps_port = static_cast<std::uint16_t>(config.base_port +
-                                              i * config.port_stride);
-    auto* self = this;
-    auto on_finish = [self, i] {
-      ++self->finished_;
-      const auto& job = *self->jobs_[i];
-      for (JobEventListener* l : self->listeners_) {
-        l->on_job_departure(job.spec(), job.placement());
-      }
-    };
-    jobs_.push_back(std::make_unique<dl::JobRuntime>(
-        sim_, fabric_, spec, placements[i], on_finish, busy_sink_));
-    if (gate_ != nullptr) jobs_.back()->set_transmission_gate(gate_);
-  }
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    sim_.schedule_after(config.stagger * static_cast<std::int64_t>(i),
-                        [this, i] { launch_one(i); });
-  }
-}
-
-void Launcher::launch_one(std::size_t index) {
+void Launcher::start(std::size_t index) {
   dl::JobRuntime& job = *jobs_[index];
   // Evicted before its staggered start: nothing to launch.
   if (job.finished()) return;
@@ -113,6 +83,35 @@ void Launcher::launch_one(std::size_t index) {
     l->on_job_arrival(job.spec(), job.placement());
   }
   job.start();
+}
+
+dl::JobRuntime& Launcher::admit(
+    dl::JobSpec spec, dl::JobPlacement placement,
+    std::function<void(const dl::JobRuntime&)> on_departed) {
+  dl::JobRuntime& job =
+      create(std::move(spec), std::move(placement), std::move(on_departed));
+  start(jobs_.size() - 1);
+  return job;
+}
+
+void Launcher::launch_all(std::vector<dl::JobSpec> specs,
+                          std::vector<dl::JobPlacement> placements,
+                          const LaunchConfig& config) {
+  if (specs.size() != placements.size()) {
+    throw std::invalid_argument("specs/placements size mismatch");
+  }
+  // The whole batch is created now and only the starts are staggered, so
+  // jobs() is complete from the start: exp::Session's gauge sampler walks
+  // it, and every job it lists gets a job_iteration_lag row.
+  const std::size_t first = jobs_.size();
+  jobs_.reserve(first + specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    create(std::move(specs[i]), std::move(placements[i]), {});
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    sim_.schedule_after(config.stagger * static_cast<std::int64_t>(i),
+                        [this, index = first + i] { start(index); });
+  }
 }
 
 }  // namespace tls::cluster

@@ -30,13 +30,14 @@ class JobEventListener {
 struct LaunchConfig {
   /// Delay between consecutive job launches.
   sim::Time stagger = 100 * sim::kMillisecond;
-  /// First PS port; job j gets base_port + j * port_stride. The stride
-  /// must cover 1 + num_ps + workers so PS shard ports (ps_port+p) and
-  /// worker ports (ps_port+num_ps+w) never collide across jobs.
-  std::uint16_t base_port = 5000;
-  std::uint16_t port_stride = 64;
 };
 
+/// Creates jobs on the simulated cluster. Every job, static or admitted,
+/// holds one 64-port block while it runs: its PS shards listen on the
+/// block's first ports and its workers on the ports after them, so a
+/// job's PS shards plus workers must be at most 63. Blocks start at port
+/// 5000 and are drawn lowest first from one pool that departures refill,
+/// so the 16-bit port space holds 945 running jobs.
 class Launcher {
  public:
   Launcher(sim::Simulator& simulator, net::Fabric& fabric);
@@ -50,32 +51,27 @@ class Launcher {
   /// Optional sink receiving every CPU-busy interval of every job.
   void set_busy_sink(dl::BusySink sink) { busy_sink_ = std::move(sink); }
 
-  /// Optional transmission-coordination gate passed to every job (must
-  /// outlive the simulation). Set before launch_all().
+  /// Optional transmission-coordination gate passed to every job created
+  /// after this call (must outlive the simulation).
   void set_transmission_gate(dl::TransmissionGate* gate) { gate_ = gate; }
 
-  /// Creates runtimes for `specs[i]` placed at `placements[i]` and
-  /// schedules their staggered starts from the current simulation time.
-  /// Assigns each spec's ps_port. May be called once; incompatible with
-  /// the dynamic admit() path.
+  /// Static batch: creates a job for each `specs[i]` placed at
+  /// `placements[i]` now, and starts job i `config.stagger * i` after the
+  /// current simulation time. On a fresh launcher job i gets port block i.
   void launch_all(std::vector<dl::JobSpec> specs,
                   std::vector<dl::JobPlacement> placements,
                   const LaunchConfig& config = {});
 
   /// Dynamic-cluster admission: creates one job and starts it at the
   /// current simulation time (arrival listeners fire first, as in
-  /// launch_all). The spec's ps_port is drawn from a free-slot pool —
-  /// slots are recycled on departure so hour-long churn traces never walk
-  /// off the end of the 16-bit port space. `on_departed` (optional) runs
-  /// after the departure listeners when this job ends, whether by
-  /// completion or eviction. Incompatible with launch_all.
+  /// launch_all). `on_departed` (optional) runs after the departure
+  /// listeners when this job ends, whether by completion or eviction.
   dl::JobRuntime& admit(dl::JobSpec spec, dl::JobPlacement placement,
-                        const LaunchConfig& config = {},
                         std::function<void(const dl::JobRuntime&)>
                             on_departed = {});
 
   /// Evicts a running job mid-flight; its departure fires exactly like a
-  /// normal completion (listeners + on_departed + port-slot release).
+  /// normal completion (listeners + on_departed + port-block release).
   /// No-op on an already-finished job.
   void evict(dl::JobRuntime& job) { job.request_stop(); }
 
@@ -88,9 +84,15 @@ class Launcher {
   }
 
  private:
-  void launch_one(std::size_t index);
-  /// Lowest free port slot (allocating a fresh one when the pool is dry).
-  std::uint16_t take_port_slot(const LaunchConfig& config);
+  /// Creates one job on the lowest free port block, sets its ps_port and
+  /// wires its departure; throws when the job's tasks overflow a block or
+  /// no block is left.
+  dl::JobRuntime& create(dl::JobSpec spec, dl::JobPlacement placement,
+                         std::function<void(const dl::JobRuntime&)>
+                             on_departed);
+  /// Fires the arrival listeners and starts jobs_[index], unless it was
+  /// evicted first.
+  void start(std::size_t index);
 
   sim::Simulator& sim_;
   net::Fabric& fabric_;
@@ -99,10 +101,8 @@ class Launcher {
   dl::BusySink busy_sink_;
   dl::TransmissionGate* gate_ = nullptr;
   int finished_ = 0;
-  bool dynamic_ = false;
-  /// Port-slot recycling for the dynamic path: slot s covers ports
-  /// [base_port + s*stride, base_port + (s+1)*stride).
-  std::vector<std::uint16_t> free_slots_;  // kept sorted descending
+  /// Port blocks returned by departed jobs, kept sorted descending.
+  std::vector<std::uint16_t> free_slots_;
   std::uint16_t next_fresh_slot_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "cluster/placement.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -37,22 +38,30 @@ PsPlacement even_groups(int num_jobs, int num_groups) {
 }
 
 PsPlacement table1(int index, int num_jobs) {
+  auto even = [num_jobs](int groups) {
+    return even_groups(num_jobs, std::min(groups, num_jobs));
+  };
   PsPlacement p;
   switch (index) {
-    case 1: p = even_groups(num_jobs, 1); break;
+    case 1: p = even(1); break;
     case 2: {
+      // One job cannot be split; it gets #1's single group.
+      if (num_jobs < 2) {
+        p = even(1);
+        break;
+      }
       // The paper's irregular "5, 16": roughly a 1/4 vs 3/4 split.
       int small = std::max(1, num_jobs * 5 / 21);
       p.group_sizes = {small, num_jobs - small};
       p.name = render(p.group_sizes);
       break;
     }
-    case 3: p = even_groups(num_jobs, 2); break;
-    case 4: p = even_groups(num_jobs, 3); break;
-    case 5: p = even_groups(num_jobs, 4); break;
-    case 6: p = even_groups(num_jobs, 5); break;
-    case 7: p = even_groups(num_jobs, 7 <= num_jobs ? 7 : num_jobs); break;
-    case 8: p = even_groups(num_jobs, num_jobs); break;
+    case 3: p = even(2); break;
+    case 4: p = even(3); break;
+    case 5: p = even(4); break;
+    case 6: p = even(5); break;
+    case 7: p = even(7); break;
+    case 8: p = even(num_jobs); break;
     default:
       throw std::invalid_argument("table1 index must be in [1, 8]");
   }
@@ -66,28 +75,12 @@ std::vector<PsPlacement> table1_all(int num_jobs) {
   return all;
 }
 
-std::vector<dl::JobPlacement> assign_tasks_sharded(const PsPlacement& placement,
-                                                   int num_hosts,
-                                                   int workers_per_job,
-                                                   int num_ps) {
+std::vector<dl::JobPlacement> assign_tasks(const PsPlacement& placement,
+                                           int num_hosts,
+                                           int workers_per_job, int num_ps) {
   if (num_ps < 1 || num_ps > num_hosts) {
     throw std::invalid_argument("num_ps must be in [1, num_hosts]");
   }
-  std::vector<dl::JobPlacement> jobs =
-      assign_tasks(placement, num_hosts, workers_per_job);
-  for (dl::JobPlacement& jp : jobs) {
-    jp.ps_hosts.clear();
-    for (int p = 0; p < num_ps; ++p) {
-      jp.ps_hosts.push_back(
-          net::HostId{(jp.ps_host.idx() + p) % num_hosts});
-    }
-  }
-  return jobs;
-}
-
-std::vector<dl::JobPlacement> assign_tasks(const PsPlacement& placement,
-                                           int num_hosts,
-                                           int workers_per_job) {
   if (placement.num_groups() > num_hosts) {
     throw std::invalid_argument("more PS groups than hosts");
   }
@@ -97,16 +90,17 @@ std::vector<dl::JobPlacement> assign_tasks(const PsPlacement& placement,
   std::vector<dl::JobPlacement> jobs;
   jobs.reserve(static_cast<std::size_t>(placement.total_jobs()));
   for (int group = 0; group < placement.num_groups(); ++group) {
-    net::HostId ps_host{group};
     for (int j = 0; j < placement.group_sizes[static_cast<std::size_t>(group)];
          ++j) {
       dl::JobPlacement jp;
-      jp.ps_host = ps_host;
+      jp.ps_hosts.reserve(static_cast<std::size_t>(num_ps));
+      for (int p = 0; p < num_ps; ++p) {
+        jp.ps_hosts.push_back(net::HostId{(group + p) % num_hosts});
+      }
       jp.worker_hosts.reserve(static_cast<std::size_t>(workers_per_job));
       for (int w = 0; w < workers_per_job; ++w) {
-        // Walk hosts after the PS host, skipping the PS host itself.
-        net::HostId h{(ps_host.idx() + 1 + w) % num_hosts};
-        jp.worker_hosts.push_back(h);
+        // Walk hosts after the first PS host, skipping that host itself.
+        jp.worker_hosts.push_back(net::HostId{(group + 1 + w) % num_hosts});
       }
       jobs.push_back(std::move(jp));
     }

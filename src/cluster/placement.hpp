@@ -31,31 +31,25 @@ PsPlacement even_groups(int num_jobs, int num_groups);
 
 /// Table I entry `index` in [1, 8] for `num_jobs` concurrent jobs.
 /// Index #2 is the paper's irregular "5, 16" split (scaled for other M);
-/// all others are even splits into 1, 2, 3, 4, 5, 7, and M groups.
+/// all others are even splits into 1, 2, 3, 4, 5, 7, and M groups. With
+/// fewer jobs than groups, every job gets a group of its own.
 PsPlacement table1(int index, int num_jobs = 21);
 
 /// All eight Table I placements.
 std::vector<PsPlacement> table1_all(int num_jobs = 21);
 
 /// Expands a PS placement into per-job task placements on `num_hosts`
-/// hosts: group k's PSes land on host k, and each job's workers are spread
-/// one-per-host over the other hosts starting after the PS host (the
-/// paper's "20 workers distributed evenly on the rest of 20 hosts").
-/// Requires num_groups <= num_hosts and workers_per_job <= num_hosts - 1.
-/// Throws std::invalid_argument otherwise.
+/// hosts. PS shard p of group k's jobs lands on host (k + p) mod
+/// num_hosts: with one PS per job, group k's PSes share host k; with
+/// more (the paper's "general case where one DL job has multiple PSes")
+/// the shards walk the following hosts. Each job's workers are spread
+/// one-per-host over the hosts after its first shard's host (the paper's
+/// "20 workers distributed evenly on the rest of 20 hosts"). Requires
+/// num_ps in [1, num_hosts], num_groups <= num_hosts and workers_per_job
+/// in [1, num_hosts - 1]; throws std::invalid_argument otherwise.
 std::vector<dl::JobPlacement> assign_tasks(const PsPlacement& placement,
                                            int num_hosts,
-                                           int workers_per_job);
-
-/// Multi-PS variant (the paper's "general case where one DL job has
-/// multiple PSes"): shard 0 of each job lands on its group host and the
-/// remaining shards walk the following hosts, so shard k of the group's
-/// jobs colocate on host (group + k). Workers spread as in assign_tasks,
-/// excluding only the first shard's host. Requires num_ps >= 1 and
-/// num_ps <= num_hosts.
-std::vector<dl::JobPlacement> assign_tasks_sharded(const PsPlacement& placement,
-                                                   int num_hosts,
-                                                   int workers_per_job,
-                                                   int num_ps);
+                                           int workers_per_job,
+                                           int num_ps = 1);
 
 }  // namespace tls::cluster

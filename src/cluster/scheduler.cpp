@@ -88,6 +88,7 @@ dl::JobPlacement OnlineScheduler::place(const dl::JobSpec& spec) {
   if (spec.num_workers > num_hosts() - 1) {
     throw std::invalid_argument("more workers than non-PS hosts");
   }
+  if (spec.num_ps < 1) throw std::invalid_argument("num_ps < 1");
   dl::JobPlacement placement;
   // Place PS shards one at a time so later shards see earlier ones' load.
   // A shard prefers hosts under the band budget and falls back to plain
@@ -95,8 +96,7 @@ dl::JobPlacement OnlineScheduler::place(const dl::JobSpec& spec) {
   for (int p = 0; p < spec.num_ps; ++p) {
     net::HostId host = pick_ps_host(/*respect_limit=*/true);
     if (host == net::kNoHost) host = pick_ps_host(/*respect_limit=*/false);
-    if (p == 0) placement.ps_host = host;
-    if (spec.num_ps > 1) placement.ps_hosts.push_back(host);
+    placement.ps_hosts.push_back(host);
     ++ps_[static_cast<std::size_t>(host.idx())];
     ++tasks_[static_cast<std::size_t>(host.idx())];
   }
@@ -109,7 +109,7 @@ dl::JobPlacement OnlineScheduler::place(const dl::JobSpec& spec) {
            tasks_[static_cast<std::size_t>(b.idx())];
   });
   for (net::HostId h : order) {
-    if (h == placement.ps_host) continue;
+    if (h == placement.ps_hosts.front()) continue;
     if (static_cast<int>(placement.worker_hosts.size()) == spec.num_workers) {
       break;
     }

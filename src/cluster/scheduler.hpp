@@ -70,10 +70,10 @@ class OnlineScheduler {
                   AdmissionPolicy admission = AdmissionPolicy::kShareBand,
                   int ps_band_limit = 0);
 
-  /// Places one arriving job: chooses the PS host (or shard hosts) by the
-  /// policy, then spreads workers one per least-loaded host, excluding the
-  /// first PS host. Updates internal load accounting. Requires
-  /// spec.num_workers <= num_hosts - 1.
+  /// Places one arriving job: chooses one host per PS shard by the policy,
+  /// then spreads workers one per least-loaded host, excluding the first
+  /// PS host. Updates internal load accounting. Requires spec.num_ps >= 1
+  /// and spec.num_workers <= num_hosts - 1.
   dl::JobPlacement place(const dl::JobSpec& spec);
 
   /// Admission-aware placement for dynamic clusters. When every candidate

@@ -62,23 +62,18 @@ struct JobSpec {
 };
 
 /// Where the job's tasks landed. The paper's setup: one PS host, workers
-/// spread one-per-host over the remaining hosts. Multi-PS jobs list one
-/// host per shard in ps_hosts; single-PS jobs may leave ps_hosts empty and
-/// use ps_host alone.
+/// spread one-per-host over the remaining hosts. A multi-PS job lists one
+/// host per shard; every placement names at least one PS host.
 struct JobPlacement {
-  net::HostId ps_host{0};
-  std::vector<net::HostId> ps_hosts;  // per shard; empty => {ps_host}
+  std::vector<net::HostId> ps_hosts;  // per shard, in shard order
   std::vector<net::HostId> worker_hosts;
 
-  /// Host of PS shard `p`, honouring the single-PS fallback.
+  /// Host of PS shard `p`.
   net::HostId ps_shard_host(int p) const {
-    if (ps_hosts.empty()) return ps_host;
     return ps_hosts.at(static_cast<std::size_t>(p));
   }
   /// Number of PS shards this placement provides for.
-  int ps_count() const {
-    return ps_hosts.empty() ? 1 : static_cast<int>(ps_hosts.size());
-  }
+  int ps_count() const { return static_cast<int>(ps_hosts.size()); }
 };
 
 }  // namespace tls::dl

@@ -38,13 +38,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   std::vector<dl::JobSpec> specs = workload::grid_search_jobs(config.workload);
-  std::vector<dl::JobPlacement> placements =
-      config.workload.ps_per_job > 1
-          ? cluster::assign_tasks_sharded(config.placement, config.num_hosts,
-                                          config.workload.workers_per_job,
-                                          config.workload.ps_per_job)
-          : cluster::assign_tasks(config.placement, config.num_hosts,
-                                  config.workload.workers_per_job);
+  std::vector<dl::JobPlacement> placements = cluster::assign_tasks(
+      config.placement, config.num_hosts, config.workload.workers_per_job,
+      config.workload.ps_per_job);
   cluster::LaunchConfig launch;
   launch.stagger = config.stagger;
   launcher.launch_all(std::move(specs), std::move(placements), launch);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+
+#include "simcore/check.hpp"
 
 namespace tls::obs {
 
@@ -361,9 +364,10 @@ void StreamingAnalyzer::prune_port_records() {
   prune_lanes(del_lanes_, arr_floor);
 }
 
-RunReport StreamingAnalyzer::snapshot() const {
+RunReport StreamingAnalyzer::report_of(
+    std::vector<IterationReport> iterations) const {
   RunReport report;
-  report.iterations = finalized_;
+  report.iterations = std::move(iterations);
   std::sort(report.iterations.begin(), report.iterations.end(),
             [](const IterationReport& a, const IterationReport& b) {
               if (a.job != b.job) return a.job < b.job;
@@ -377,27 +381,28 @@ RunReport StreamingAnalyzer::snapshot() const {
   return report;
 }
 
+RunReport StreamingAnalyzer::snapshot() const { return report_of(finalized_); }
+
 RunReport StreamingAnalyzer::finish() {
-  if (!finished_) {
-    finished_ = true;
-    // Armed iterations first, then stragglers whose enters were filtered
-    // out (or whose barrier never completed): every released barrier.
-    std::vector<std::pair<std::int32_t, std::int64_t>> pending;
-    for (const auto& [key, deadline] : ripe_) {
-      (void)deadline;
+  TLS_CHECK(!finished_, "StreamingAnalyzer::finish() called twice");
+  finished_ = true;
+  // Armed iterations first, then stragglers whose enters were filtered
+  // out (or whose barrier never completed): every released barrier.
+  std::vector<std::pair<std::int32_t, std::int64_t>> pending;
+  for (const auto& [key, deadline] : ripe_) {
+    (void)deadline;
+    pending.push_back(key);
+  }
+  ripe_.clear();
+  for (const auto& [key, rels] : ix_.releases) {
+    (void)rels;
+    if (std::find(pending.begin(), pending.end(), key) == pending.end()) {
       pending.push_back(key);
     }
-    ripe_.clear();
-    for (const auto& [key, rels] : ix_.releases) {
-      (void)rels;
-      if (std::find(pending.begin(), pending.end(), key) == pending.end()) {
-        pending.push_back(key);
-      }
-    }
-    std::sort(pending.begin(), pending.end());
-    for (const auto& key : pending) finalize(key.first, key.second);
   }
-  return snapshot();
+  std::sort(pending.begin(), pending.end());
+  for (const auto& key : pending) finalize(key.first, key.second);
+  return report_of(std::move(finalized_));
 }
 
 }  // namespace tls::obs

@@ -95,12 +95,14 @@ class StreamingAnalyzer final : public TraceSink {
   /// (tracer drops / sampling exclusions).
   void set_health(const TraceHealth& health) { health_ = health; }
 
-  /// Finalizes every pending iteration and returns the complete report.
-  /// Call once, after the last ingest.
+  /// Finalizes every pending iteration and returns the complete report,
+  /// handing the finalized iterations over rather than copying them. Call
+  /// once, after the last ingest; nothing may be ingested or snapshot
+  /// after it.
   RunReport finish();
 
-  /// Report of everything finalized so far, without disturbing pending
-  /// state — the live dashboard renders these mid-stream.
+  /// Report of everything finalized so far, a copy that leaves pending
+  /// state alone — the live dashboard renders these mid-stream.
   RunReport snapshot() const;
 
   /// High-water mark, over the whole stream, of the records retained
@@ -143,6 +145,9 @@ class StreamingAnalyzer final : public TraceSink {
   void prune_job(std::int32_t job, sim::Time watermark);
   void prune_port_records();
   void note_retention(std::ptrdiff_t delta);
+  /// The report over `iterations` (sorted here), the per-job rollups and
+  /// the capture health.
+  RunReport report_of(std::vector<IterationReport> iterations) const;
 
   detail::Index ix_;
   TraceHealth health_;

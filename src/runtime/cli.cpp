@@ -16,7 +16,6 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
-#include "runtime/scenario_runner.hpp"
 #include "scenario/export.hpp"
 #include "simcore/flags.hpp"
 
@@ -508,7 +507,7 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
   } else {
     plan.add(core::to_string(config.controller.policy), config);
   }
-  ScenarioReport report = run_scenario_plan(plan, options.jobs);
+  ScenarioReport report = run_plan(plan, options);
 
   metrics::Table table({"policy", "jobs", "done", "evict", "rej", "unfin",
                         "mean JCT (s)", "p99 JCT", "mean wait (s)",

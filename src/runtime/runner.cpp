@@ -57,41 +57,38 @@ class Progress {
 
 }  // namespace
 
-void RunPlan::add(std::string label, exp::ExperimentConfig config) {
-  entries.push_back(Entry{std::move(label), std::move(config)});
-}
-
-std::vector<core::PolicyKind> RunPlan::default_policies() {
-  return {core::PolicyKind::kFifo, core::PolicyKind::kTlsOne,
-          core::PolicyKind::kTlsRR};
-}
-
-RunPlan RunPlan::replicated(const exp::ExperimentConfig& base, int replicas) {
-  RunPlan plan;
+template <typename Config>
+Plan<Config> Plan<Config>::replicated(const Config& base, int replicas) {
+  Plan plan;
   for (int i = 0; i < replicas; ++i) {
-    exp::ExperimentConfig c = base;
+    Config c = base;
     c.seed = base.seed + static_cast<std::uint64_t>(i);
     plan.add("seed" + std::to_string(c.seed), std::move(c));
   }
   return plan;
 }
 
-RunPlan RunPlan::policy_comparison(
-    const exp::ExperimentConfig& base,
-    const std::vector<core::PolicyKind>& policies) {
-  RunPlan plan;
+template <typename Config>
+Plan<Config> Plan<Config>::policy_comparison(
+    const Config& base, const std::vector<core::PolicyKind>& policies) {
+  Plan plan;
   for (core::PolicyKind policy : policies) {
-    plan.add(core::to_string(policy), exp::with_policy(base, policy));
+    Config c = base;
+    c.controller.policy = policy;
+    plan.add(core::to_string(policy), std::move(c));
   }
   return plan;
 }
 
-RunPlan RunPlan::placement_sweep(
-    const exp::ExperimentConfig& base, const std::vector<int>& table1_indices,
-    const std::vector<core::PolicyKind>& policies) {
-  RunPlan plan;
+template <typename Config>
+Plan<Config> Plan<Config>::placement_sweep(
+    const Config& base, const std::vector<int>& table1_indices,
+    const std::vector<core::PolicyKind>& policies)
+  requires std::same_as<Config, exp::ExperimentConfig>
+{
+  Plan plan;
   for (int index : table1_indices) {
-    exp::ExperimentConfig c = base;
+    Config c = base;
     c.placement = cluster::table1(index, base.workload.num_jobs);
     for (core::PolicyKind policy : policies) {
       plan.add("p" + std::to_string(index) + "/" + core::to_string(policy),
@@ -101,12 +98,15 @@ RunPlan RunPlan::placement_sweep(
   return plan;
 }
 
-RunPlan RunPlan::batch_sweep(const exp::ExperimentConfig& base,
-                             const std::vector<int>& batch_sizes,
-                             const std::vector<core::PolicyKind>& policies) {
-  RunPlan plan;
+template <typename Config>
+Plan<Config> Plan<Config>::batch_sweep(
+    const Config& base, const std::vector<int>& batch_sizes,
+    const std::vector<core::PolicyKind>& policies)
+  requires std::same_as<Config, exp::ExperimentConfig>
+{
+  Plan plan;
   for (int batch : batch_sizes) {
-    exp::ExperimentConfig c = base;
+    Config c = base;
     c.workload.local_batch_size = batch;
     for (core::PolicyKind policy : policies) {
       plan.add("b" + std::to_string(batch) + "/" + core::to_string(policy),
@@ -115,6 +115,9 @@ RunPlan RunPlan::batch_sweep(const exp::ExperimentConfig& base,
   }
   return plan;
 }
+
+template struct Plan<exp::ExperimentConfig>;
+template struct Plan<scenario::Config>;
 
 int default_jobs() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -153,30 +156,34 @@ void fan_out(std::size_t n, int jobs,
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-RunReport run_plan(const RunPlan& plan, const RunOptions& options) {
-  const std::size_t n = plan.entries.size();
+namespace {
 
-  RunReport report;
+void derive_paths(exp::ExperimentConfig& c, const std::string& label) {
+  exp::ObsOptions& o = c.obs;
+  for (std::string* path :
+       {&o.trace_path, &o.trace_csv_path, &o.metrics_path, &o.report_path,
+        &o.report_csv_path, &o.report_json_path, &o.report_html_path}) {
+    *path = obs::per_run_path(*path, label);
+  }
+}
+
+void derive_paths(scenario::Config& c, const std::string& label) {
+  c.metrics_path = obs::per_run_path(c.metrics_path, label);
+}
+
+template <typename Config, typename Result>
+Report<Result> run_entries(const Plan<Config>& plan, const RunOptions& options,
+                           Result (*run_one)(const Config&)) {
+  const std::size_t n = plan.entries.size();
+  Report<Result> report;
   report.results.resize(n);
   report.labels.reserve(n);
-  for (const RunPlan::Entry& e : plan.entries) report.labels.push_back(e.label);
-
-  std::vector<exp::ExperimentConfig> configs;
+  std::vector<Config> configs;
   configs.reserve(n);
-  for (const RunPlan::Entry& e : plan.entries) {
-    exp::ExperimentConfig c = e.config;
-    if (n > 1 && c.obs.any()) {
-      c.obs.trace_path = obs::per_run_path(c.obs.trace_path, e.label);
-      c.obs.trace_csv_path = obs::per_run_path(c.obs.trace_csv_path, e.label);
-      c.obs.metrics_path = obs::per_run_path(c.obs.metrics_path, e.label);
-      c.obs.report_path = obs::per_run_path(c.obs.report_path, e.label);
-      c.obs.report_csv_path =
-          obs::per_run_path(c.obs.report_csv_path, e.label);
-      c.obs.report_json_path =
-          obs::per_run_path(c.obs.report_json_path, e.label);
-      c.obs.report_html_path =
-          obs::per_run_path(c.obs.report_html_path, e.label);
-    }
+  for (const typename Plan<Config>::Entry& e : plan.entries) {
+    report.labels.push_back(e.label);
+    Config c = e.config;
+    if (n > 1) derive_paths(c, e.label);
     configs.push_back(std::move(c));
   }
 
@@ -184,10 +191,20 @@ RunReport run_plan(const RunPlan& plan, const RunOptions& options) {
   // Each call writes only results[i]; the progress lines synchronize
   // themselves.
   fan_out(n, options.jobs, [&](std::size_t i) {
-    report.results[i] = exp::run_experiment(configs[i]);
+    report.results[i] = run_one(configs[i]);
     progress.tick(plan.entries[i].label);
   });
   return report;
+}
+
+}  // namespace
+
+RunReport run_plan(const RunPlan& plan, const RunOptions& options) {
+  return run_entries(plan, options, &exp::run_experiment);
+}
+
+ScenarioReport run_plan(const ScenarioPlan& plan, const RunOptions& options) {
+  return run_entries(plan, options, &scenario::run_scenario);
 }
 
 }  // namespace tls::runtime

@@ -129,7 +129,7 @@ class Engine {
     const TraceJob& tj = trace_.jobs[index];
     JobOutcome& o = outcomes_[index];
     dl::JobRuntime& job = session_.launcher().admit(
-        std::move(spec), std::move(placement), config_.launch,
+        std::move(spec), std::move(placement),
         [this, index](const dl::JobRuntime& j) { on_departure(index, j); });
     o.admit_s = sim::to_seconds(sim_.now());
     o.queue_wait_s = o.admit_s - o.arrival_s;

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/launcher.hpp"
 #include "cluster/scheduler.hpp"
 #include "metrics/stats.hpp"
 #include "net/fabric.hpp"
@@ -51,8 +50,6 @@ struct Config {
   /// Period of the occupancy gauges (active jobs, per-host PS/band
   /// counts) in the obs registry; <= 0 disables sampling.
   sim::Time sample_period = 10 * sim::kSecond;
-  /// Port-space layout for the dynamic admit path.
-  cluster::LaunchConfig launch;
   /// Metrics timeseries CSV destination; empty = no file written.
   std::string metrics_path;
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cluster/placement.hpp"
 #include "workload/gridsearch.hpp"
 
@@ -82,34 +84,43 @@ TEST_F(LauncherTest, DeparturesFireOnFinish) {
 }
 
 TEST_F(LauncherTest, PortsAssignedWithStride) {
-  LaunchConfig cfg;
-  cfg.base_port = 6000;
-  cfg.port_stride = 32;
-  launcher_.launch_all(jobs(3), assign_tasks(table1(1, 3), 4, 3), cfg);
-  EXPECT_EQ(launcher_.jobs()[0]->spec().ps_port, 6000);
-  EXPECT_EQ(launcher_.jobs()[1]->spec().ps_port, 6032);
-  EXPECT_EQ(launcher_.jobs()[2]->spec().ps_port, 6064);
+  launcher_.launch_all(jobs(3), assign_tasks(table1(1, 3), 4, 3), {});
+  EXPECT_EQ(launcher_.jobs()[0]->spec().ps_port, 5000);
+  EXPECT_EQ(launcher_.jobs()[1]->spec().ps_port, 5064);
+  EXPECT_EQ(launcher_.jobs()[2]->spec().ps_port, 5128);
 }
 
-TEST_F(LauncherTest, PortStrideTooSmallRejected) {
-  LaunchConfig cfg;
-  cfg.port_stride = 4;  // needs 2 + 3 workers = 5
-  EXPECT_THROW(
-      launcher_.launch_all(jobs(2), assign_tasks(table1(1, 2), 4, 3), cfg),
-      std::invalid_argument);
+TEST_F(LauncherTest, TasksBeyondOnePortBlockRejectedWithTheirCounts) {
+  // A job's PS shards plus workers must be at most 63: 1 + 62 fits,
+  // 2 + 62 does not.
+  auto job_with = [](int num_ps, int workers) {
+    dl::JobSpec spec;
+    spec.job_id = 4;
+    spec.num_ps = num_ps;
+    spec.num_workers = workers;
+    return spec;
+  };
+  net::FabricConfig wide;
+  wide.num_hosts = 64;
+  net::Fabric fabric(sim_, wide);
+  Launcher launcher(sim_, fabric);
+  launcher.launch_all({job_with(1, 62)},
+                      assign_tasks(table1(1, 1), 64, 62), {});
+  try {
+    launcher.launch_all({job_with(2, 62)},
+                        assign_tasks(table1(1, 1), 64, 62, 2), {});
+    FAIL() << "a job needing 64 ports was created";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "job 4 runs 2 PS + 62 workers; a job's PS shards plus "
+                 "workers must be at most 63");
+  }
 }
 
 TEST_F(LauncherTest, MismatchedSpecsAndPlacementsRejected) {
   EXPECT_THROW(
       launcher_.launch_all(jobs(3), assign_tasks(table1(1, 2), 4, 3), {}),
       std::invalid_argument);
-}
-
-TEST_F(LauncherTest, SecondLaunchAllRejected) {
-  launcher_.launch_all(jobs(1), assign_tasks(table1(1, 1), 4, 3), {});
-  EXPECT_THROW(
-      launcher_.launch_all(jobs(1), assign_tasks(table1(1, 1), 4, 3), {}),
-      std::logic_error);
 }
 
 TEST_F(LauncherTest, AllFinishedFalseWhileRunning) {
@@ -132,14 +143,14 @@ TEST_F(LauncherTest, BusySinkForwarded) {
 
 // ---------------------------------------------------------------------------
 // Dynamic-cluster admission (admit/evict): jobs enter and leave one at a
-// time, ports are recycled, and the two launch paths exclude each other.
+// time, and ports are recycled from the one pool launch_all also draws on.
 
 TEST_F(LauncherTest, AdmitStartsImmediatelyAndFiresCallbacks) {
   launcher_.add_listener(&recorder_);
   dl::JobSpec spec = jobs(1)[0];
   dl::JobPlacement placement = assign_tasks(table1(1, 1), 4, 3)[0];
   int departed = 0;
-  launcher_.admit(spec, placement, {},
+  launcher_.admit(spec, placement,
                   [&](const dl::JobRuntime&) { ++departed; });
   ASSERT_EQ(recorder_.arrivals.size(), 1u);  // arrival fires before packets
   sim_.run();
@@ -151,8 +162,8 @@ TEST_F(LauncherTest, AdmitStartsImmediatelyAndFiresCallbacks) {
 TEST_F(LauncherTest, AdmitRecyclesLowestFreePortSlot) {
   auto placements = assign_tasks(table1(1, 2), 4, 3);
   std::vector<dl::JobSpec> specs = jobs(2);
-  dl::JobRuntime& a = launcher_.admit(specs[0], placements[0], {});
-  dl::JobRuntime& b = launcher_.admit(specs[1], placements[1], {});
+  dl::JobRuntime& a = launcher_.admit(specs[0], placements[0]);
+  dl::JobRuntime& b = launcher_.admit(specs[1], placements[1]);
   std::uint16_t port_a = a.spec().ps_port;
   std::uint16_t port_b = b.spec().ps_port;
   EXPECT_NE(port_a, port_b);
@@ -161,14 +172,24 @@ TEST_F(LauncherTest, AdmitRecyclesLowestFreePortSlot) {
   // Both slots are free; the next admit takes the lowest one back.
   dl::JobSpec next = jobs(1)[0];
   next.job_id = 7;
-  dl::JobRuntime& c = launcher_.admit(next, placements[0], {});
+  dl::JobRuntime& c = launcher_.admit(next, placements[0]);
   EXPECT_EQ(c.spec().ps_port, std::min(port_a, port_b));
+}
+
+TEST_F(LauncherTest, RejectedJobLeavesItsPortSlotFree) {
+  std::vector<dl::JobSpec> specs = jobs(2);
+  dl::JobPlacement placement = assign_tasks(table1(1, 1), 4, 3)[0];
+  dl::JobPlacement short_one = placement;
+  short_one.worker_hosts.pop_back();  // two hosts for three workers
+  EXPECT_THROW(launcher_.admit(specs[0], short_one), std::invalid_argument);
+  EXPECT_TRUE(launcher_.jobs().empty());
+  EXPECT_EQ(launcher_.admit(specs[1], placement).spec().ps_port, 5000);
 }
 
 TEST_F(LauncherTest, EvictEndsAJobEarly) {
   dl::JobSpec spec = jobs(1, /*target=*/1'000'000)[0];
   dl::JobRuntime& job =
-      launcher_.admit(spec, assign_tasks(table1(1, 1), 4, 3)[0], {});
+      launcher_.admit(spec, assign_tasks(table1(1, 1), 4, 3)[0]);
   sim_.run(sim_.now() + 1 * sim::kSecond);
   ASSERT_FALSE(job.finished());
   launcher_.evict(job);
@@ -179,16 +200,51 @@ TEST_F(LauncherTest, EvictEndsAJobEarly) {
   EXPECT_EQ(fabric_.active_flows(), 0u);
 }
 
-TEST_F(LauncherTest, AdmitAndLaunchAllAreMutuallyExclusive) {
-  launcher_.admit(jobs(1)[0], assign_tasks(table1(1, 1), 4, 3)[0], {});
-  EXPECT_THROW(
-      launcher_.launch_all(jobs(1), assign_tasks(table1(1, 1), 4, 3), {}),
-      std::logic_error);
+/// Distinct first ports of every job the launcher created.
+std::set<std::uint16_t> ports_of(const Launcher& launcher) {
+  std::set<std::uint16_t> ports;
+  for (const auto& job : launcher.jobs()) ports.insert(job->spec().ps_port);
+  return ports;
+}
 
-  Launcher other(sim_, fabric_);
-  other.launch_all(jobs(1), assign_tasks(table1(1, 1), 4, 3), {});
-  EXPECT_THROW(other.admit(jobs(1)[0], assign_tasks(table1(1, 1), 4, 3)[0], {}),
-               std::logic_error);
+TEST_F(LauncherTest, AdmitAfterLaunchAllRuns) {
+  launcher_.add_listener(&recorder_);
+  launcher_.launch_all(jobs(2), assign_tasks(table1(1, 2), 4, 3), {});
+  dl::JobSpec late = jobs(1)[0];
+  late.job_id = 9;
+  launcher_.admit(late, assign_tasks(table1(1, 1), 4, 3)[0]);
+  EXPECT_EQ(ports_of(launcher_),
+            (std::set<std::uint16_t>{5000, 5064, 5128}));
+  sim_.run();
+  EXPECT_TRUE(launcher_.all_finished());
+  EXPECT_EQ(recorder_.departures.size(), 3u);
+}
+
+TEST_F(LauncherTest, LaunchAllAfterAdmitRuns) {
+  launcher_.add_listener(&recorder_);
+  dl::JobSpec early = jobs(1)[0];
+  early.job_id = 9;
+  launcher_.admit(early, assign_tasks(table1(1, 1), 4, 3)[0]);
+  launcher_.launch_all(jobs(2), assign_tasks(table1(1, 2), 4, 3), {});
+  EXPECT_EQ(ports_of(launcher_),
+            (std::set<std::uint16_t>{5000, 5064, 5128}));
+  sim_.run();
+  EXPECT_TRUE(launcher_.all_finished());
+  ASSERT_EQ(recorder_.arrivals.size(), 3u);
+  // The batch's starts are staggered from the launch_all call.
+  EXPECT_EQ(recorder_.arrivals[1].second, tls::sim::Time{0});
+  EXPECT_EQ(recorder_.arrivals[2].second, 100 * sim::kMillisecond);
+}
+
+TEST_F(LauncherTest, StaticDepartureFreesItsPortSlot) {
+  launcher_.launch_all(jobs(2), assign_tasks(table1(1, 2), 4, 3), {});
+  sim_.run();
+  ASSERT_TRUE(launcher_.all_finished());
+  dl::JobSpec next = jobs(1)[0];
+  next.job_id = 7;
+  dl::JobRuntime& job =
+      launcher_.admit(next, assign_tasks(table1(1, 1), 4, 3)[0]);
+  EXPECT_EQ(job.spec().ps_port, 5000);
 }
 
 }  // namespace

@@ -58,6 +58,24 @@ TEST(Placement, TableOneScalesToOtherJobCounts) {
   }
 }
 
+TEST(Placement, TableOneNeverLeavesAGroupEmpty) {
+  // Fewer jobs than a split's groups: every job gets a group of its own,
+  // and #2 never splits off an empty second group.
+  const int groups[] = {1, 2, 2, 3, 4, 5, 7};
+  for (int m = 1; m <= 7; ++m) {
+    for (int index = 1; index <= 8; ++index) {
+      PsPlacement p = table1(index, m);
+      EXPECT_EQ(p.total_jobs(), m) << "index " << index << " m " << m;
+      for (int g : p.group_sizes) {
+        EXPECT_GE(g, 1) << "index " << index << " m " << m;
+      }
+      int want = index == 8 ? m : groups[index - 1];
+      EXPECT_EQ(p.num_groups(), std::min(want, m))
+          << "index " << index << " m " << m;
+    }
+  }
+}
+
 TEST(Placement, HigherIndexMoreUniform) {
   // The paper: "placement with a higher index tends to be more uniform."
   auto max_group = [](const PsPlacement& p) {
@@ -73,9 +91,10 @@ TEST(Placement, HigherIndexMoreUniform) {
 TEST(AssignTasks, PsHostsFollowGroups) {
   auto jobs = assign_tasks(table1(4, 21), 21, 20);  // 7,7,7
   ASSERT_EQ(jobs.size(), 21u);
-  for (int j = 0; j < 7; ++j) EXPECT_EQ(jobs[static_cast<size_t>(j)].ps_host, tls::net::HostId{0});
-  for (int j = 7; j < 14; ++j) EXPECT_EQ(jobs[static_cast<size_t>(j)].ps_host, tls::net::HostId{1});
-  for (int j = 14; j < 21; ++j) EXPECT_EQ(jobs[static_cast<size_t>(j)].ps_host, tls::net::HostId{2});
+  for (int j = 0; j < 21; ++j) {
+    const dl::JobPlacement& jp = jobs[static_cast<size_t>(j)];
+    EXPECT_EQ(jp.ps_hosts, std::vector<net::HostId>{net::HostId{j / 7}});
+  }
 }
 
 TEST(AssignTasks, WorkersOnePerHostExcludingPs) {
@@ -84,7 +103,7 @@ TEST(AssignTasks, WorkersOnePerHostExcludingPs) {
     EXPECT_EQ(jp.worker_hosts.size(), 20u);
     std::set<net::HostId> hosts(jp.worker_hosts.begin(), jp.worker_hosts.end());
     EXPECT_EQ(hosts.size(), 20u);                 // all distinct
-    EXPECT_EQ(hosts.count(jp.ps_host), 0u);       // none on the PS host
+    EXPECT_EQ(hosts.count(jp.ps_shard_host(0)), 0u);  // none on the PS host
   }
 }
 
@@ -104,32 +123,28 @@ TEST(AssignTasks, Validation) {
 }
 
 TEST(AssignTasksSharded, ShardsWalkFromGroupHost) {
-  auto jobs = assign_tasks_sharded(table1(1, 4), 8, 5, /*num_ps=*/3);
+  // Placement #3 of 4 jobs is "2, 2": jobs 0-1 in group 0, jobs 2-3 in
+  // group 1. Shard p of group k's jobs lands on host (k + p) mod 8.
+  auto jobs = assign_tasks(table1(3, 4), 8, 5, /*num_ps=*/3);
   ASSERT_EQ(jobs.size(), 4u);
-  for (const auto& jp : jobs) {
+  for (int j = 0; j < 4; ++j) {
+    const dl::JobPlacement& jp = jobs[static_cast<size_t>(j)];
+    const int group = j / 2;
     ASSERT_EQ(jp.ps_count(), 3);
-    EXPECT_EQ(jp.ps_shard_host(0), jp.ps_host);
-    EXPECT_EQ(jp.ps_shard_host(1), tls::net::HostId{(jp.ps_host.idx() + 1) % 8});
-    EXPECT_EQ(jp.ps_shard_host(2), tls::net::HostId{(jp.ps_host.idx() + 2) % 8});
-  }
-}
-
-TEST(AssignTasksSharded, SinglePsMatchesPlainAssign) {
-  auto plain = assign_tasks(table1(4, 9), 9, 6);
-  auto sharded = assign_tasks_sharded(table1(4, 9), 9, 6, 1);
-  ASSERT_EQ(plain.size(), sharded.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].ps_host, sharded[i].ps_host);
-    EXPECT_EQ(plain[i].worker_hosts, sharded[i].worker_hosts);
-    EXPECT_EQ(sharded[i].ps_count(), 1);
+    for (int p = 0; p < 3; ++p) {
+      EXPECT_EQ(jp.ps_shard_host(p), net::HostId{(group + p) % 8});
+    }
+    // Workers walk the hosts after the first shard's host.
+    for (int w = 0; w < 5; ++w) {
+      EXPECT_EQ(jp.worker_hosts[static_cast<size_t>(w)],
+                net::HostId{(group + 1 + w) % 8});
+    }
   }
 }
 
 TEST(AssignTasksSharded, Validation) {
-  EXPECT_THROW(assign_tasks_sharded(table1(1, 4), 8, 5, 0),
-               std::invalid_argument);
-  EXPECT_THROW(assign_tasks_sharded(table1(1, 4), 8, 5, 9),
-               std::invalid_argument);
+  EXPECT_THROW(assign_tasks(table1(1, 4), 8, 5, 0), std::invalid_argument);
+  EXPECT_THROW(assign_tasks(table1(1, 4), 8, 5, 9), std::invalid_argument);
 }
 
 TEST(AssignTasks, FewerWorkersThanHosts) {
@@ -137,7 +152,7 @@ TEST(AssignTasks, FewerWorkersThanHosts) {
   ASSERT_EQ(jobs.size(), 4u);
   for (const auto& jp : jobs) {
     EXPECT_EQ(jp.worker_hosts.size(), 3u);
-    for (net::HostId h : jp.worker_hosts) EXPECT_NE(h, jp.ps_host);
+    for (net::HostId h : jp.worker_hosts) EXPECT_NE(h, jp.ps_shard_host(0));
   }
 }
 

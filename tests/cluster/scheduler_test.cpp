@@ -42,7 +42,15 @@ TEST(Scheduler, WorkersExcludePsHostAndAreDistinct) {
   EXPECT_EQ(p.worker_hosts.size(), 5u);
   std::set<net::HostId> hosts(p.worker_hosts.begin(), p.worker_hosts.end());
   EXPECT_EQ(hosts.size(), 5u);
-  EXPECT_EQ(hosts.count(p.ps_host), 0u);
+  EXPECT_EQ(hosts.count(p.ps_shard_host(0)), 0u);
+}
+
+TEST(Scheduler, SinglePsJobGetsExactlyOnePsHost) {
+  OnlineScheduler sched(4, SchedulerPolicy::kPsAware);
+  sched.place(job(3));  // host 0 now carries a PS
+  dl::JobPlacement p = sched.place(job(3));
+  EXPECT_EQ(p.ps_hosts, std::vector<net::HostId>{net::HostId{1}});
+  EXPECT_EQ(p.ps_count(), 1);
 }
 
 TEST(Scheduler, LoadAccountingAndRemove) {
@@ -89,7 +97,7 @@ TEST(Scheduler, DeparturesReopenCapacity) {
   sched.remove(spec, placements[0]);
   dl::JobPlacement p = sched.place(spec);
   // The freed PS slot is reused.
-  EXPECT_EQ(p.ps_host, placements[0].ps_host);
+  EXPECT_EQ(p.ps_hosts, placements[0].ps_hosts);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ JobSpec small_job(int workers, std::int64_t target,
 
 JobPlacement star_placement(int workers) {
   JobPlacement p;
-  p.ps_host = tls::net::HostId{0};
+  p.ps_hosts = {tls::net::HostId{0}};
   for (int w = 0; w < workers; ++w) p.worker_hosts.push_back(net::HostId{1 + w});
   return p;
 }
@@ -182,12 +182,20 @@ TEST(JobRuntime, ComputeNoiseChangesWithSeedButNotWithJobId) {
   EXPECT_NE(run_with(1), run_with(2));
 }
 
+TEST(JobRuntime, PlacementWithoutPsHostRejected) {
+  sim::Simulator s(1);
+  net::Fabric fab(s, small_fabric(3));
+  JobPlacement p;
+  p.worker_hosts = {tls::net::HostId{1}, tls::net::HostId{2}};
+  EXPECT_THROW(JobRuntime(s, fab, small_job(2, 4), p), std::invalid_argument);
+}
+
 TEST(JobRuntime, SpreadWorkersOverFewerHostsStillWorks) {
   // Two workers on the same host (oversubscribed cluster).
   sim::Simulator s(1);
   net::Fabric fab(s, small_fabric(2));
   JobPlacement p;
-  p.ps_host = tls::net::HostId{0};
+  p.ps_hosts = {tls::net::HostId{0}};
   p.worker_hosts = {tls::net::HostId{1}, tls::net::HostId{1}};
   JobRuntime job(s, fab, small_job(2, 4), p);
   job.start();

@@ -32,7 +32,6 @@ JobSpec sharded_job(int workers, int num_ps, std::int64_t target) {
 
 JobPlacement sharded_placement(int workers, int num_ps) {
   JobPlacement p;
-  p.ps_host = tls::net::HostId{0};
   for (int s = 0; s < num_ps; ++s) p.ps_hosts.push_back(net::HostId{s});
   for (int w = 0; w < workers; ++w) {
     p.worker_hosts.push_back(static_cast<net::HostId>(num_ps + w));
@@ -54,7 +53,7 @@ TEST(MultiPs, PlacementAccessors) {
   EXPECT_EQ(p.ps_count(), 3);
   EXPECT_EQ(p.ps_shard_host(2), tls::net::HostId{2});
   JobPlacement single;
-  single.ps_host = tls::net::HostId{7};
+  single.ps_hosts = {tls::net::HostId{7}};
   EXPECT_EQ(single.ps_count(), 1);
   EXPECT_EQ(single.ps_shard_host(0), tls::net::HostId{7});
 }
@@ -91,7 +90,6 @@ TEST(MultiPs, ShardingSpeedsUpColocatedBroadcast) {
     JobSpec spec = sharded_job(5, num_ps, 5 * 4);
     spec.model = zoo::alexnet();  // 244 MB updates: network-bound
     JobPlacement p;
-    p.ps_host = tls::net::HostId{0};
     for (int k = 0; k < num_ps; ++k) p.ps_hosts.push_back(net::HostId{k});
     for (int w = 0; w < 5; ++w) p.worker_hosts.push_back(net::HostId{5 + w});
     JobRuntime job(s, fab, spec, p);

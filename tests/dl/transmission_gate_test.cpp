@@ -71,7 +71,7 @@ JobSpec small_job(int workers, std::int64_t target) {
 
 JobPlacement star(int workers) {
   JobPlacement p;
-  p.ps_host = tls::net::HostId{0};
+  p.ps_hosts = {tls::net::HostId{0}};
   for (int w = 0; w < workers; ++w) p.worker_hosts.push_back(net::HostId{1 + w});
   return p;
 }
@@ -128,7 +128,6 @@ TEST(TransmissionGate, MultiPsRequestsPerShard) {
   JobSpec spec = small_job(3, 3 * 4);
   spec.num_ps = 2;
   JobPlacement p;
-  p.ps_host = tls::net::HostId{0};
   p.ps_hosts = {tls::net::HostId{0}, tls::net::HostId{1}};
   p.worker_hosts = {tls::net::HostId{2}, tls::net::HostId{3}, tls::net::HostId{4}};
   JobRuntime job(s, fab, spec, p);

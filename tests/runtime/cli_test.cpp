@@ -599,6 +599,47 @@ TEST(Cli, NonFiniteAndHugeRealsAreRejected) {
   }
 }
 
+// Each running job holds one 64-port block from port 5000 up, so 945 jobs
+// fit below port 65536 and a static batch gets the same pool as churn.
+TEST(Cli, StaticBatchBeyondThePortSpaceFails) {
+  for (const char* jobs : {"946", "1025"}) {
+    CliRun r = cli({"run", "--hosts", "2", "--jobs", jobs, "--workers", "1",
+                    "--iters", "1"});
+    EXPECT_EQ(r.code, 1) << jobs;
+    EXPECT_NE(r.err.find("tlsim: port space exhausted: at most 945 jobs"),
+              std::string::npos)
+        << jobs << ": " << r.err;
+  }
+  CliRun wide = cli({"run", "--hosts", "1026", "--jobs", "1025", "--workers",
+                     "1", "--iters", "1"});
+  EXPECT_EQ(wide.code, 1);
+  EXPECT_NE(wide.err.find("port space exhausted"), std::string::npos)
+      << wide.err;
+}
+
+TEST(Cli, StaticBatchFillingThePortSpaceRuns) {
+  CliRun r = cli({"run", "--hosts", "2", "--jobs", "945", "--workers", "1",
+                  "--iters", "1", "--csv"});
+  EXPECT_EQ(r.code, 0) << r.err;
+}
+
+TEST(Cli, TooManyTasksPerJobNamesTheFlagLimit) {
+  CliRun workers = cli({"run", "--hosts", "70", "--jobs", "2", "--workers",
+                        "63", "--iters", "1"});
+  EXPECT_EQ(workers.code, 1);
+  EXPECT_NE(workers.err.find("tlsim: job 0 runs 1 PS + 63 workers; a job's "
+                             "PS shards plus workers must be at most 63"),
+            std::string::npos)
+      << workers.err;
+  CliRun shards = cli({"run", "--ps", "44", "--hosts", "100", "--jobs", "2",
+                       "--workers", "20", "--iters", "1"});
+  EXPECT_EQ(shards.code, 1);
+  EXPECT_NE(shards.err.find("tlsim: job 0 runs 44 PS + 20 workers; a job's "
+                            "PS shards plus workers must be at most 63"),
+            std::string::npos)
+      << shards.err;
+}
+
 TEST(Cli, SweepBatchRuns) {
   CliRun r = cli({"sweep-batch", "--hosts", "5", "--jobs", "4", "--workers",
                   "4", "--iters", "3", "--link-gbps", "2.5", "--csv"});

@@ -1,4 +1,4 @@
-#include "runtime/scenario_runner.hpp"
+#include "runtime/runner.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,12 @@ scenario::Config small_config() {
   return c;
 }
 
+RunOptions with_jobs(int jobs) {
+  RunOptions o;
+  o.jobs = jobs;
+  return o;
+}
+
 TEST(ScenarioPlan, PolicyComparisonCoversDefaultPoliciesFifoFirst) {
   ScenarioPlan plan = ScenarioPlan::policy_comparison(small_config());
   ASSERT_EQ(plan.size(), 3u);
@@ -39,8 +45,8 @@ TEST(ScenarioPlan, PolicyComparisonCoversDefaultPoliciesFifoFirst) {
 
 TEST(ScenarioRunner, ParallelPlanMatchesSerialByteForByte) {
   ScenarioPlan plan = ScenarioPlan::policy_comparison(small_config());
-  ScenarioReport serial = run_scenario_plan(plan, 1);
-  ScenarioReport parallel = run_scenario_plan(plan, 8);
+  ScenarioReport serial = run_plan(plan, with_jobs(1));
+  ScenarioReport parallel = run_plan(plan, with_jobs(8));
   ASSERT_EQ(serial.results.size(), 3u);
   ASSERT_EQ(parallel.results.size(), 3u);
   for (std::size_t i = 0; i < serial.results.size(); ++i) {
@@ -52,7 +58,7 @@ TEST(ScenarioRunner, ParallelPlanMatchesSerialByteForByte) {
 
 TEST(ScenarioRunner, ResultsAreKeyedByEntryIndex) {
   ScenarioPlan plan = ScenarioPlan::policy_comparison(small_config());
-  ScenarioReport report = run_scenario_plan(plan, 3);
+  ScenarioReport report = run_plan(plan, with_jobs(3));
   ASSERT_EQ(report.results.size(), 3u);
   EXPECT_EQ(report.results[0].policy_name, "FIFO");
   EXPECT_EQ(report.results[1].policy_name, "TLs-One");
@@ -68,11 +74,11 @@ TEST(ScenarioRunner, WorkerExceptionIsRethrown) {
   bad.num_hosts = 1;  // run_scenario throws std::invalid_argument
   plan.add("good", good);
   plan.add("bad", bad);
-  EXPECT_THROW(run_scenario_plan(plan, 2), std::invalid_argument);
+  EXPECT_THROW(run_plan(plan, with_jobs(2)), std::invalid_argument);
 }
 
 TEST(ScenarioRunner, EmptyPlanYieldsEmptyReport) {
-  ScenarioReport report = run_scenario_plan(ScenarioPlan{}, 4);
+  ScenarioReport report = run_plan(ScenarioPlan{}, with_jobs(4));
   EXPECT_TRUE(report.results.empty());
   EXPECT_TRUE(report.labels.empty());
 }

@@ -55,7 +55,7 @@ class ChurnTest : public ::testing::Test {
   dl::JobRuntime& admit(dl::JobSpec s) {
     cluster::Admission a = scheduler_.try_place(s);
     EXPECT_EQ(a.outcome, cluster::AdmissionOutcome::kPlaced);
-    return launcher_.admit(std::move(s), std::move(a.placement), {},
+    return launcher_.admit(std::move(s), std::move(a.placement),
                            [this](const dl::JobRuntime& j) {
                              scheduler_.remove(j.spec(), j.placement());
                            });

@@ -29,7 +29,7 @@ class ControllerTest : public ::testing::Test {
 
   dl::JobPlacement on_host(net::HostId h) {
     dl::JobPlacement p;
-    p.ps_host = h;
+    p.ps_hosts = {h};
     p.worker_hosts = {tls::net::HostId{(h.idx() + 1) % 4}, tls::net::HostId{(h.idx() + 2) % 4},
                       tls::net::HostId{(h.idx() + 3) % 4}};
     return p;

@@ -31,7 +31,6 @@ class MultiPsControllerTest : public ::testing::Test {
   dl::JobPlacement shard_hosts(std::initializer_list<net::HostId> hosts) {
     dl::JobPlacement p;
     p.ps_hosts.assign(hosts);
-    p.ps_host = p.ps_hosts.front();
     p.worker_hosts = {net::HostId{3}, net::HostId{4}, net::HostId{5}};
     return p;
   }

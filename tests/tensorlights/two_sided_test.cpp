@@ -24,7 +24,7 @@ class TwoSidedTest : public ::testing::Test {
   }
   dl::JobPlacement place() {
     dl::JobPlacement p;
-    p.ps_host = tls::net::HostId{0};
+    p.ps_hosts = {tls::net::HostId{0}};
     p.worker_hosts = {tls::net::HostId{1}, tls::net::HostId{2}, tls::net::HostId{3}};
     return p;
   }

@@ -197,9 +197,10 @@ cmake --build --preset debug-asan -j "$jobs" --target bench_diff
 ./build-asan/tools/bench_diff . "$smoke_dir" --max-regress-pct 15 \
   || echo "bench_diff: regression worse than 15% (non-fatal; see table above)"
 
-echo "==> [3/4] debug-tsan: tls::runtime fan-out + both plan runners under ThreadSanitizer"
-# Runner* calls fan_out directly and through run_plan; ScenarioRunner*/
-# ScenarioPlan* drive run_scenario_plan through the same fan-out.
+echo "==> [3/4] debug-tsan: tls::runtime fan-out + the plan runner under ThreadSanitizer"
+# Runner* calls fan_out directly and through run_plan on static batches;
+# ScenarioRunner*/ScenarioPlan* drive run_plan's scenario overload, which
+# shares that body and fan-out.
 cmake --preset debug-tsan
 cmake --build --preset debug-tsan -j "$jobs" --target test_runtime
 (cd build-tsan && ctest -R '^(Runner|ScenarioRunner|ScenarioPlan)' \
