@@ -1,7 +1,8 @@
-// Simulator-core microbenchmark: the product EventQueue (a binary heap of
-// 16-byte (time, key) entries over a slot table of inline callbacks built
-// in place) against the seed binary-heap implementation, plus a 1000-host
-// synthetic fabric drain exercising the chunk rings.
+// Simulator-core microbenchmark: the product EventQueue (16-byte (time, key)
+// entries in a binary heap or in FIFO delay lanes, over a slot table of
+// inline callbacks built in place) against the seed binary-heap
+// implementation, plus a 1000-host synthetic fabric drain exercising the
+// chunk rings.
 //
 // The legacy queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its
@@ -162,6 +163,47 @@ MixResult run_fifo_mix(std::size_t n) {
   return r;
 }
 
+/// The chunk path's shape, as on paper_fifo: every event but a timer is a
+/// chunk step at one of three recurring delays (serializing a full 128 KiB
+/// chunk at 10 Gb/s, serializing a flow's last chunk, the switch hop), over
+/// a standing set of 400 far timers that re-arm at random delays. Each
+/// popped event schedules its successor; callbacks report which kind they
+/// were.
+template <class Q>
+MixResult run_chunk_path(std::size_t n) {
+  constexpr Time kSerialize{104'858};
+  constexpr Time kLastChunk{56'090};
+  constexpr Time kHop{5'000};
+  Q q;
+  Lcg rng{44};
+  bool timer = false;  // set by the callback just run
+  auto far = [&rng] {
+    return Time{1'000'000 +
+                static_cast<std::int64_t>(rng.next() % 100'000'000)};
+  };
+  for (int i = 0; i < 400; ++i) q.schedule(far(), [&timer] { timer = true; });
+  for (int i = 0; i < 64; ++i) {
+    q.schedule(Time{1'000 * i}, [&timer] { timer = false; });
+  }
+  MixResult r;
+  double t0 = now_s();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto [t, cb] = q.pop();
+    cb();
+    if (timer) {
+      q.schedule(t + far(), [&timer] { timer = true; });
+      continue;
+    }
+    std::uint64_t roll = rng.next() % 32;
+    Time delay = roll < 20 ? kSerialize : roll < 31 ? kHop : kLastChunk;
+    q.schedule(t + delay, [&timer] { timer = false; });
+  }
+  while (!q.empty()) q.pop();
+  r.events = 2 * n;  // n pops + n schedules
+  r.wall_s = now_s() - t0;
+  return r;
+}
+
 /// Retry-timer pattern: a large standing set where half the handles are
 /// cancelled before firing. This is the seed queue's quadratic path.
 template <class Q>
@@ -249,7 +291,8 @@ DrainResult run_drain(int hosts, tls::net::Bytes bytes_per_flow) {
 }
 
 void write_json(std::size_t ops, const MixResult& fifo_new,
-                const MixResult& fifo_old, const MixResult& cancel_new,
+                const MixResult& fifo_old, const MixResult& chunk_new,
+                const MixResult& chunk_old, const MixResult& cancel_new,
                 const MixResult& cancel_old, const MixResult& mixed_new,
                 const MixResult& mixed_old, const DrainResult& drain,
                 double total_wall_s) {
@@ -271,6 +314,8 @@ void write_json(std::size_t ops, const MixResult& fifo_new,
       "  \"ref_ops\": %llu,\n"
       "  \"fifo_mix\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
       "\"speedup\": %.2f},\n"
+      "  \"chunk_path\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
+      "\"speedup\": %.2f},\n"
       "  \"cancel_heavy\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
       "\"speedup\": %.2f},\n"
       "  \"mixed_horizon\": {\"queue_eps\": %.0f, \"heap_eps\": %.0f, "
@@ -281,9 +326,11 @@ void write_json(std::size_t ops, const MixResult& fifo_new,
       total_wall_s, static_cast<long long>(tls::bench::bench_iters()),
       static_cast<unsigned long long>(ops), fifo_new.events_per_sec(),
       fifo_old.events_per_sec(), ratio(fifo_new, fifo_old),
-      cancel_new.events_per_sec(), cancel_old.events_per_sec(),
-      ratio(cancel_new, cancel_old), mixed_new.events_per_sec(),
-      mixed_old.events_per_sec(), ratio(mixed_new, mixed_old), drain.hosts,
+      chunk_new.events_per_sec(), chunk_old.events_per_sec(),
+      ratio(chunk_new, chunk_old), cancel_new.events_per_sec(),
+      cancel_old.events_per_sec(), ratio(cancel_new, cancel_old),
+      mixed_new.events_per_sec(), mixed_old.events_per_sec(),
+      ratio(mixed_new, mixed_old), drain.hosts,
       static_cast<unsigned long long>(drain.flows),
       static_cast<unsigned long long>(drain.sim_events), drain.events_per_sec);
   std::fclose(f);
@@ -315,6 +362,9 @@ int main(int argc, char** argv) {
   MixResult fifo_new = run_fifo_mix<tls::sim::EventQueue>(ops);
   MixResult fifo_old = run_fifo_mix<legacy::EventQueue>(ops);
   print_mix("fifo", fifo_new, fifo_old);
+  MixResult chunk_new = run_chunk_path<tls::sim::EventQueue>(ops);
+  MixResult chunk_old = run_chunk_path<legacy::EventQueue>(ops);
+  print_mix("chunk-path", chunk_new, chunk_old);
   MixResult cancel_new = run_cancel_heavy<tls::sim::EventQueue>(ops);
   MixResult cancel_old = run_cancel_heavy<legacy::EventQueue>(ops);
   print_mix("cancel-heavy", cancel_new, cancel_old);
@@ -335,8 +385,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(drain.sim_events), drain.wall_s,
       drain.events_per_sec);
 
-  write_json(ops, fifo_new, fifo_old, cancel_new, cancel_old, mixed_new,
-             mixed_old, drain, now_s() - t0);
+  write_json(ops, fifo_new, fifo_old, chunk_new, chunk_old, cancel_new,
+             cancel_old, mixed_new, mixed_old, drain, now_s() - t0);
 
   bool ok = drain.flows == static_cast<std::uint64_t>(drain.hosts);
   std::printf("\n%s\n", ok ? "DRAIN-COMPLETE" : "DRAIN-INCOMPLETE");

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "net/qdisc.hpp"
-#include "net/ring.hpp"
+#include "simcore/ring.hpp"
 #include "net/wdrr.hpp"
 
 namespace tls::net {
@@ -108,7 +108,7 @@ class HtbQdisc final : public Qdisc {
 
   // Sorted by minor: dequeue scans and breaks ties in minor order.
   std::vector<LeafClass> classes_;
-  Ring<Chunk> direct_;  // unclassified, unshaped
+  sim::Ring<Chunk> direct_;  // unclassified, unshaped
   Bytes direct_bytes_{};
   std::size_t backlog_chunks_ = 0;  // direct queue and every class
   ByteLedger ledger_;

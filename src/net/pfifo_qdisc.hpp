@@ -7,7 +7,7 @@
 #pragma once
 
 #include "net/qdisc.hpp"
-#include "net/ring.hpp"
+#include "simcore/ring.hpp"
 
 namespace tls::net {
 
@@ -22,7 +22,7 @@ class PfifoQdisc final : public Qdisc {
   void drain(std::vector<Chunk>& out) override;
 
  private:
-  Ring<Chunk> queue_;
+  sim::Ring<Chunk> queue_;
   Bytes backlog_bytes_{};
   ByteLedger ledger_;
 };

@@ -8,7 +8,7 @@
 
 #include "net/classifier.hpp"
 #include "net/qdisc.hpp"
-#include "net/ring.hpp"
+#include "simcore/ring.hpp"
 #include "simcore/simulator.hpp"
 
 namespace tls::net {
@@ -128,7 +128,7 @@ class IngressPort {
   };
 
   /// FIFO of waiting chunks.
-  Ring<Arrival> queue_;
+  sim::Ring<Arrival> queue_;
   Bytes backlog_bytes_{};
   bool busy_ = false;
   /// The chunk in service while busy_, and the time it waited behind

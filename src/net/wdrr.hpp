@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "net/chunk.hpp"
-#include "net/ring.hpp"
+#include "simcore/ring.hpp"
 
 namespace tls::net {
 
@@ -70,7 +70,7 @@ class WdrrBand {
   /// A backlogged flow's queue. When the queue empties, the flow leaves the
   /// round and its slot goes back to the free list, ring storage and all.
   struct FlowQueue {
-    Ring<Chunk> chunks;
+    sim::Ring<Chunk> chunks;
     FlowId flow = 0;
     Bytes top_up{};  // per-round deficit, fixed while the flow is backlogged
     Bytes deficit{};
@@ -99,7 +99,7 @@ class WdrrBand {
   Bytes quantum_;
   std::vector<FlowQueue> slots_;
   std::vector<std::uint32_t> free_slots_;
-  Ring<std::uint32_t> round_;  // backlogged slots, in service order
+  sim::Ring<std::uint32_t> round_;  // backlogged slots, in service order
   // Linear probing over a power-of-two table at most half full, keyed by a
   // multiplicative hash's top bits; deletion shifts later entries back.
   std::vector<IndexEntry> index_;

@@ -14,7 +14,9 @@
 //             " now=", now_);
 // On failure the check prints file:line, the stringified condition, and the
 // message to stderr, then aborts (so sanitizers and ctest both see a hard
-// failure with a usable stack).
+// failure with a usable stack). The message is built in a cold, never
+// inlined lambda, so the function holding the check keeps only a branch
+// and a call: no stream object in its frame.
 #pragma once
 
 #include <sstream>
@@ -34,8 +36,7 @@ std::string format_check_message(const Args&... args) {
   }
 }
 
-/// Prints the failure report and aborts. Out-of-line so the cold path adds
-/// one call per check site instead of a stream expansion.
+/// Prints the failure report and aborts.
 [[noreturn]] void check_failed(const char* file, int line, const char* expr,
                                const std::string& message);
 
@@ -44,9 +45,11 @@ std::string format_check_message(const Args&... args) {
 #define TLS_CHECK(cond, ...)                                                 \
   do {                                                                       \
     if (!(cond)) [[unlikely]] {                                              \
-      ::tls::sim::internal::check_failed(                                    \
-          __FILE__, __LINE__, #cond,                                         \
-          ::tls::sim::internal::format_check_message(__VA_ARGS__));          \
+      [&]() __attribute__((noinline, cold, noreturn)) {                      \
+        ::tls::sim::internal::check_failed(                                  \
+            __FILE__, __LINE__, #cond,                                       \
+            ::tls::sim::internal::format_check_message(__VA_ARGS__));        \
+      }();                                                                   \
     }                                                                        \
   } while (0)
 

@@ -20,12 +20,34 @@ EventId EventQueue::push(Time at, std::uint32_t slot) {
   TLS_CHECK(next_seq_ < kSeqEnd, "event sequence numbers exhausted at t=",
             at);
   const std::uint64_t key = next_seq_ << kSlotBits | slot;
-  heap_.push_back(Entry{at, key});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++next_seq_;
   slot_key_[slot] = key;
   ++live_;
   ++stats_.scheduled;
+  // The delay is measured only from a pop at a time >= 0 and only when
+  // not negative, so the subtraction cannot overflow.
+  Time delay = kNoDelay;
+  if (last_pop_time_ >= Time{0} && at >= last_pop_time_) {
+    delay = at - last_pop_time_;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      if (lane_delay_[lane] == delay) {
+        lanes_[lane].push_back(Entry{at, key});
+        return EventId{key};
+      }
+    }
+    if (delay == last_heap_delay_) {
+      // Second heap push in a row at this delay: bind a free lane to it.
+      for (Time& bound : lane_delay_) {
+        if (bound == kNoDelay) {
+          bound = delay;
+          break;
+        }
+      }
+    }
+  }
+  last_heap_delay_ = delay;
+  heap_.push_back(Entry{at, key});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return EventId{key};
 }
 
@@ -35,20 +57,38 @@ void EventQueue::release(std::uint32_t slot, Callback& into) {
   free_slots_.push_back(slot);
 }
 
-void EventQueue::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+void EventQueue::drop(std::size_t source) {
+  if (source == kLanes) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  } else {
+    lanes_[source].take_front();
+  }
 }
 
-const EventQueue::Entry& EventQueue::next_live() {
+std::size_t EventQueue::least_source() const {
+  std::size_t source = kLanes;
+  const Entry* least = heap_.empty() ? &kNoEntry : &heap_.front();
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    if (!lanes_[lane].empty() && earlier(lanes_[lane].front(), *least)) {
+      least = &lanes_[lane].front();
+      source = lane;
+    }
+  }
+  TLS_DCHECK(least != &kNoEntry, "event queue holds no entry with ", live_,
+             " live events");
+  return source;
+}
+
+std::size_t EventQueue::next_live() {
   for (;;) {
-    TLS_DCHECK(!heap_.empty(), "event heap empty with ", live_,
-               " live events");
-    const Entry& top = heap_.front();
-    if (slot_key_[slot_of(top.key)] == top.key) return top;
-    // Tombstone: the event was cancelled.
+    const std::size_t source = least_source();
+    const Entry& least = head(source);
+    if (slot_key_[slot_of(least.key)] == least.key) return source;
+    // Tombstone: the event was cancelled. Only the least entry is
+    // discarded, so the count is the one a heap alone would keep.
     ++stats_.tombstones_skipped;
-    pop_top();
+    drop(source);
   }
 }
 
@@ -70,7 +110,7 @@ bool EventQueue::cancel(EventId id) {
 
 Time EventQueue::peek_time() {
   TLS_CHECK(!empty(), "peek_time() on an empty event queue");
-  return next_live().at;
+  return head(next_live()).at;
 }
 
 std::pair<Time, EventQueue::Callback> EventQueue::pop() {
@@ -82,9 +122,10 @@ std::pair<Time, EventQueue::Callback> EventQueue::pop() {
 
 bool EventQueue::pop_due(Time until, Time& at, Callback& cb) {
   if (empty()) return false;
-  const Entry top = next_live();
+  const std::size_t source = next_live();
+  const Entry top = head(source);
   if (top.at > until) return false;
-  pop_top();
+  drop(source);
   release(slot_of(top.key), cb);
   --live_;
   ++stats_.popped;
@@ -99,6 +140,9 @@ bool EventQueue::pop_due(Time until, Time& at, Callback& cb) {
 
 void EventQueue::clear() {
   heap_.clear();
+  for (Ring<Entry>& lane : lanes_) lane.clear();
+  lane_delay_.fill(kNoDelay);
+  last_heap_delay_ = kNoDelay;
   live_ = 0;
   last_pop_time_ = kTimeMin;
   // Every slot goes free. Sequence numbers carry on, so an EventId issued
@@ -111,7 +155,9 @@ void EventQueue::clear() {
 }
 
 EventQueue::Footprint EventQueue::footprint() const {
-  return Footprint{heap_.capacity(), slot_key_.size()};
+  Footprint fp{heap_.capacity(), slot_key_.size(), 0};
+  for (const Ring<Entry>& lane : lanes_) fp.lane_capacity += lane.capacity();
+  return fp;
 }
 
 }  // namespace tls::sim

@@ -1,9 +1,10 @@
 // FIFO ring buffer of whole elements: the queue behind every qdisc band,
-// WDRR flow slot and ingress port, and WDRR's round of slots. One
-// power-of-two allocation that doubles as it grows, so steady-state enqueue
-// and dequeue allocate nothing. Storage is allocated uninitialized: a slot
-// is written by push_back before anything reads it, so filling it first
-// would be work no reader sees.
+// WDRR flow slot and ingress port, WDRR's round of slots, and the event
+// queue's delay lanes. One power-of-two allocation that doubles as it
+// grows and is kept across clear(), so steady-state enqueue and dequeue
+// allocate nothing. Storage is allocated uninitialized: a slot is written
+// by push_back before anything reads it, so filling it first would be work
+// no reader sees.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +15,7 @@
 
 #include "simcore/check.hpp"
 
-namespace tls::net {
+namespace tls::sim {
 
 template <typename T>
 class Ring {
@@ -32,6 +33,8 @@ class Ring {
   ~Ring() { if (data_) std::allocator<T>().deallocate(data_, capacity_); }
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+  /// Elements the storage holds before the next push_back doubles it.
+  std::size_t capacity() const { return capacity_; }
   const T& front() const {
     TLS_DCHECK(size_ > 0, "front() on an empty Ring");
     return data_[head_];
@@ -82,4 +85,4 @@ class Ring {
   std::size_t size_ = 0;
 };
 
-}  // namespace tls::net
+}  // namespace tls::sim

@@ -18,7 +18,7 @@
 
 #include "net/htb_qdisc.hpp"
 #include "net/qdisc.hpp"
-#include "net/ring.hpp"
+#include "simcore/ring.hpp"
 #include "net/wdrr.hpp"
 
 namespace tls::net::reference {
@@ -40,7 +40,7 @@ class WdrrBand {
 
  private:
   struct FlowQueue {
-    Ring<Chunk> chunks;
+    sim::Ring<Chunk> chunks;
     double weight = 1.0;
     Bytes deficit{};
     bool in_round = false;
@@ -97,7 +97,7 @@ class HtbQdisc {
   sim::Time root_last_refill_{};
   std::uint64_t serve_seq_ = 0;
   std::map<std::uint32_t, LeafClass> classes_;
-  Ring<Chunk> direct_;
+  sim::Ring<Chunk> direct_;
   Bytes direct_bytes_{};
 };
 

@@ -388,16 +388,44 @@ TEST(EventQueue, StorageFollowsPendingEventsNotDeliveredOnes) {
   q.pop().second();
   constexpr int kChain = 200'000;
   q.schedule(kSecond + kMicrosecond, [] {});
+  Time t;
   for (int i = 0; i < kChain; ++i) {
-    auto [t, cb] = q.pop();
-    ASSERT_LT(t, 2 * kSecond);
+    auto [at, cb] = q.pop();
+    ASSERT_LT(at, 2 * kSecond);
     cb();
+    t = at;
     if (i + 1 < kChain) q.schedule(t + kMicrosecond, [] {});
   }
   EXPECT_EQ(q.size(), 18u);
   EventQueue::Footprint fp = q.footprint();
   EXPECT_LE(fp.heap_capacity, 128u);
   EXPECT_LE(fp.slots, 20u);
+  // Each chain event is scheduled 1 us after the pop before it, so the
+  // chain runs through a delay lane, whose ring never holds more than the
+  // one pending chain event.
+  EXPECT_GT(fp.lane_capacity, 0u);
+  EXPECT_LE(fp.lane_capacity, 16u);
+
+  // A recurring-delay chain 40 deep: 40 events 1 us apart, each popped one
+  // rescheduled 40 us after its pop, for 200k pops. Its lane holds the 40
+  // pending chain events (a 64-entry ring) however many pass through it.
+  for (std::int64_t k = 1; k <= 40; ++k) {
+    q.schedule(t + k * kMicrosecond, [] {});
+  }
+  for (int i = 0; i < kChain; ++i) {
+    auto [at, cb] = q.pop();
+    ASSERT_LT(at, 2 * kSecond);
+    cb();
+    q.schedule(at + 40 * kMicrosecond, [] {});
+  }
+  EXPECT_EQ(q.size(), 58u);
+  fp = q.footprint();
+  EXPECT_LE(fp.heap_capacity, 128u);
+  EXPECT_LE(fp.slots, 64u);
+  EXPECT_LE(fp.lane_capacity, 16u + 64u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_LT(q.pop().first, 2 * kSecond);
+  }
   // The far events still fire, in order.
   for (std::int64_t i = 2; i < 20; ++i) EXPECT_EQ(q.pop().first, i * kSecond);
   EXPECT_TRUE(q.empty());

@@ -1,7 +1,7 @@
-// Ring unit tests over the queued-chunk element: FIFO fidelity across
-// growth and wraparound, whole-element round trips, drain order,
-// clear-and-reuse and move.
-#include "net/ring.hpp"
+// Ring unit tests over the queued-chunk element, the largest one a ring
+// holds: FIFO fidelity across growth and wraparound, whole-element round
+// trips, drain order, clear-and-reuse (storage kept) and move.
+#include "simcore/ring.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,15 +10,16 @@
 
 #include "net/chunk.hpp"
 
-namespace tls::net {
+namespace tls::sim {
 namespace {
 
+using net::Chunk;
 using ChunkRing = Ring<Chunk>;
 
 Chunk make_chunk(std::uint32_t index) {
   Chunk c;
   c.flow = 1000 + index;
-  c.size = tls::net::Bytes{100} + static_cast<Bytes>(index);
+  c.size = tls::net::Bytes{100} + static_cast<net::Bytes>(index);
   c.index = index;
   c.band = tls::net::BandId{static_cast<std::int32_t>(index % 5)};
   c.weight = 0.5 + 0.01 * index;
@@ -89,8 +90,10 @@ TEST(ChunkRing, AppendToPreservesServiceOrder) {
 TEST(ChunkRing, ClearThenReuse) {
   ChunkRing ring;
   for (std::uint32_t i = 0; i < 20; ++i) ring.push_back(make_chunk(i));
+  EXPECT_EQ(ring.capacity(), 32u);  // 16, doubled once
   ring.clear();
   EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 32u);  // the storage stays for reuse
   ring.push_back(make_chunk(7));
   EXPECT_EQ(ring.size(), 1u);
   expect_same(ring.take_front(), make_chunk(7));
@@ -112,4 +115,4 @@ TEST(ChunkRing, MoveTransfersArena) {
 }
 
 }  // namespace
-}  // namespace tls::net
+}  // namespace tls::sim

@@ -29,8 +29,11 @@ echo "==> [1b/4] debug-ubsan: input-reader mutation + net table and event queue 
 # slots against the node-based tables they replaced, or a model.
 # EventQueueDifferential (test_simcore) drives the event queue's heap keys
 # (sequence number shifted above the slot index, slot masked back out)
-# through Simulator::run, cancels, slot reuse and clear() against an
-# ordered-set model.
+# and its delay lanes through Simulator::run, cancels, slot reuse and
+# clear() against an ordered-set model; DelayLanesMatchTheModel and
+# TombstonesCountWhereTheHeapCountedThem add lane ties with the heap top,
+# cancelled lane entries, run(until) slices, re-binding after clear() and
+# the tombstone count.
 cmake --preset debug-ubsan
 cmake --build --preset debug-ubsan -j "$jobs" \
   --target test_obs test_scenario test_tc test_runtime test_net test_simcore
@@ -182,7 +185,7 @@ else
   echo "python3 not installed; skipping scenario JSON well-formedness check"
 fi
 
-echo "==> [2f/4] bench_simcore smoke: queue mixes + fabric drain under ASan"
+echo "==> [2f/4] bench_simcore smoke: queue mixes (incl. chunk_path) + fabric drain under ASan"
 cmake --build --preset debug-asan -j "$jobs" --target bench_simcore
 env TLS_BENCH_SIMCORE_OPS=2000 TLS_BENCH_SIMCORE_HOSTS=64 TLS_BENCH_ITERS=2 \
   TLS_BENCH_JSON_DIR="$smoke_dir" ./build-asan/bench/bench_simcore >/dev/null
